@@ -253,14 +253,15 @@ def _cmd_flow(args) -> int:
     cfg = _make_run_config(args)
     _echo_config(cfg)
     field = flow.make_rho(max(cfg.A, 1))
+    chart = flow.trajectory_chart(field, cfg.k, tol=cfg.tol)
     resid = flow.verify_chart_conjugation(field, args.b, args.samples,
-                                          k=cfg.k, tol=cfg.tol)
+                                          k=cfg.k, chart=chart, tol=cfg.tol)
     radius = min(1.0, field.plateau / 2.0)
     u = diffeo.from_preset("smooth_bump_displacement",
                            {"eps": 1e-3, "radius": radius, "k": cfg.k},
                            cfg.tol)
     fix_resid = flow.verify_chart_fixes_support(field, u, args.samples,
-                                                tol=cfg.tol)
+                                                chart=chart, tol=cfg.tol)
     ok = resid <= cfg.tol.intertwine and fix_resid <= cfg.tol.intertwine
     payload = {
         "run_config": cfg.to_dict(),
@@ -511,9 +512,9 @@ def _suite_diffeo(rng, tol) -> dict:
         d = diffeo.from_dict(diffeo.to_dict(f), tol)
         worst_ser = max(worst_ser, float(np.max(np.abs(d(xs) - f(xs)))))
     ok = worst_round <= 1e-9 and worst_comp <= 1e-7 and worst_ser == 0.0
-    return {"ok": bool(ok), "inverse_roundtrip": worst_round,
-            "composition_pointwise": worst_comp,
-            "serialization": worst_ser}
+    return {"ok": bool(ok), "inverse_residual": worst_round,
+            "composition_residual": worst_comp,
+            "serialization_gap": worst_ser}
 
 
 def _suite_norms(rng, tol) -> dict:
@@ -534,10 +535,13 @@ def _suite_norms(rng, tol) -> dict:
 
 def _suite_flow(rng, tol) -> dict:
     field = flow.make_rho(1)
-    resid = flow.verify_chart_conjugation(field, 0.6, 33, k=2, tol=tol)
+    chart = flow.trajectory_chart(field, 2, tol=tol)
+    resid = flow.verify_chart_conjugation(field, 0.6, 33, k=2, chart=chart,
+                                          tol=tol)
     u = diffeo.from_preset("smooth_bump_displacement",
                            {"eps": 1e-3, "k": 2}, tol)
-    fix_resid = flow.verify_chart_fixes_support(field, u, 33, tol=tol)
+    fix_resid = flow.verify_chart_fixes_support(field, u, 33, chart=chart,
+                                                tol=tol)
     ok = resid <= tol.intertwine and fix_resid <= tol.intertwine
     return {"ok": bool(ok), "intertwining_residual": float(resid),
             "support_fix_residual": float(fix_resid)}

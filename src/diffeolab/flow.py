@@ -4,24 +4,31 @@ The field rho is 1 on [-2A, 2A], 0 outside [-2A-1, 2A+1], even, and
 smooth: rho(x) = S(2A+1-|x|) / (S(2A+1-|x|) + S(|x|-2A)) with
 S(t) = exp(-1/t) for t > 0 and 0 otherwise.
 
-Time-t maps integrate dx/ds = rho(x) together with the variational
-equations for derivative jets: writing Y = (y, y', ..., y^(k)) for the
-jets of the flow in the initial condition, dY/ds equals the jet of
-rho o Phi, which the chain-rule table computes from the jets of rho at
-y.  A single high-order adaptive Runge-Kutta solve (tight tolerance)
-integrates all nodes at once.
+Time-t maps use the 1-D flow identity rho(Phi_t(x)) = Phi_t'(x) rho(x)
+instead of variational equations.  One adaptive high-order Runge-Kutta
+solve integrates only the displacements D = Phi_t(x) - x of all nodes, a
+vector of n scalar ODEs whose right-hand side is the closed-form field
+value.  The jets then follow from the identity: Phi_t' - 1 =
+(rho(x+D) - rho(x)) / rho(x), and order m of its Leibniz expansion gives
+Phi_t^(m+1) from the lower orders through the chain-rule table.  Where
+rho(x) = 0 the map is the identity.  Next to the edge D is so small that
+x + D rounds to x; there rho(x+D) - rho(x) comes from a Taylor shift in
+D from the jets of rho at x, since a difference of two values would
+collapse every jet of such a node to zero.
 
 The chart phi(x) is the trajectory of 0 evaluated at time x.  Its
-derivative jets need no extra integration: phi' = rho(phi), and higher
-orders follow triangularly.  phi increases from -2A-1 to 2A+1 but only
-logarithmically fast outside the plateau, so the tabulated window ends
-at W = 8(2A+1) with a constant clamp beyond; the clamp value still sits
-visibly inside the asymptote and inverse lookups are restricted to the
-attained range.
+derivative jets need no extra integration: phi' = rho(phi) is the same
+identity with rho(x) replaced by 1 (x is time), and the same triangular
+recursion gives the higher orders.  phi increases from -2A-1 to 2A+1 but
+only logarithmically fast outside the plateau, so the tabulated window
+ends at W = 8(2A+1) with a constant clamp beyond; the clamp value still
+sits visibly inside the asymptote and inverse lookups are restricted to
+the attained range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +36,8 @@ from scipy.integrate import solve_ivp
 
 from . import _taylor
 from .config import DEFAULT_TOL, Tolerances
-from .diffeo import Diffeo1, _hermite_coeffs, _horner
-from .errors import ConstructionError
+from .diffeo import Diffeo1, _hermite_coeffs, _horner, support_interval
+from .errors import ConstructionError, PreconditionError
 from .jets import compose_derivs
 
 _ODE_METHOD = "DOP853"
@@ -38,6 +45,11 @@ _ODE_METHOD = "DOP853"
 # tabulation density for flow objects; the Hermite residual scales like
 # (1/density)^(2k+2), so 256 keeps C^0 errors near 1e-12 for k = 2
 _NODES_PER_UNIT = 256
+
+# time-t maps: displacements up to this size get rho(x + d) - rho(x) from
+# a Taylor shift with this many terms instead of from values at x + d
+_SHIFT_BELOW = 1e-5
+_SHIFT_TERMS = 4
 
 
 def _auto_nodes(width: float) -> int:
@@ -79,10 +91,32 @@ class PlateauField:
             out[ramp] = jets * sign
         return out
 
+    def values(self, x) -> np.ndarray:
+        """rho itself, bitwise equal to jets(x, 0)[..., 0]: the same float
+        operations and flat cuts, without the series arithmetic."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        ax = np.abs(x)
+        out = np.zeros(x.shape)
+        flat = ax <= self.plateau
+        out[flat] = 1.0
+        ramp = (~flat) & (ax < self.edge)
+        if ramp.any():
+            t = self.edge - ax[ramp]
+            val = np.where(t >= 1.0, 1.0, 0.0)
+            mid = (t > _taylor._FLAT_CUT) & (t < 1.0 - _taylor._FLAT_CUT)
+            tm = t[mid]
+            # mid keeps both t and 1 - t above the cut: one exp for S(t)
+            # and S(1 - t) together
+            s = np.exp(-1.0 / np.concatenate([tm, 1.0 - tm]))
+            up, down = s[:tm.size], s[tm.size:]
+            val[mid] = up / (up + down)
+            out[ramp] = val
+        return out
+
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
-        val = self.jets(x, 0)[..., 0]
+        val = self.values(x)
         return val[0] if scalar else val
 
 
@@ -92,12 +126,45 @@ def make_rho(A: int) -> PlateauField:
     return PlateauField(int(A))
 
 
-def _flow_rhs(field: PlateauField, k: int):
-    def rhs(_s, state):
-        Y = state.reshape(-1, k + 1)
-        rj = field.jets(Y[:, 0], k)
-        return compose_derivs(rj, Y).reshape(-1)
-    return rhs
+def _identity_jets(y: np.ndarray, rho_y: np.ndarray,
+                   v: np.ndarray) -> np.ndarray:
+    """Jets 0..k of a map Phi with rho(Phi) = Phi' * v, from its values y,
+    the jets 0..k-1 of rho at y and the jets 0..k-1 of v at the base
+    points (v nonzero there).  Order m of the identity reads
+    Phi^(m+1) v = (rho o Phi)^(m) - sum_{j<m} C(m, j) Phi^(j+1) v^(m-j),
+    and (rho o Phi)^(m) needs only Phi^(0..m): the jets follow
+    triangularly."""
+    k = rho_y.shape[-1]
+    jets = np.zeros(y.shape + (k + 1,))
+    jets[:, 0] = y
+    for m in range(k):
+        acc = compose_derivs(rho_y[:, :m + 1], jets[:, :m + 1])[:, m]
+        for j in range(m):
+            acc = acc - math.comb(m, j) * jets[:, j + 1] * v[:, m - j]
+        jets[:, m + 1] = acc / v[:, 0]
+    return jets
+
+
+def _rho_shift(field: PlateauField, x: np.ndarray, d: np.ndarray,
+               rj: np.ndarray, k: int) -> np.ndarray:
+    """rho^(m)(x + d) - rho^(m)(x) for m < k, given the jets
+    0..k+_SHIFT_TERMS-1 of rho at x.
+
+    Next to the edge d falls below ulp(x), so x + d rounds to x, and a
+    difference of two values would lose the displacement and with it
+    every jet there.  Tiny displacements therefore take the Taylor shift
+    sum_{i=1..4} rho^(m+i)(x) d^i / i! instead.
+    """
+    out = np.empty((x.size, k))
+    shift = np.abs(d) <= _SHIFT_BELOW
+    acc = np.zeros((int(shift.sum()), k))
+    ds = d[shift, None]
+    for i in range(_SHIFT_TERMS, 0, -1):
+        acc = (acc + rj[shift, i:i + k]) * (ds / i)
+    out[shift] = acc
+    far = ~shift
+    out[far] = field.jets(x[far] + d[far], k - 1) - rj[far, :k]
+    return out
 
 
 def time_t_map(field: PlateauField, t: float, k: int,
@@ -108,19 +175,26 @@ def time_t_map(field: PlateauField, t: float, k: int,
     if n is None:
         n = _auto_nodes(hi - lo)
     xs = np.linspace(lo, hi, n)
+    jets = np.zeros((n, k + 1))
     if t == 0.0:
-        return Diffeo1("compact", lo, hi, k, np.zeros((n, k + 1)), tol=tol)
-    y0 = np.zeros((n, k + 1))
-    y0[:, 0] = xs
-    y0[:, 1] = 1.0
-    sol = solve_ivp(_flow_rhs(field, k), (0.0, t), y0.reshape(-1),
-                    method=_ODE_METHOD, atol=tol.ode_tol, rtol=tol.ode_tol,
-                    t_eval=[t])
+        return Diffeo1("compact", lo, hi, k, jets, tol=tol)
+    # the displacements D = Phi_t(x) - x; atol = ode_tol^2 leaves ode_tol
+    # a relative tolerance down to displacements of size ode_tol
+    sol = solve_ivp(lambda _s, d: field.values(xs + d), (0.0, t), np.zeros(n),
+                    method=_ODE_METHOD, atol=tol.ode_tol ** 2,
+                    rtol=tol.ode_tol, t_eval=[t])
     if not sol.success:
         raise ConstructionError(f"flow integration failed: {sol.message}")
-    jets = sol.y[:, -1].reshape(n, k + 1)
-    jets[:, 0] -= xs
-    jets[:, 1] -= 1.0
+    rj = field.jets(xs, k + _SHIFT_TERMS - 1)
+    # where rho(x) = 0 the node never moves: the map is the identity there
+    live = rj[:, 0] != 0.0
+    x, d, rj = xs[live], sol.y[live, -1], rj[live]
+    drho = _rho_shift(field, x, d, rj, k)
+    phi = _identity_jets(x + d, rj[:, :k] + drho, rj[:, :k])
+    jets[live, 0] = d
+    # Phi' = rho(Phi) / rho, so Phi' - 1 = (rho(x + D) - rho(x)) / rho(x)
+    jets[live, 1] = drho[:, 0] / rj[:, 0]
+    jets[live, 2:] = phi[:, 2:]
     return Diffeo1("compact", lo, hi, k, jets, tol=tol)
 
 
@@ -192,7 +266,8 @@ class Chart:
         """Solve phi(x) = y inside the tabulated window."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(y <= self.jets[0, 0]) or np.any(y >= self.jets[-1, 0]):
-            raise ValueError("chart inverse requested outside attained range")
+            raise PreconditionError(
+                "flow stage: chart inverse requested outside attained range")
         lo = np.full(y.shape, -self.w)
         hi = np.full(y.shape, self.w)
         x = np.clip(y, lo, hi)
@@ -227,12 +302,10 @@ def trajectory_chart(field: PlateauField, k: int, n: int | None = None,
     vals = np.empty(n)
     vals[half] = 0.0
 
-    def rhs(_s, y):
-        return field.jets(y, 0)[:, 0]
-
     for sign, sl in ((1.0, slice(half + 1, n)), (-1.0, slice(half - 1, None, -1))):
         times = sign * xs[sl] if sign < 0 else xs[sl]
-        sol = solve_ivp(lambda s, y: sign * rhs(s, y), (0.0, float(times[-1])),
+        sol = solve_ivp(lambda _s, y: sign * field.values(y),
+                        (0.0, float(times[-1])),
                         [0.0], method=_ODE_METHOD,
                         atol=tol.ode_tol, rtol=tol.ode_tol,
                         t_eval=times)
@@ -240,12 +313,11 @@ def trajectory_chart(field: PlateauField, k: int, n: int | None = None,
             raise ConstructionError(f"chart integration failed: {sol.message}")
         vals[sl] = sol.y[0]
 
-    jets = np.zeros((n, k + 1))
-    jets[:, 0] = vals
-    rj = field.jets(vals, k)
-    for j in range(1, k + 1):
-        jets[:, j] = compose_derivs(rj[:, :j], jets[:, :j])[:, j - 1]
-    return Chart(field, k, jets, w)
+    # phi' = rho(phi): the identity with v = 1, since x is time
+    unit = np.zeros((n, k))
+    unit[:, 0] = 1.0
+    return Chart(field, k, _identity_jets(vals, field.jets(vals, k - 1), unit),
+                 w)
 
 
 def verify_chart_conjugation(field: PlateauField, b: float, samples: int,
@@ -272,12 +344,11 @@ def verify_chart_fixes_support(field: PlateauField, u: Diffeo1, samples: int,
     commute with the chart."""
     tol = tol or DEFAULT_TOL
     chart = chart or trajectory_chart(field, u.k, tol=tol)
-    supp = None
-    from .diffeo import support_interval
     supp = support_interval(u)
     if supp is not None and (supp[0] < -field.plateau
                              or supp[1] > field.plateau):
-        raise ValueError("map must be supported inside the plateau")
+        raise PreconditionError(
+            "flow stage: map must be supported inside the plateau")
     r = chart.attained - 1e-9
     xs = np.linspace(-r, r, samples)
     lhs = chart(u(chart.inverse_value(xs)))

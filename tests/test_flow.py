@@ -7,9 +7,12 @@ the unit translation to the time-one map.
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from diffeolab import (
+    PreconditionError,
     compose,
+    compose_derivs,
     identity,
     inverse,
     make_rho,
@@ -19,6 +22,28 @@ from diffeolab import (
     verify_chart_fixes_support,
 )
 from _helpers import c0_gap, small_bump
+
+
+def variational_time_t_jets(field, t, k, n):
+    """Reference time-t map: integrate the nodes together with the
+    variational equations, dY/ds = jet of rho o Phi, for all k + 1
+    orders, and return the node abscissae and displacement jets."""
+    xs = np.linspace(-field.edge, field.edge, n)
+
+    def rhs(_s, state):
+        Y = state.reshape(-1, k + 1)
+        return compose_derivs(field.jets(Y[:, 0], k), Y).reshape(-1)
+
+    y0 = np.zeros((n, k + 1))
+    y0[:, 0] = xs
+    y0[:, 1] = 1.0
+    sol = solve_ivp(rhs, (0.0, t), y0.reshape(-1), method="DOP853",
+                    atol=1e-12, rtol=1e-12, t_eval=[t])
+    assert sol.success
+    jets = sol.y[:, -1].reshape(n, k + 1)
+    jets[:, 0] -= xs
+    jets[:, 1] -= 1.0
+    return xs, jets
 
 
 def test_field_plateau_and_cutoff_values():
@@ -34,6 +59,14 @@ def test_field_plateau_and_cutoff_values():
     # even profile
     ys = np.linspace(0.0, 3.5, 57)
     np.testing.assert_array_equal(field(ys), field(-ys))
+
+
+def test_field_values_match_order_zero_jets_bitwise():
+    for A in (1, 4):
+        field = make_rho(A)
+        xs = np.linspace(-field.edge - 0.5, field.edge + 0.5, 100001)
+        vals = field.values(xs)
+        assert vals.tobytes() == field.jets(xs, 0)[:, 0].tobytes()
 
 
 def test_time_zero_map_is_identity():
@@ -68,6 +101,23 @@ def test_flow_maps_keep_orientation_for_long_times():
         tau = time_t_map(field, t, 2)
         slopes = tau.jet_at(xs, 1)[:, 1]
         assert np.all(slopes > 0.0)
+
+
+@pytest.mark.parametrize("A,t", [(1, 0.6), (4, 1.0), (8, -0.37)])
+def test_time_t_map_matches_variational_route(A, t):
+    # node jets of the 1-D identity route against the variational ODE;
+    # near the edge a difference of two rho values instead of the Taylor
+    # shift misses C3 by 4.4e-7 at A=1, t=0.6
+    k = 3
+    field = make_rho(A)
+    tau = time_t_map(field, t, k)
+    xs, ref = variational_time_t_jets(field, t, k, tau.n)
+    gap = np.max(np.abs(tau.jets - ref), axis=0)
+    assert np.all(gap <= [1e-11, 1e-11, 2e-10, 2e-8]), gap
+    # a node where rho vanishes never moves
+    still = field.values(xs) == 0.0
+    assert still.any()
+    assert np.all(tau.jets[still] == 0.0)
 
 
 def test_chart_is_identity_inside_and_bounded_outside():
@@ -106,6 +156,18 @@ def test_chart_conjugation_rejects_escaping_support():
     u = small_bump(1e-3, center=2.0, radius=1.0)
     with pytest.raises(ValueError):
         verify_chart_fixes_support(field, u, 100)
+
+
+def test_flow_refusals_are_typed():
+    field = make_rho(1)
+    chart = trajectory_chart(field, 2)
+    u = small_bump(1e-3, center=2.0, radius=1.0)
+    with pytest.raises(PreconditionError, match="flow stage") as e:
+        verify_chart_fixes_support(field, u, 100, chart=chart)
+    assert type(e.value) is PreconditionError
+    with pytest.raises(PreconditionError, match="flow stage") as e:
+        chart.inverse_value(np.array([field.edge]))
+    assert type(e.value) is PreconditionError
 
 
 def test_flow_map_inversion_refuses_at_the_flat_edge():
