@@ -34,28 +34,6 @@ _INT_TOL_FIELDS = {"max_nodes", "eval_density", "holder_scales",
                    "word_cap", "fix_max_iter"}
 
 
-def _cap_workers() -> int | None:
-    """Best-effort thread cap from DIFFEOLAB_MAX_WORKERS."""
-    raw = os.environ.get("DIFFEOLAB_MAX_WORKERS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"DIFFEOLAB_MAX_WORKERS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError("DIFFEOLAB_MAX_WORKERS must be >= 1")
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
-    return n
-
-
 def parse_alpha(spec: str):
     """Parse a modulus spec: holder:S, omegaz:SIGMA,TAU, or file:PATH."""
     kind, _, rest = spec.partition(":")
@@ -764,14 +742,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _cap_workers()
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except ValueError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args)
     except (PreconditionError, ConstructionError) as e:

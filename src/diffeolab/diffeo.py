@@ -350,13 +350,20 @@ def _displacement_fn_compose(f: Diffeo1, g: Diffeo1):
 def _build_adaptive(tail: str, lo: float, hi: float, k: int, fn,
                     n0: int, tol: Tolerances) -> Diffeo1:
     """Sample displacement jets from fn on ever finer grids until the
-    midpoint residual of the interpolant is below tolerance."""
+    midpoint residual of the interpolant is below tolerance.  Sampled jets
+    the constructor rejects, such as a broken tail law, are a failed
+    construction, not bad input."""
     n = max(int(n0), 2)
     n = min(n, tol.max_nodes)
     while True:
         xs = np.linspace(lo, hi, n)
         jets = fn(xs)
-        obj = Diffeo1(tail, lo, hi, k, jets, tol=tol)
+        try:
+            obj = Diffeo1(tail, lo, hi, k, jets, tol=tol)
+        except PreconditionError:
+            raise
+        except ValueError as e:
+            raise ConstructionError(str(e)) from e
         mids = 0.5 * (xs[:-1] + xs[1:])
         direct = fn(mids)[..., 0]
         resid = float(np.max(np.abs(obj.displacement_jets(mids, 0)[..., 0]

@@ -7,6 +7,12 @@ back on the narrow target interval.  A fixed point of this step witnesses
 the input map's first-homology class as trivial: the run serializes every
 map and identity involved into a certificate chain that an independent
 replay can check without trusting any stored number.
+
+The conjugation is exact, not resampled.  The rescaler is the linear map
+x -> ratio*x on twice the target interval, which holds the support of the
+composite, so conjugating by it is the pure rescaling u(x) -> ratio *
+u(x/ratio) of the composite's node jets.  Each step checks the rescaler's
+node jets over that support before it takes the shortcut.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from numpy.polynomial import polynomial as npp
 
 from .config import Tolerances, DEFAULT_TOL
 from .errors import PreconditionError, ConstructionError
-from .diffeo import (Diffeo1, _build_adaptive, compose, compose_all,
-                     from_preset, identity, inverse, refined_grid,
+from .diffeo import (Diffeo1, _build_adaptive, compose, from_preset,
+                     identity, inverse, refined_grid, rescale_displacement,
                      support_interval, to_dict as map_to_dict,
                      from_dict as map_from_dict)
 from .norms import holder_norm
@@ -81,7 +87,7 @@ class _BlendProfile:
 
     @property
     def feasible(self) -> bool:
-        return self.span > 1.0 and self.mean > 0.0 and self.ell > 1e-3
+        return self.mean > 0.0 and self.ell > 1e-3
 
     def jets(self, t: np.ndarray) -> np.ndarray:
         """Rows [integral, slope, slope', ...] of the profile at t."""
@@ -163,7 +169,8 @@ def make_rescaler(cfg: MatherConfig,
 
     Maps supported in the target interval are carried onto the source
     interval by pure scaling under conjugation.  If the first blend zone
-    cannot stay monotone the zone is widened once before giving up.
+    is thinner than one unit or cannot stay monotone, the zone is widened
+    once before giving up.
     """
     tol = tol or DEFAULT_TOL
     width_d = cfg.D[1] - cfg.D[0]
@@ -172,9 +179,11 @@ def make_rescaler(cfg: MatherConfig,
     zi = 2.0 * width_d
     worst = None
     for zo in (4.0 * width_e, 4.0 * (width_e + width_d)):
+        if not zo - zi > 1.0:
+            continue
         prof = _BlendProfile(ratio, zi, zo, cfg.k)
         if not prof.feasible:
-            worst = prof.ell if prof.span > 1.0 else None
+            worst = prof.ell
             continue
         n0 = max(513, int(round(256.0 * 2.0 * zo)) + 1)
         q = _build_adaptive("compact", -zo, zo, cfg.k,
@@ -185,7 +194,8 @@ def make_rescaler(cfg: MatherConfig,
             return q
         worst = slope_min
     raise ConstructionError(
-        f"rescaler blend lost monotonicity (worst slope level {worst})")
+        f"rescaling stage: no monotone blend zone outside |x| = {zi:g} "
+        f"(worst slope level {worst})")
 
 
 # -- the renormalized reduction step -----------------------------------------
@@ -195,14 +205,34 @@ class RenormStep:
     """One application of the renormalized reduction, with diagnostics."""
 
     map: Diffeo1
-    conjugated: Diffeo1             # rescaler o (f o u) o rescaler^{-1}
+    conjugated: Diffeo1             # rescaler o (f o u) o rescaler^{-1}, the
+                                    # exact rescale of f o u's node jets
     reduction: PsiResult
     norm_composed: float            # norm of f o u before rescaling
 
 
+def _check_linear_on(rescaler: Diffeo1, supp: tuple[float, float],
+                     ratio: float, tol: Tolerances) -> None:
+    """Refuse unless the rescaler's node jets over every grid cell meeting
+    supp are those of x -> ratio*x; the interpolant is then that line."""
+    i0 = math.floor((supp[0] - rescaler.a) / rescaler.h)
+    i1 = math.ceil((supp[1] - rescaler.a) / rescaler.h)
+    if i0 < 0 or i1 > rescaler.n - 1:
+        raise ConstructionError(
+            f"rescaling stage: support {supp} of f o u leaves the rescaler "
+            f"grid [{rescaler.a:g}, {rescaler.b:g}]")
+    want = np.zeros((i1 - i0 + 1, rescaler.k + 1))
+    want[:, 0] = (ratio - 1.0) * rescaler.nodes[i0:i1 + 1]
+    want[:, 1] = ratio - 1.0
+    gap = float(np.max(np.abs(rescaler.jets[i0:i1 + 1] - want)))
+    if not gap <= tol.node_zero:
+        raise ConstructionError(
+            f"rescaling stage: rescaler departs from x -> {ratio:g}x by "
+            f"{gap:.3e} on the support {supp} of f o u")
+
+
 def _renorm_full(u: Diffeo1, f: Diffeo1, rescaler: Diffeo1,
-                 rescaler_inv: Diffeo1, cfg: MatherConfig,
-                 tol: Tolerances) -> RenormStep:
+                 cfg: MatherConfig, tol: Tolerances) -> RenormStep:
     try:
         fu = compose(f, u, tol)
     except (PreconditionError, ConstructionError) as e:
@@ -210,12 +240,13 @@ def _renorm_full(u: Diffeo1, f: Diffeo1, rescaler: Diffeo1,
     norm_fu = holder_norm(fu, cfg.alpha, cfg.k)
     if norm_fu > 3.0 * cfg.delta0:
         raise PreconditionError(
-            f"composite norm {norm_fu:.3e} exceeds the iteration ball "
-            f"{3.0 * cfg.delta0:.1e}")
-    try:
-        g = compose_all([rescaler, fu, rescaler_inv], tol)
-    except (PreconditionError, ConstructionError) as e:
-        raise type(e)(f"rescaling stage: {e}") from e
+            f"composition stage: composite norm {norm_fu:.3e} exceeds the "
+            f"iteration ball {3.0 * cfg.delta0:.1e}")
+    ratio = scaling_ratio(cfg)
+    supp = support_interval(fu)
+    if supp is not None:
+        _check_linear_on(rescaler, supp, ratio, tol)
+    g = rescale_displacement(fu, ratio)
     try:
         red = reduce_norm(g, cfg, tol)
     except (PreconditionError, ConstructionError) as e:
@@ -233,7 +264,7 @@ def renorm_step(u: Diffeo1, f: Diffeo1, rescaler: Diffeo1,
                 cfg: MatherConfig, tol: Tolerances | None = None) -> Diffeo1:
     """One step of the iteration: reduce the rescaled conjugate of f o u."""
     tol = tol or DEFAULT_TOL
-    return _renorm_full(u, f, rescaler, inverse(rescaler, tol), cfg, tol).map
+    return _renorm_full(u, f, rescaler, cfg, tol).map
 
 
 def ck_distance(u: Diffeo1, v: Diffeo1, density: int = 8) -> float:
@@ -390,12 +421,11 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
             f"{cfg.delta0:.1e}")
 
     rescaler = make_rescaler(cfg, tol)
-    rescaler_inv = inverse(rescaler, tol)
     u = identity(cfg.k, cfg.D[0], cfg.D[1])
     trace: list = []
     residual = math.inf
     for it in range(1, max_iter + 1):
-        step = _renorm_full(u, f, rescaler, rescaler_inv, cfg, tol)
+        step = _renorm_full(u, f, rescaler, cfg, tol)
         residual = ck_distance(step.map, u)
         trace.append({
             "iteration": it,

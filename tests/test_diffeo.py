@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from diffeolab import (
+    DEFAULT_TOL,
+    ConstructionError,
     Diffeo1,
     PreconditionError,
     compose,
@@ -22,7 +24,7 @@ from diffeolab import (
     translate_conjugate,
     translation,
 )
-from diffeolab.diffeo import evaluate, fragment, refined_grid
+from diffeolab.diffeo import _build_adaptive, evaluate, fragment, refined_grid
 from _helpers import c0_gap, small_bump, small_periodic
 
 try:
@@ -199,6 +201,29 @@ def test_post_translate_shifts_values():
     np.testing.assert_allclose(g(xs), f(xs) + 0.25, atol=1e-14)
     with pytest.raises(ValueError):
         post_translate(small_bump(1e-3), 0.25)  # periodic class only
+
+
+def test_adaptive_build_breaking_a_tail_law_is_a_construction_error():
+    def fn(xs):  # a compact build whose end jets do not vanish
+        out = np.zeros(xs.shape + (3,))
+        out[:, 0] = 1e-3 * np.cos(xs)
+        out[:, 1] = -1e-3 * np.sin(xs)
+        out[:, 2] = -1e-3 * np.cos(xs)
+        return out
+
+    with pytest.raises(ConstructionError, match="^compact tail: "):
+        _build_adaptive("compact", -1.0, 1.0, 2, fn, 33, DEFAULT_TOL)
+
+
+def test_adaptive_build_passes_precondition_errors_through():
+    u = -2.0 * np.polynomial.Polynomial([0.0, 1.0]) * \
+        np.polynomial.Polynomial([1.0, 0.0, -1.0]) ** 4
+
+    def fn(xs):  # flat ends, but the slope 1 + u' reaches -1 at 0
+        return np.stack([u(xs), u.deriv(1)(xs), u.deriv(2)(xs)], axis=-1)
+
+    with pytest.raises(PreconditionError, match="orientation lost"):
+        _build_adaptive("compact", -1.0, 1.0, 2, fn, 33, DEFAULT_TOL)
 
 
 # -- serialization ------------------------------------------------------------------

@@ -4,6 +4,7 @@ The hard guarantee established here: every certificate chain the search
 emits verifies on replay, and tampering with any stored map is caught.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,12 +12,15 @@ import pytest
 
 from diffeolab import (
     DEFAULT_TOL,
+    ConstructionError,
     PreconditionError,
     calibrated_bump,
     ck_distance,
+    compose,
     compose_all,
     dump_chain,
     fixed_point_search,
+    from_dict,
     holder,
     holder_norm,
     identity,
@@ -25,6 +29,8 @@ from diffeolab import (
     make_config,
     make_rescaler,
     renorm_step,
+    rescale_displacement,
+    rescale_factor,
     scaling_ratio,
     support_interval,
     verify_certificate,
@@ -76,6 +82,21 @@ def test_rescaler_conjugation_is_pure_scaling(cfg, preset_f):
     assert float(np.max(np.abs(g(xs) - want))) <= 1e-8
 
 
+def test_rescaler_widens_an_empty_blend_zone():
+    # k=1, A=2: the first blend zone starts and ends at |x| = 16, so the
+    # widened zone is used
+    cfg1 = make_config(1, ALPHA, 2)
+    q = make_rescaler(cfg1)
+    assert q.b == 48.0
+    assert float(q(np.array(3.0))) == pytest.approx(1.5, abs=1e-9)
+
+
+def test_rescaler_refuses_windows_too_thin_to_blend(cfg):
+    thin = dataclasses.replace(cfg, D=(-0.05, 0.05), E=(-0.05, 0.05))
+    with pytest.raises(ConstructionError, match="^rescaling stage: "):
+        make_rescaler(thin)
+
+
 # -- calibration -----------------------------------------------------------------
 
 def test_calibrated_bump_hits_the_target_norm():
@@ -105,6 +126,22 @@ def test_renorm_step_refuses_oversized_composites(cfg, preset_f):
     big = small_bump(2e-3, radius=1.0)
     with pytest.raises(PreconditionError):
         renorm_step(big, preset_f, q, cfg)
+
+
+def test_renorm_step_names_the_composite_gate(cfg, preset_f):
+    q = make_rescaler(cfg)
+    big = small_bump(2e-3, radius=1.0)
+    with pytest.raises(PreconditionError, match="^composition stage: "):
+        renorm_step(big, preset_f, q, cfg)
+
+
+def test_renorm_step_reads_the_rescaler(cfg, preset_f):
+    # the identity is not x -> 4x on the support of f, so the exact
+    # rescaling is refused instead of applied blindly
+    fake = identity(2, -16.0, 16.0)
+    u = identity(2, -2.0, 2.0)
+    with pytest.raises(ConstructionError, match="^rescaling stage: "):
+        renorm_step(u, preset_f, fake, cfg)
 
 
 def test_contractivity_probe_is_logged_not_asserted(cfg, preset_f):
@@ -144,6 +181,30 @@ def test_search_converges_on_the_calibrated_preset(converged):
     for entry in converged.trace:
         assert {"iteration", "residual", "norm_composed",
                 "norm_reduced"} <= set(entry)
+
+
+def test_conjugated_is_the_exact_rescale(converged, preset_f):
+    g = from_dict(converged.chain["maps"]["conjugated"])
+    want = rescale_displacement(compose(preset_f, converged.u0), 4.0)
+    assert (g.a, g.b, g.n) == (want.a, want.b, want.n)
+    assert np.array_equal(g.jets, want.jets)
+
+
+@pytest.mark.parametrize("A", [4, 8])
+def test_conjugation_scales_the_norm_exactly(preset_f, A):
+    # the first step composes with the identity on [-2, 2]; the estimator
+    # samples of the conjugate are those of f o u scaled by A, so the
+    # seminorm scales by exactly rescale_factor
+    res = fixed_point_search(preset_f, make_config(2, ALPHA, A), max_iter=1)
+    first = res.trace[0]
+    assert first["norm_conjugated"] == pytest.approx(
+        rescale_factor(ALPHA, A, 2) * first["norm_composed"], rel=1e-9)
+
+
+def test_search_converges_at_width_8(preset_f):
+    res = fixed_point_search(preset_f, make_config(2, ALPHA, 8))
+    assert res.converged and res.residual <= 1e-6
+    assert verify_certificate(res.chain)["ok"]
 
 
 def test_search_reports_no_convergence_honestly(preset_f, cfg):
