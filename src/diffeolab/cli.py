@@ -16,11 +16,11 @@ import io
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
-from .config import DEFAULT_TOL, RunConfig, Tolerances
+from ._taylor import poly_jets
+from .config import RunConfig, Tolerances
 from .errors import ConstructionError, PreconditionError
 from . import diffeo, fixpoint, flow, modulus, norms, reduction
 from .jets import compose_derivs, invert_derivs
@@ -30,8 +30,10 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
-_INT_TOL_FIELDS = {"max_nodes", "eval_density", "holder_scales",
-                   "word_cap", "fix_max_iter"}
+# top-level keys of a config file and the type of each value
+_FILE_KEYS = {"k": int, "alpha": str, "A": int, "seed": int, "out": str,
+              "tol": dict}
+_TOL_TYPES = {f.name: type(f.default) for f in dataclasses.fields(Tolerances)}
 
 
 def parse_alpha(spec: str):
@@ -50,22 +52,9 @@ def parse_alpha(spec: str):
     raise ValueError(f"unknown modulus spec {spec!r}")
 
 
-def _write_text(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    fixpoint.write_atomic(path, json.dumps(payload, indent=2, sort_keys=True)
+                          + "\n")
 
 
 def _write_csv(path: str, cfg: RunConfig, columns: list[str],
@@ -76,39 +65,60 @@ def _write_csv(path: str, cfg: RunConfig, columns: list[str],
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(columns)
     w.writerows(rows)
-    _write_text(path, buf.getvalue())
+    fixpoint.write_atomic(path, buf.getvalue())
+
+
+def _typed(key: str, value, kind: type):
+    """A config-file value as the given type, or a ValueError naming the
+    key: integers may be written as integral floats, floats as integers."""
+    if not isinstance(value, bool):
+        if kind is int and isinstance(value, float) and value.is_integer():
+            return int(value)
+        if kind is float and isinstance(value, int):
+            return float(value)
+        if isinstance(value, kind):
+            return value
+    raise ValueError(f"config key {key!r} must be of type {kind.__name__}, "
+                     f"got {value!r}")
 
 
 def _make_run_config(args) -> RunConfig:
-    """Merge CLI flags over config-file values over defaults."""
+    """Merge CLI flags over config-file values over defaults.  An unknown
+    config-file key or a value of the wrong type is a ValueError."""
     file_cfg: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config}: the top level must "
+                             f"be a JSON object")
+        for key, value in loaded.items():
+            if key not in _FILE_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            file_cfg[key] = _typed(key, value, _FILE_KEYS[key])
 
     def pick(flag, key, default):
         if flag is not None:
             return flag
         return file_cfg.get(key, default)
 
-    tol_kw = dict(file_cfg.get("tol", {}))
-    for f in dataclasses.fields(Tolerances):
-        v = getattr(args, f"tol_{f.name}", None)
+    tol_kw = {}
+    for name, value in file_cfg.get("tol", {}).items():
+        if name not in _TOL_TYPES:
+            raise ValueError(f"unknown config key 'tol.{name}'")
+        tol_kw[name] = _typed(f"tol.{name}", value, _TOL_TYPES[name])
+    for name in _TOL_TYPES:
+        v = getattr(args, f"tol_{name}", None)
         if v is not None:
-            tol_kw[f.name] = v
-    for name in list(tol_kw):
-        if name in _INT_TOL_FIELDS:
-            tol_kw[name] = int(tol_kw[name])
-    tol = DEFAULT_TOL.with_overrides(**tol_kw) if tol_kw else DEFAULT_TOL
+            tol_kw[name] = v
+    tol = Tolerances(**tol_kw)
 
     return RunConfig(
-        k=int(pick(getattr(args, "k", None), "k", 2)),
-        alpha_spec=str(pick(getattr(args, "alpha", None), "alpha",
-                            "holder:0.5")),
-        A=int(pick(getattr(args, "A", None), "A", 1)),
-        grid_n=int(pick(getattr(args, "grid_n", None), "grid_n", 0)),
-        seed=int(pick(getattr(args, "seed", None), "seed", 0)),
-        out_dir=str(pick(getattr(args, "out", None), "out", ".")),
+        k=pick(getattr(args, "k", None), "k", 2),
+        alpha_spec=pick(getattr(args, "alpha", None), "alpha", "holder:0.5"),
+        A=pick(getattr(args, "A", None), "A", 1),
+        seed=pick(getattr(args, "seed", None), "seed", 0),
+        out_dir=pick(getattr(args, "out", None), "out", "."),
         tol=tol,
     )
 
@@ -119,14 +129,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="modulus: holder:0.5 | omegaz:0.5,0.3 | file:PATH")
     p.add_argument("--A", type=int, default=None,
                    help="source half-width parameter")
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=None,
-                   help="grid override, 0 = adaptive")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--config", default=None, help="JSON config file")
-    for f in dataclasses.fields(Tolerances):
-        p.add_argument(f"--tol-{f.name.replace('_', '-')}",
-                       dest=f"tol_{f.name}", type=float, default=None,
+    for name, kind in _TOL_TYPES.items():
+        p.add_argument(f"--tol-{name.replace('_', '-')}",
+                       dest=f"tol_{name}", type=kind, default=None,
                        help=argparse.SUPPRESS)
 
 
@@ -136,7 +144,7 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 def _echo_config(cfg: RunConfig) -> None:
     d = cfg.to_dict()
-    keys = ("k", "alpha_spec", "A", "grid_n", "seed", "out_dir")
+    keys = ("k", "alpha_spec", "A", "seed", "out_dir")
     print("config: " + " ".join(f"{k}={d[k]}" for k in keys))
 
 
@@ -258,6 +266,19 @@ def _cmd_flow(args) -> int:
 
 # -- mather -------------------------------------------------------------------
 
+def _sweep_csv(cfg: RunConfig, alpha, sweep: str,
+               name: str) -> tuple[str, int]:
+    """The reduction sweep over the comma-separated widths, written as a
+    CSV table; returns its path and row count."""
+    rows = reduction.reduction_sweep([int(s) for s in sweep.split(",")],
+                                     cfg.k, alpha, tol=cfg.tol)
+    cols = ["A", "norm_in", "norm_out", "plain_ratio",
+            "rescale_factor", "ratio", "rolled_slope"]
+    path = _out_path(cfg, name)
+    _write_csv(path, cfg, cols, [[r[c] for c in cols] for r in rows])
+    return path, len(rows)
+
+
 def _small_periodic(rng, k: int, eps: float) -> diffeo.Diffeo1:
     """Random two-harmonic periodic displacement of amplitude eps."""
     n = 257
@@ -281,13 +302,8 @@ def _cmd_mather(args) -> int:
     k, tol = cfg.k, cfg.tol
 
     if args.op == "psi":
-        A_values = [int(s) for s in args.sweep.split(",")]
-        rows = reduction.reduction_sweep(A_values, k, alpha, tol=tol)
-        cols = ["A", "norm_in", "norm_out", "plain_ratio",
-                "rescale_factor", "ratio", "rolled_slope"]
-        path = _out_path(cfg, "psi_sweep.csv")
-        _write_csv(path, cfg, cols, [[r[c] for c in cols] for r in rows])
-        print(f"mather psi: {len(rows)} rows -> {path}")
+        path, n_rows = _sweep_csv(cfg, alpha, args.sweep, "psi_sweep.csv")
+        print(f"mather psi: {n_rows} rows -> {path}")
         return EXIT_OK
 
     mcfg = reduction.make_config(k, alpha, max(cfg.A, 1))
@@ -369,7 +385,7 @@ def _cmd_perfect(args) -> int:
         report = fixpoint.verify_certificate(chain, tol)
         text = json.dumps(report, indent=2, sort_keys=True)
         if args.report:
-            _write_text(args.report, text + "\n")
+            fixpoint.write_atomic(args.report, text + "\n")
             print(f"perfect verify: ok={report['ok']} -> {args.report}")
         else:
             print(text)
@@ -403,16 +419,6 @@ def _cmd_perfect(args) -> int:
 
 # -- verify battery -----------------------------------------------------------
 
-def _poly_derivs(c: np.ndarray, x: float, k: int) -> np.ndarray:
-    """Derivative orders 0..k of the coefficient polynomial at x."""
-    vals = [np.polynomial.polynomial.polyval(x, c)]
-    d = np.asarray(c, dtype=float)
-    for _ in range(k):
-        d = np.polynomial.polynomial.polyder(d)
-        vals.append(np.polynomial.polynomial.polyval(x, d))
-    return np.array(vals)
-
-
 def _suite_jets(rng, tol) -> dict:
     worst = 0.0
     for _ in range(60):
@@ -421,13 +427,12 @@ def _suite_jets(rng, tol) -> dict:
         cg = rng.uniform(-1.0, 1.0, k + 1)
         x0 = float(rng.uniform(-0.5, 0.5))
         gx = float(np.polynomial.polynomial.polyval(x0, cg))
-        comp = compose_derivs(_poly_derivs(cf, gx, k),
-                              _poly_derivs(cg, x0, k))
+        comp = compose_derivs(poly_jets(cf, gx, k), poly_jets(cg, x0, k))
         cc = np.zeros(1)
         for a in reversed(cf):
             cc = np.polynomial.polynomial.polymul(cc, cg)
             cc[0] += a
-        oracle = _poly_derivs(cc, x0, k)
+        oracle = poly_jets(cc, x0, k)
         scale = max(1.0, float(np.max(np.abs(oracle))))
         worst = max(worst, float(np.max(np.abs(comp - oracle))) / scale)
     for _ in range(60):
@@ -501,7 +506,7 @@ def _suite_norms(rng, tol) -> dict:
                            {"eps": 1e-3, "k": 2}, tol)
     g = diffeo.from_preset("smooth_bump_displacement",
                            {"eps": 5e-4, "radius": 1.2, "k": 2}, tol)
-    reports = [norms.verify_domination(f, g, i, alpha, tol=tol)
+    reports = [norms.verify_domination(f, g, i, alpha)
                for i in range(2)]
     reports.append(norms.verify_derivation(f, g, alpha))
     reports.append(norms.verify_subadditivity([f, g], alpha))
@@ -593,15 +598,8 @@ def _cmd_emit_plots(args) -> int:
     written = []
 
     if "sweep" in tables:
-        A_values = [int(s) for s in args.sweep.split(",")]
-        rows = reduction.reduction_sweep(A_values, cfg.k,
-                                         parse_alpha(cfg.alpha_spec),
-                                         tol=tol)
-        cols = ["A", "norm_in", "norm_out", "plain_ratio",
-                "rescale_factor", "ratio", "rolled_slope"]
-        path = _out_path(cfg, "norm_reduction_sweep.csv")
-        _write_csv(path, cfg, cols, [[r[c] for c in cols] for r in rows])
-        written.append(path)
+        written.append(_sweep_csv(cfg, parse_alpha(cfg.alpha_spec),
+                                  args.sweep, "norm_reduction_sweep.csv")[0])
 
     if "tameness" in tables:
         ts = np.geomspace(1e-4, 0.9, 33)

@@ -1,13 +1,20 @@
 """Central configuration record: every tolerance and size knob in one place.
 
-All defaults are overridable; operations receive a Tolerances instance
-(or fall back to DEFAULT_TOL) so that no numeric threshold is buried in
-module code.
+`Tolerances` holds the thresholds a run may override: the CLI exposes each
+field as a `--tol-*` flag and as a key under `tol` in a config file, and
+operations receive the run's instance (or fall back to DEFAULT_TOL).  The
+module constants below are fixed: every caller uses the one value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict, replace
+
+# norm grids: sample points per grid cell of the map
+EVAL_DENSITY = 8
+# relative slack allowed when asserting inequalities between estimated
+# seminorms, which are lower estimates
+ESTIMATOR_SLACK = 0.01
 
 
 @dataclass(frozen=True)
@@ -19,16 +26,10 @@ class Tolerances:
 
     # root finding / inversion
     invert_abscissa: float = 1e-12    # Newton/bisection stop, in x
-    jet_base_match: float = 1e-9      # compose_jets base-point agreement
 
     # resolution policy
     interp_residual: float = 1e-9     # midpoint residual that forces doubling
     max_nodes: int = 2 ** 16
-    eval_density: int = 8             # norm grids: nodes per grid cell
-
-    # Holder seminorm estimator
-    holder_scales: int = 24           # dyadic separation scales
-    estimator_slack: float = 0.01     # 1% slack when asserting inequalities
 
     # tameness classification
     tameness_margin: float = 1e-3
@@ -73,7 +74,6 @@ class RunConfig:
     k: int = 2
     alpha_spec: str = "holder:0.5"
     A: int = 1
-    grid_n: int = 0                   # 0 means "let each operation choose"
     seed: int = 0
     out_dir: str = "."
     tol: Tolerances = field(default_factory=Tolerances)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import _taylor
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, EVAL_DENSITY, Tolerances
 from .errors import ConstructionError, PreconditionError
 from .jets import MAX_ORDER, compose_derivs, invert_derivs
 
@@ -81,6 +81,29 @@ def _horner(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     for i in range(rows.shape[-1] - 2, -1, -1):
         acc = acc * t + rows[..., i]
     return acc
+
+
+def _hermite_tables(jets: np.ndarray, h: float) -> list[np.ndarray]:
+    """Per-interval monomial coefficients of the interpolant and of its
+    derivatives 1..k, in the local coordinate t, for _hermite_eval."""
+    dc = [_hermite_coeffs(jets, h)]
+    for _ in range(jets.shape[1] - 1):
+        prev = dc[-1]
+        dc.append(prev[:, 1:] * np.arange(1, prev.shape[1]))
+    return dc
+
+
+def _hermite_eval(dc: list[np.ndarray], xf: np.ndarray, lo: float, h: float,
+                  order: int) -> np.ndarray:
+    """Derivatives 0..order of the interpolant on the grid lo + h*i at
+    points xf already folded into the grid."""
+    pos = (xf - lo) / h
+    idx = np.clip(pos.astype(int), 0, dc[0].shape[0] - 1)
+    t = pos - idx
+    out = np.empty(xf.shape + (order + 1,))
+    for j in range(order + 1):
+        out[..., j] = _horner(dc[j][idx], t) / h ** j
+    return out
 
 
 class Diffeo1:
@@ -160,17 +183,6 @@ class Diffeo1:
     def nodes(self) -> np.ndarray:
         return self.a + self.h * np.arange(self.n)
 
-    def _ensure_coeffs(self) -> list[np.ndarray]:
-        if self._dc is None:
-            c = _hermite_coeffs(self.jets, self.h)
-            dc = [c]
-            for _ in range(self.k):
-                prev = dc[-1]
-                m = prev.shape[1] - 1
-                dc.append(prev[:, 1:] * np.arange(1, m + 1))
-            self._dc = dc
-        return self._dc
-
     def _check_ep_fold(self, tol: Tolerances) -> None:
         left = self.displacement_jets(np.array([self.b - 1.0]))[0]
         gap = float(np.max(np.abs(left - self.jets[-1])))
@@ -204,13 +216,9 @@ class Diffeo1:
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         xf, ident = self._fold(x)
-        pos = (xf - self.a) / self.h
-        idx = np.clip(pos.astype(int), 0, self.n - 2)
-        t = pos - idx
-        dc = self._ensure_coeffs()
-        out = np.empty(x.shape + (order + 1,))
-        for j in range(order + 1):
-            out[..., j] = _horner(dc[j][idx], t) / self.h ** j
+        if self._dc is None:
+            self._dc = _hermite_tables(self.jets, self.h)
+        out = _hermite_eval(self._dc, xf, self.a, self.h, order)
         out[ident] = 0.0
         if scalar:
             return out[0]
@@ -249,12 +257,7 @@ class Diffeo1:
         u = self.jets[:, 0]
         return float(u.min()), float(u.max())
 
-    def min_slope(self, density: int = 4) -> float:
-        xs = refined_grid(self, density)
-        return float(np.min(self.deriv(xs, 1)))
-
-    def inverse_values(self, y, xtol: float | None = None,
-                       max_iter: int = 80) -> np.ndarray:
+    def inverse_values(self, y, xtol: float | None = None) -> np.ndarray:
         """Solve f(x) = y pointwise by safeguarded Newton iteration."""
         tolx = 1e-12 if xtol is None else xtol
         y = np.asarray(y, dtype=float)
@@ -275,7 +278,7 @@ class Diffeo1:
         else:
             raise ConstructionError("could not bracket the inverse")
         x = np.clip(y - self.displacement_jets(y, 0)[..., 0], lo, hi)
-        for _ in range(max_iter):
+        for _ in range(80):
             jet = self.jet_at(x, 1)
             fx = jet[..., 0] - y
             neg = fx < 0.0
@@ -326,11 +329,10 @@ def evaluate(f: Diffeo1, x, order: int | None = None) -> np.ndarray:
     return f.jet_at(x, order)
 
 
-def refined_grid(f: Diffeo1, density: int, margin: float = 0.0) -> np.ndarray:
+def refined_grid(f: Diffeo1, density: int) -> np.ndarray:
     """Uniform sample of f's grid, `density` points per node spacing."""
-    lo, hi = f.a - margin, f.b + margin
-    m = int(math.ceil((hi - lo) / f.h)) * density + 1
-    return np.linspace(lo, hi, m)
+    m = int(math.ceil((f.b - f.a) / f.h)) * density + 1
+    return np.linspace(f.a, f.b, m)
 
 
 def _displacement_fn_compose(f: Diffeo1, g: Diffeo1):
@@ -557,15 +559,23 @@ def to_dict(f: Diffeo1) -> dict:
 
 
 def from_dict(d: dict, tol: Tolerances | None = None) -> Diffeo1:
-    if "preset" in d:
-        return from_preset(d["preset"], d.get("params", {}), tol)
-    grid = d["grid"]
-    jets = np.asarray(d["jets"], dtype=float)
-    n = int(grid["n"])
-    if jets.shape != (n, int(d["k"]) + 1):
+    """Rebuild a map from to_dict output, or from {"preset", "params"}.  A
+    missing key or a value of the wrong type is a ValueError."""
+    try:
+        if "preset" in d:
+            return from_preset(d["preset"], d.get("params", {}), tol)
+        grid = d["grid"]
+        jets = np.asarray(d["jets"], dtype=float)
+        n, k = int(grid["n"]), int(d["k"])
+        a, b = float(grid["a"]), float(grid["b"])
+        tail = d["class"]
+    except KeyError as e:
+        raise ValueError(f"malformed map: missing key {e}") from e
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed map: {e}") from e
+    if jets.shape != (n, k + 1):
         raise ValueError("jet array shape disagrees with grid/order fields")
-    return Diffeo1(d["class"], float(grid["a"]), float(grid["b"]),
-                   int(d["k"]), jets, tol=tol)
+    return Diffeo1(tail, a, b, k, jets, tol=tol)
 
 
 # -- fragmentation -----------------------------------------------------------
@@ -594,13 +604,13 @@ def _partition_series(xs: np.ndarray, cover: list[tuple[float, float]],
 
 
 def fragment(g: Diffeo1, cover: list[tuple[float, float]],
-             delta_check: float = 1e-8,
              tol: Tolerances | None = None) -> list[Diffeo1]:
     """Split g into a composition of maps, each supported in one cover
     element: the returned list composes left-to-right back to g.
 
     Refuses (PreconditionError) when the measured C^1 size of g is not
-    below 1/(2K), K = 2 + sum of the partition derivative sups.
+    below 1/(2K), K = 2 + sum of the partition derivative sups, and fails
+    (ConstructionError) when the product misses g by more than 1e-8.
     """
     tol = tol or DEFAULT_TOL
     if g.tail != "compact":
@@ -629,7 +639,7 @@ def fragment(g: Diffeo1, cover: list[tuple[float, float]],
     xs = g.nodes
     parts = _partition_series(xs, cover, g.k)
 
-    dense = refined_grid(g, DEFAULT_TOL.eval_density)
+    dense = refined_grid(g, EVAL_DENSITY)
     parts_dense = _partition_series(dense, cover, g.k)
     phi_slopes = [float(np.max(np.abs(p[:, 1]))) for p in parts_dense]
     big_k = 2.0 + sum(phi_slopes)
@@ -665,7 +675,7 @@ def fragment(g: Diffeo1, cover: list[tuple[float, float]],
     recon = compose_all(pieces, tol)
     probe = refined_grid(g, 4)
     err = float(np.max(np.abs(recon(probe) - g(probe))))
-    if err > delta_check:
+    if err > 1e-8:
         raise ConstructionError(
             f"fragment product misses the original by {err:.3e}")
     return pieces

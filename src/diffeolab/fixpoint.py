@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .config import Tolerances, DEFAULT_TOL
+from ._taylor import poly_jets
+from .config import EVAL_DENSITY, Tolerances, DEFAULT_TOL
 from .errors import PreconditionError, ConstructionError
 from .diffeo import (Diffeo1, _build_adaptive, compose, from_preset,
                      identity, inverse, refined_grid, rescale_displacement,
@@ -48,15 +49,6 @@ def _step_poly(k: int) -> np.ndarray:
         c[m + 1 + j] = (math.comb(m + j, j) * math.comb(2 * m + 1, m - j)
                         * (-1) ** j)
     return c
-
-
-def _poly_jets(c: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros(x.shape + (order + 1,))
-    d = np.asarray(c, dtype=float)
-    for j in range(order + 1):
-        out[..., j] = npp.polyval(x, d)
-        d = npp.polyder(d)
-    return out
 
 
 class _BlendProfile:
@@ -100,7 +92,7 @@ class _BlendProfile:
         base = ell * w + (ratio - ell) * w * (1.0 - self.ivalue)
         if fall.any():
             a = t[fall] / w
-            sj = _poly_jets(self.c, a, max(k - 1, 0))
+            sj = poly_jets(self.c, a, max(k - 1, 0))
             anti = npp.polyval(a, self.ci)
             out[fall, 0] = (ell * t[fall]
                             + (ratio - ell) * (t[fall] - w * anti))
@@ -112,7 +104,7 @@ class _BlendProfile:
             out[flat, 1] = ell
         if rise.any():
             a = (t[rise] - (1.0 - w)) / w
-            sj = _poly_jets(self.c, a, max(k - 1, 0))
+            sj = poly_jets(self.c, a, max(k - 1, 0))
             anti = npp.polyval(a, self.ci)
             start = base + ell * (1.0 - 2.0 * w)
             out[rise, 0] = (start + ell * (t[rise] - 1.0 + w)
@@ -267,25 +259,14 @@ def renorm_step(u: Diffeo1, f: Diffeo1, rescaler: Diffeo1,
     return _renorm_full(u, f, rescaler, cfg, tol).map
 
 
-def ck_distance(u: Diffeo1, v: Diffeo1, density: int = 8) -> float:
+def ck_distance(u: Diffeo1, v: Diffeo1) -> float:
     """Largest absolute gap between the full jets of u and v, sampled on
     the union of both refined grids with tail extension."""
     if u.k != v.k:
         raise ValueError("operands carry different jet orders")
-    xs = np.union1d(refined_grid(u, density), refined_grid(v, density))
+    xs = np.union1d(refined_grid(u, EVAL_DENSITY),
+                    refined_grid(v, EVAL_DENSITY))
     return float(np.max(np.abs(u.jet_at(xs, u.k) - v.jet_at(xs, v.k))))
-
-
-def _mix(u: Diffeo1, v: Diffeo1, t: float, tol: Tolerances) -> Diffeo1:
-    # displacement-convex combination: slopes stay positive for t in [0,1]
-    lo, hi = min(u.a, v.a), max(u.b, v.b)
-    k = u.k
-
-    def fn(xs: np.ndarray) -> np.ndarray:
-        return ((1.0 - t) * u.displacement_jets(xs, k)
-                + t * v.displacement_jets(xs, k))
-
-    return _build_adaptive("compact", lo, hi, k, fn, max(u.n, v.n), tol)
 
 
 # -- the search and its certificate chain ------------------------------------
@@ -385,25 +366,16 @@ def _assemble_chain(f: Diffeo1, u0: Diffeo1, rescaler: Diffeo1, g: Diffeo1,
 
 
 def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
-                       tol: Tolerances | None = None,
-                       fix_tol: float | None = None,
-                       max_iter: int | None = None,
-                       mixing: float = 1.0) -> FixedPointResult:
+                       tol: Tolerances | None = None) -> FixedPointResult:
     """Iterate the renormalized reduction from the identity until the step
     is stationary, then certify the run.
 
     Stationarity means the C^k distance between the iterate and its image
-    is below fix_tol.  mixing < 1 replaces each iterate by the
-    displacement-convex combination with its image, a damped variant for
-    runs where the plain iteration oscillates.  Non-convergence is a
-    reported outcome, not an exception: u0 is None and the trace records
-    every residual.
+    is at most tol.fix_tol, within at most tol.fix_max_iter steps.
+    Non-convergence is a reported outcome, not an exception: u0 is None
+    and the trace records every residual.
     """
     tol = tol or DEFAULT_TOL
-    fix_tol = tol.fix_tol if fix_tol is None else float(fix_tol)
-    max_iter = tol.fix_max_iter if max_iter is None else int(max_iter)
-    if not 0.0 < mixing <= 1.0:
-        raise ValueError("mixing weight must lie in (0, 1]")
     if f.tail != "compact":
         raise PreconditionError("the experiment needs a compact input map")
     if f.k != cfg.k:
@@ -424,7 +396,7 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
     u = identity(cfg.k, cfg.D[0], cfg.D[1])
     trace: list = []
     residual = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, tol.fix_max_iter + 1):
         step = _renorm_full(u, f, rescaler, cfg, tol)
         residual = ck_distance(step.map, u)
         trace.append({
@@ -435,7 +407,7 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
             "norm_reduced": float(step.reduction.norm_out),
             "rolled_slope": float(step.reduction.rolled_slope),
         })
-        if residual <= fix_tol:
+        if residual <= tol.fix_tol:
             cert = conjugator(step.conjugated, step.map, cfg, tol)
             chain = _assemble_chain(f, u, rescaler, step.conjugated,
                                     step.reduction, cert, float(residual),
@@ -443,8 +415,8 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
             return FixedPointResult(u0=u, iterations=it,
                                     residual=float(residual), trace=trace,
                                     certificates=[cert], chain=chain)
-        u = step.map if mixing >= 1.0 else _mix(u, step.map, mixing, tol)
-    return FixedPointResult(u0=None, iterations=max_iter,
+        u = step.map
+    return FixedPointResult(u0=None, iterations=tol.fix_max_iter,
                             residual=float(residual), trace=trace,
                             certificates=[], chain=None)
 
@@ -455,20 +427,26 @@ def dump_chain(chain: dict) -> str:
     return json.dumps(chain, sort_keys=True, separators=(",", ":"))
 
 
-def write_chain(path: str, chain: dict) -> None:
-    """Serialize atomically: the file either keeps its old content or holds
-    the complete new chain, never a partial write."""
-    text = dump_chain(chain)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
+def write_atomic(path: str, text: str) -> None:
+    """Write utf-8 text atomically, creating the directory if needed: the
+    file either keeps its old content or holds the complete new text,
+    never a partial write."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_chain(path: str, chain: dict) -> None:
+    """Write dump_chain(chain) to path with write_atomic."""
+    write_atomic(path, dump_chain(chain))
 
 
 def load_chain(path: str) -> dict:

@@ -36,7 +36,8 @@ from scipy.integrate import solve_ivp
 
 from . import _taylor
 from .config import DEFAULT_TOL, Tolerances
-from .diffeo import Diffeo1, _hermite_coeffs, _horner, support_interval
+from .diffeo import (Diffeo1, _hermite_eval, _hermite_tables,
+                     support_interval)
 from .errors import ConstructionError, PreconditionError
 from .jets import compose_derivs
 
@@ -168,12 +169,11 @@ def _rho_shift(field: PlateauField, x: np.ndarray, d: np.ndarray,
 
 
 def time_t_map(field: PlateauField, t: float, k: int,
-               n: int | None = None, tol: Tolerances | None = None) -> Diffeo1:
+               tol: Tolerances | None = None) -> Diffeo1:
     """The time-t map of the field as a compactly supported diffeomorphism."""
     tol = tol or DEFAULT_TOL
     lo, hi = -field.edge, field.edge
-    if n is None:
-        n = _auto_nodes(hi - lo)
+    n = _auto_nodes(hi - lo)
     xs = np.linspace(lo, hi, n)
     jets = np.zeros((n, k + 1))
     if t == 0.0:
@@ -224,31 +224,16 @@ class Chart:
         """Largest chart value in the table (strictly below the asymptote)."""
         return float(self.jets[-1, 0])
 
-    def _ensure(self):
-        if self._dc is None:
-            c = _hermite_coeffs(self.jets, self.h)
-            dc = [c]
-            for _ in range(self.k):
-                prev = dc[-1]
-                m = prev.shape[1] - 1
-                dc.append(prev[:, 1:] * np.arange(1, m + 1))
-            self._dc = dc
-        return self._dc
-
     def jet_at(self, x, order: int | None = None) -> np.ndarray:
         if order is None:
             order = self.k
         if order > self.k:
             raise ValueError("requested order exceeds the chart order")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        xf = np.clip(x, -self.w, self.w)
-        pos = (xf + self.w) / self.h
-        idx = np.clip(pos.astype(int), 0, self.n - 2)
-        t = pos - idx
-        dc = self._ensure()
-        out = np.empty(x.shape + (order + 1,))
-        for j in range(order + 1):
-            out[..., j] = _horner(dc[j][idx], t) / self.h ** j
+        if self._dc is None:
+            self._dc = _hermite_tables(self.jets, self.h)
+        out = _hermite_eval(self._dc, np.clip(x, -self.w, self.w), -self.w,
+                            self.h, order)
         beyond = np.abs(x) > self.w
         if beyond.any():
             clamp = np.where(x[beyond] > 0, self.jets[-1, 0], self.jets[0, 0])
@@ -262,8 +247,8 @@ class Chart:
         val = self.jet_at(np.atleast_1d(x), 0)[..., 0]
         return float(val[0]) if scalar else val
 
-    def inverse_value(self, y, xtol: float = 1e-12) -> np.ndarray:
-        """Solve phi(x) = y inside the tabulated window."""
+    def inverse_value(self, y) -> np.ndarray:
+        """Solve phi(x) = y inside the tabulated window, to steps of 1e-12."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(y <= self.jets[0, 0]) or np.any(y >= self.jets[-1, 0]):
             raise PreconditionError(
@@ -283,20 +268,17 @@ class Chart:
             xn = np.where(bad, 0.5 * (lo + hi), xn)
             moved = float(np.max(np.abs(xn - x)))
             x = xn
-            if moved <= xtol:
+            if moved <= 1e-12:
                 break
         return x
 
 
-def trajectory_chart(field: PlateauField, k: int, n: int | None = None,
+def trajectory_chart(field: PlateauField, k: int,
                      tol: Tolerances | None = None) -> Chart:
     """Integrate the trajectory of 0 for time x, for x in [-W, W]."""
     tol = tol or DEFAULT_TOL
     w = 8.0 * field.edge
-    if n is None:
-        n = _auto_nodes(2.0 * w)
-    if n % 2 == 0:
-        n += 1
+    n = _auto_nodes(2.0 * w)
     xs = np.linspace(-w, w, n)
     half = (n - 1) // 2
     vals = np.empty(n)
@@ -322,13 +304,12 @@ def trajectory_chart(field: PlateauField, k: int, n: int | None = None,
 
 def verify_chart_conjugation(field: PlateauField, b: float, samples: int,
                              k: int = 2, chart: Chart | None = None,
-                             tau: Diffeo1 | None = None,
                              tol: Tolerances | None = None) -> float:
     """Residual of the intertwining identity: applying the chart inverse,
     translating by b, and mapping back should equal the time-b map."""
     tol = tol or DEFAULT_TOL
     chart = chart or trajectory_chart(field, k, tol=tol)
-    tau = tau or time_t_map(field, b, k, tol=tol)
+    tau = time_t_map(field, b, k, tol=tol)
     reach = chart(chart.w - abs(b) - 0.5)
     r = min(chart.attained - 1e-9, reach)
     xs = np.linspace(-r, r, samples)

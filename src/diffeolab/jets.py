@@ -33,11 +33,6 @@ class CompositionTable:
     order: int
     rows: tuple[Row, ...]
 
-    @property
-    def interior(self) -> tuple[Row, ...]:
-        """Rows with 1 < blocks < order."""
-        return tuple(r for r in self.rows if 1 < r.blocks < self.order)
-
     def coefficient_sum(self) -> int:
         return sum(r.coeff for r in self.rows)
 
@@ -156,11 +151,12 @@ def identity_jet(x: float, k: int) -> Jet:
     return Jet(d=d, base=float(x))
 
 
-def compose_jets(f_jet: Jet, g_jet: Jet, base_tol: float = 1e-9) -> Jet:
-    """Jet of f o g at x from the jet of f at g(x) and the jet of g at x."""
+def compose_jets(f_jet: Jet, g_jet: Jet) -> Jet:
+    """Jet of f o g at x from the jet of f at g(x) and the jet of g at x;
+    the two base points must agree within 1e-9."""
     if f_jet.order != g_jet.order:
         raise ValueError("jet orders differ")
-    if abs(f_jet.base - g_jet.value()) > base_tol:
+    if abs(f_jet.base - g_jet.value()) > 1e-9:
         raise ValueError(
             f"base mismatch: f at {f_jet.base}, g evaluates to {g_jet.value()}"
         )

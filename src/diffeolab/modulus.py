@@ -18,9 +18,10 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 
 
-def default_abscissae(n: int = 512, lo: float = 1e-9, hi: float = 1e3) -> np.ndarray:
-    """Geometric sample grid: tameness behavior lives at x -> 0."""
-    return np.geomspace(lo, hi, n)
+def default_abscissae() -> np.ndarray:
+    """Geometric sample grid of 512 points on [1e-9, 1e3]: tameness
+    behavior lives at x -> 0."""
+    return np.geomspace(1e-9, 1e3, 512)
 
 
 class ConcaveModulus:
@@ -250,9 +251,7 @@ def oscillation_modulus(xs, fs) -> tuple[np.ndarray, np.ndarray]:
     return sep[keep], running[keep]
 
 
-def least_concave_majorant(
-    ts, mus, tol: Tolerances = DEFAULT_TOL
-) -> tuple[SampledModulus, SampledModulus]:
+def least_concave_majorant(ts, mus) -> tuple[SampledModulus, SampledModulus]:
     """Upper concave hull of an oscillation profile, and the hull plus Id.
 
     The first output majorizes the samples and (for genuine oscillation
@@ -386,22 +385,18 @@ def _classify_side(
 
 
 def classify_tameness(
-    alpha: ConcaveModulus,
-    t_grid=None,
-    x_grid=None,
-    tol: Tolerances = DEFAULT_TOL,
+    alpha: ConcaveModulus, tol: Tolerances = DEFAULT_TOL
 ) -> TamenessVerdict:
     """One-sided tameness test: Yes is sound, absence of Yes proves nothing.
 
-    A t0 qualifies when the measured sup of the defining ratio over the
-    x grid stays below 1 by the configured margin and the maximum is
-    attained away from the grid ends (an end maximum with ratios still
-    climbing means the sup was not bracketed).
+    A t0 of default_t_grid() qualifies when the measured sup of the
+    defining ratio over default_abscissae() stays below 1 by the
+    configured margin and the maximum is attained away from the grid ends
+    (an end maximum with ratios still climbing means the sup was not
+    bracketed).
     """
-    t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    x_grid = default_abscissae() if x_grid is None else np.asarray(x_grid, dtype=float)
-    if np.any(t_grid <= 0.0) or np.any(x_grid <= 0.0):
-        raise ValueError("grids must be positive")
+    t_grid = default_t_grid()
+    x_grid = default_abscissae()
     return TamenessVerdict(
         sup_tame=_classify_side(alpha, t_grid, x_grid, "sup", tol.tameness_margin),
         sub_tame=_classify_side(alpha, t_grid, x_grid, "sub", tol.tameness_margin),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, ESTIMATOR_SLACK, EVAL_DENSITY, Tolerances
 from .diffeo import Diffeo1, inverse as _inverse, support_interval
 from .errors import PreconditionError
 
@@ -29,15 +29,12 @@ _MAX_SAMPLES = 1 << 19
 
 # -- sampling ----------------------------------------------------------------
 
-def eval_window(f: Diffeo1, margin: float | None = None) -> tuple[float, float]:
+def eval_window(f: Diffeo1) -> tuple[float, float]:
     """Interval on which sup norms and pair sups of f's displacement are
     computed; covers the grid plus a margin (periodic maps: two periods)."""
     if f.tail == "periodic":
         return (f.a, f.a + 2.0)
-    if margin is None:
-        margin = min(2.0, 0.25 * (f.b - f.a)) + 2.0 * f.h
-    if f.tail == "ep":
-        return (f.a - margin, f.b + margin)
+    margin = min(2.0, 0.25 * (f.b - f.a)) + 2.0 * f.h
     return (f.a - margin, f.b + margin)
 
 
@@ -59,15 +56,15 @@ def _step_for(f: Diffeo1, density: int) -> float:
 
 # -- Holder estimator --------------------------------------------------------
 
-def holder_seminorm_samples(vals: np.ndarray, step: float, alpha,
-                            scales: int = 24) -> float:
-    """Lower estimate of [phi]_alpha from uniform samples of phi."""
+def holder_seminorm_samples(vals: np.ndarray, step: float, alpha) -> float:
+    """Lower estimate of [phi]_alpha from uniform samples of phi, over 24
+    dyadic separation scales."""
     m = len(vals)
     if m < 2:
         return 0.0
     strides = []
     s = 1
-    while s <= m - 1 and len(strides) < scales - 1:
+    while s <= m - 1 and len(strides) < 23:
         strides.append(s)
         s *= 2
     if strides[-1] != m - 1:
@@ -83,7 +80,7 @@ def holder_norm(f: Diffeo1, alpha, k: int | None = None,
                 density: int | None = None) -> float:
     """The seminorm [f^{(k)}]_alpha, estimated on a dense grid."""
     k = f.k if k is None else k
-    density = DEFAULT_TOL.eval_density if density is None else density
+    density = EVAL_DENSITY if density is None else density
     step = _step_for(f, density)
     xs = sample_points(eval_window(f), step)
     vals = f.displacement_jets(xs, k)[:, k]
@@ -119,7 +116,6 @@ class NormReport:
 
 
 def norm_report(f: Diffeo1, alpha, k: int | None = None,
-                density: int | None = None,
                 balls: tuple = ()) -> NormReport:
     """Sup norms and Holder seminorms of the displacement of f.
 
@@ -129,8 +125,7 @@ def norm_report(f: Diffeo1, alpha, k: int | None = None,
     k = f.k if k is None else k
     if k > f.k:
         raise ValueError("requested order exceeds the model order")
-    density = DEFAULT_TOL.eval_density if density is None else density
-    step = _step_for(f, density)
+    step = _step_for(f, EVAL_DENSITY)
     xs = sample_points(eval_window(f), step)
     jets = f.displacement_jets(xs, k)
     sup_dev = tuple(float(np.max(np.abs(jets[:, i]))) for i in range(k + 1))
@@ -159,19 +154,12 @@ def norm_report(f: Diffeo1, alpha, k: int | None = None,
 
 # -- metrics -----------------------------------------------------------------
 
-def _difference_jets(f: Diffeo1, g: Diffeo1, xs: np.ndarray,
-                     order: int) -> np.ndarray:
-    return f.jet_at(xs, order) - g.jet_at(xs, order)
-
-
 def metric(f: Diffeo1, g: Diffeo1, kind: str, alpha=None,
-           k: int | None = None, density: int | None = None,
            tol: Tolerances | None = None) -> float:
     """Distance between two maps: "C0" (which compares the inverses too),
     "Ck", or "CkAlpha"."""
     tol = tol or DEFAULT_TOL
-    density = DEFAULT_TOL.eval_density if density is None else density
-    step = min(_step_for(f, density), _step_for(g, density))
+    step = min(_step_for(f, EVAL_DENSITY), _step_for(g, EVAL_DENSITY))
     xs = sample_points(pair_window(f, g), step)
     if kind == "C0":
         d_direct = float(np.max(np.abs(f(xs) - g(xs))))
@@ -179,8 +167,8 @@ def metric(f: Diffeo1, g: Diffeo1, kind: str, alpha=None,
         ys = sample_points(pair_window(fi, gi), step)
         d_inv = float(np.max(np.abs(fi(ys) - gi(ys))))
         return max(d_direct, d_inv)
-    k = min(f.k, g.k) if k is None else k
-    diff = _difference_jets(f, g, xs, k)
+    k = min(f.k, g.k)
+    diff = f.jet_at(xs, k) - g.jet_at(xs, k)
     d_k = float(np.max(np.abs(diff)))
     if kind == "Ck":
         return d_k
@@ -222,19 +210,15 @@ class SlackReport:
                 "ok": self.ok}
 
 
-def verify_domination(f: Diffeo1, g: Diffeo1, i: int, alpha,
-                      density: int | None = None,
-                      tol: Tolerances | None = None) -> SlackReport:
+def verify_domination(f: Diffeo1, g: Diffeo1, i: int, alpha) -> SlackReport:
     """Check that the order-i difference norms of two maps that agree far
     away are dominated by the order-(i+1) sup, with the explicit constants
     ell*alpha(1), ell, ell/alpha(ell) for ell = |J| + 2.
 
     For i = 0 the maps must agree at the ends of the joint support window.
     """
-    tol = tol or DEFAULT_TOL
     if i + 1 > min(f.k, g.k):
         raise ValueError("need jets of order i+1")
-    density = DEFAULT_TOL.eval_density if density is None else density
     window = _joint_support_window(f, g)
     ell = (window[1] - window[0]) + 2.0
     if i == 0:
@@ -244,16 +228,16 @@ def verify_domination(f: Diffeo1, g: Diffeo1, i: int, alpha,
             raise PreconditionError(
                 f"order-0 domination needs equality on the window ends; "
                 f"measured gap {gap:.3e}")
-    step = min(_step_for(f, density), _step_for(g, density))
+    step = min(_step_for(f, EVAL_DENSITY), _step_for(g, EVAL_DENSITY))
     xs = sample_points(pair_window(f, g), step)
-    diff = _difference_jets(f, g, xs, i + 1)
+    diff = f.jet_at(xs, i + 1) - g.jet_at(xs, i + 1)
     sup_i = float(np.max(np.abs(diff[:, i])))
     sup_ip1 = float(np.max(np.abs(diff[:, i + 1])))
     h = xs[1] - xs[0]
     sem_i = holder_seminorm_samples(diff[:, i], h, alpha)
     a1 = float(alpha(1.0))
     al = float(alpha(ell))
-    slack = DEFAULT_TOL.estimator_slack
+    slack = ESTIMATOR_SLACK
     return SlackReport(
         name=f"domination[i={i}]",
         constants={"ell": ell, "alpha(1)": a1, "alpha(ell)": al},
@@ -265,13 +249,11 @@ def verify_domination(f: Diffeo1, g: Diffeo1, i: int, alpha,
         })
 
 
-def verify_derivation(f: Diffeo1, g: Diffeo1, alpha,
-                      factors: list[Diffeo1] | None = None,
-                      density: int | None = None) -> SlackReport:
-    """Check the product, multi-product, and precomposition seminorm
-    inequalities on the displacements of the given maps."""
-    density = DEFAULT_TOL.eval_density if density is None else density
-    step = min(_step_for(f, density), _step_for(g, density))
+def verify_derivation(f: Diffeo1, g: Diffeo1, alpha) -> SlackReport:
+    """Check the product, multi-product (over phi, psi and phi + psi), and
+    precomposition seminorm inequalities on the displacements of the
+    given maps."""
+    step = min(_step_for(f, EVAL_DENSITY), _step_for(g, EVAL_DENSITY))
     xs = sample_points(pair_window(f, g), step)
     h = xs[1] - xs[0]
     phi = f.displacement_jets(xs, 0)[:, 0]
@@ -283,14 +265,11 @@ def verify_derivation(f: Diffeo1, g: Diffeo1, alpha,
     def sup(v):
         return float(np.max(np.abs(v)))
 
-    slack = DEFAULT_TOL.estimator_slack
+    slack = ESTIMATOR_SLACK
     lhs1 = sem(phi * psi)
     rhs1 = sem(phi) * sup(psi) + sup(phi) * sem(psi)
 
-    if factors is None:
-        flist = [phi, psi, phi + psi]
-    else:
-        flist = [q.displacement_jets(xs, 0)[:, 0] for q in factors]
+    flist = [phi, psi, phi + psi]
     prod = np.ones_like(xs)
     for v in flist:
         prod = prod * v
@@ -315,7 +294,6 @@ def verify_derivation(f: Diffeo1, g: Diffeo1, alpha,
 
 
 def verify_composition_bound(f: Diffeo1, g: Diffeo1, alpha,
-                             composed: Diffeo1 | None = None,
                              eps: float | None = None,
                              density: int | None = None,
                              tol: Tolerances | None = None) -> dict:
@@ -332,7 +310,7 @@ def verify_composition_bound(f: Diffeo1, g: Diffeo1, alpha,
     if eps is not None and max(nf, ng) > eps:
         raise PreconditionError(
             f"pair leaves the seminorm ball: {max(nf, ng):.3e} > {eps:.3e}")
-    fg = composed if composed is not None else _compose(f, g, tol)
+    fg = _compose(f, g, tol)
     nfg = holder_norm(fg, alpha, k, density)
     excess = nfg - nf - ng
     c_req = max(0.0, excess / (nf * ng)) if nf * ng > 0 else 0.0
@@ -340,15 +318,13 @@ def verify_composition_bound(f: Diffeo1, g: Diffeo1, alpha,
             "fitted_C": c_req}
 
 
-def verify_subadditivity(terms: list[Diffeo1], alpha,
-                         density: int | None = None) -> SlackReport:
+def verify_subadditivity(terms: list[Diffeo1], alpha) -> SlackReport:
     """[sum phi_i]_alpha <= sum [phi_i]_alpha on displacement samples."""
     if not terms:
         raise ValueError("need at least one term")
-    density = DEFAULT_TOL.eval_density if density is None else density
     lo = min(eval_window(t)[0] for t in terms)
     hi = max(eval_window(t)[1] for t in terms)
-    step = min(_step_for(t, density) for t in terms)
+    step = min(_step_for(t, EVAL_DENSITY) for t in terms)
     xs = sample_points((lo, hi), step)
     h = xs[1] - xs[0]
     vals = [t.displacement_jets(xs, 0)[:, 0] for t in terms]
@@ -361,12 +337,11 @@ def verify_subadditivity(terms: list[Diffeo1], alpha,
         slacks={"subadditivity": rhs - lhs})
 
 
-def verify_lip_met(f: Diffeo1, alpha, density: int | None = None) -> SlackReport:
+def verify_lip_met(f: Diffeo1, alpha) -> SlackReport:
     """Norm ladder on a compactly supported displacement: with
     K = |J| + alpha(|J|) + |J|/alpha(|J|), the order-k sup is at most
     K times the order-k seminorm, and both order-(k-1) quantities are
     at most K times the order-k sup."""
-    density = DEFAULT_TOL.eval_density if density is None else density
     supp = support_interval(f)
     if supp is None:
         jlen = 1.0
@@ -374,7 +349,7 @@ def verify_lip_met(f: Diffeo1, alpha, density: int | None = None) -> SlackReport
         jlen = max(supp[1] - supp[0], 1e-6)
     a_j = float(alpha(jlen))
     big_k = jlen + a_j + jlen / a_j
-    step = _step_for(f, density)
+    step = _step_for(f, EVAL_DENSITY)
     xs = sample_points(eval_window(f), step)
     h = xs[1] - xs[0]
     k = f.k
@@ -383,7 +358,7 @@ def verify_lip_met(f: Diffeo1, alpha, density: int | None = None) -> SlackReport
     sem_k = holder_seminorm_samples(jets[:, k], h, alpha)
     sup_km1 = float(np.max(np.abs(jets[:, k - 1])))
     sem_km1 = holder_seminorm_samples(jets[:, k - 1], h, alpha)
-    slack = DEFAULT_TOL.estimator_slack
+    slack = ESTIMATOR_SLACK
     return SlackReport(
         name="norm_ladder",
         constants={"K": big_k, "|J|": jlen},

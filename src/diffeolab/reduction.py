@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._taylor import compose_affine, coeffs_to_derivs, smoothstep_series
-from .config import DEFAULT_TOL, Tolerances, smallness_threshold
+from .config import (DEFAULT_TOL, ESTIMATOR_SLACK, EVAL_DENSITY, Tolerances,
+                     smallness_threshold)
 from .diffeo import (Diffeo1, _build_adaptive, compose, compose_all, inverse,
                      post_translate, refined_grid, support_interval,
                      translate_conjugate)
@@ -128,11 +129,11 @@ class MatherConfig:
         }
 
 
-def make_config(k: int, alpha, A: int, eps0: float | None = None,
-                delta0: float | None = None) -> MatherConfig:
+def make_config(k: int, alpha, A: int) -> MatherConfig:
     """Geometry rule: for k >= 2 the target is the fixed interval [-2,2]
     and the source widens with A; for k = 1 the roles swap and the number
-    of spreading slots grows with A instead."""
+    of spreading slots grows with A instead.  The spreading gate is
+    spreading_smallness() and the ball radius smallness_threshold(k)."""
     if k < 1:
         raise ValueError("jet order must be at least 1")
     if A < 1 or A != int(A):
@@ -142,23 +143,16 @@ def make_config(k: int, alpha, A: int, eps0: float | None = None,
         B, D, E = 1, (-2.0, 2.0), (-2.0 * A, 2.0 * A)
     else:
         B, D, E = A, (-2.0 * A, 2.0 * A), (-2.0, 2.0)
-    if eps0 is None:
-        eps0 = spreading_smallness()
-    if not 0.0 < eps0 < 1e-2:
-        raise ValueError("the C^1 gate must sit strictly below 1/100")
-    if delta0 is None:
-        delta0 = smallness_threshold(k)
-    if delta0 <= 0.0:
-        raise ValueError("ball radius must be positive")
     return MatherConfig(k=k, alpha=alpha, A=A, B=B, D=D, E=E,
-                        eps0=eps0, delta0=delta0)
+                        eps0=spreading_smallness(),
+                        delta0=smallness_threshold(k))
 
 
 # -- rolling up ---------------------------------------------------------------
 
-def _sup_norms(f: Diffeo1, density: int = 8) -> tuple[float, float]:
+def _sup_norms(f: Diffeo1) -> tuple[float, float]:
     """(sup |u|, sup |u'|) of the displacement on a dense grid."""
-    xs = refined_grid(f, density)
+    xs = refined_grid(f, EVAL_DENSITY)
     uj = f.displacement_jets(xs, min(1, f.k))
     s0 = float(np.max(np.abs(uj[:, 0])))
     s1 = float(np.max(np.abs(uj[:, 1]))) if f.k >= 1 else 0.0
@@ -181,7 +175,7 @@ def roll_word(g: Diffeo1, x, r, s: int, order: int | None = None) -> np.ndarray:
     return Y
 
 
-def roll_params(g: Diffeo1, density: int = 8):
+def roll_params(g: Diffeo1):
     """(inf supp, support length, sup displacement, word length) used by
     the rolling-up word."""
     if g.tail != "compact":
@@ -189,7 +183,7 @@ def roll_params(g: Diffeo1, density: int = 8):
     supp = support_interval(g)
     if supp is None:
         return float(g.a), 0.0, 0.0, 1
-    a, _ = _sup_norms(g, density)
+    a, _ = _sup_norms(g)
     if a >= 1.0:
         raise PreconditionError(
             f"displacement sup {a:.3f} reaches 1; the word does not advance")
@@ -198,8 +192,7 @@ def roll_params(g: Diffeo1, density: int = 8):
     return float(supp[0]), float(length), a, s
 
 
-def roll_up(g: Diffeo1, tol: Tolerances | None = None,
-            n0: int | None = None) -> Diffeo1:
+def roll_up(g: Diffeo1, tol: Tolerances | None = None) -> Diffeo1:
     """Mix g with the unit translation into a map commuting with integer
     shifts.  Exact on the identity; for small g the displacement of the
     output is bounded by (word length) * (displacement sup)."""
@@ -216,9 +209,8 @@ def roll_up(g: Diffeo1, tol: Tolerances | None = None,
         out[..., 1] -= 1.0
         return out
 
-    if n0 is None:
-        n0 = max(129, min(g.n, 4097))
-    return _build_adaptive("periodic", 0.0, 1.0, k, fn, n0, tol)
+    return _build_adaptive("periodic", 0.0, 1.0, k, fn,
+                           max(129, min(g.n, 4097)), tol)
 
 
 def roll_norm_check(f: Diffeo1, cfg: MatherConfig,
@@ -235,12 +227,11 @@ def roll_norm_check(f: Diffeo1, cfg: MatherConfig,
     factor = 4.0 * (length + 1.0)
     gf = roll_up(f, tol)
     norm_gf = holder_norm(gf, cfg.alpha, cfg.k)
-    slack = tol.estimator_slack
     return SlackReport(
         name="roll-up-norm",
         constants={"factor": factor},
         values={"norm_in": norm_f, "norm_rolled": norm_gf},
-        slacks={"norm": factor * norm_f * (1.0 + slack) - norm_gf})
+        slacks={"norm": factor * norm_f * (1.0 + ESTIMATOR_SLACK) - norm_gf})
 
 
 def roll_equivariance_residual(g: Diffeo1, b: float,
@@ -476,10 +467,10 @@ def rescale_factor(alpha, A: int, k: int) -> float:
     return float(A) ** (1 - k) * sup
 
 
-def reduction_sweep(A_values, k: int, alpha, eps: float = 4e-6,
-                    phase: float = 0.3,
+def reduction_sweep(A_values, k: int, alpha,
                     tol: Tolerances | None = None) -> list[dict]:
-    """Measure the reduction step on the fixed sweep family at each width.
+    """Measure the reduction step on the fixed sweep family at each width
+    (sweep_profile at its default size and phase).
     The plain ratio (output seminorm over input seminorm) tracks the
     width factor of the reduction bound; multiplying by the exact
     rescaling factor of conjugation back to the target interval gives the
@@ -489,7 +480,7 @@ def reduction_sweep(A_values, k: int, alpha, eps: float = 4e-6,
     for A in A_values:
         A = int(A)
         cfg = make_config(k, alpha, A)
-        res = reduce_norm(sweep_profile(A, k, eps, phase), cfg, tol)
+        res = reduce_norm(sweep_profile(A, k), cfg, tol)
         resc = rescale_factor(alpha, A, k)
         rows.append({
             "A": A,
@@ -622,14 +613,13 @@ class ConjugacyCertificate:
 
 
 def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
-               tol: Tolerances | None = None,
-               field: PlateauField | None = None,
-               chart=None, tau: Diffeo1 | None = None) -> ConjugacyCertificate:
+               tol: Tolerances | None = None) -> ConjugacyCertificate:
     """Build the compactly supported conjugacy witness for a pair whose
     rolled-up maps differ by a translation.  Piecewise: the identity left
     of -2A, the chart conjugate of the limit word in the middle, and the
     time-b flow map right of 2A + 1/2; the pieces are checked to agree on
-    the overlaps before assembly."""
+    the overlaps before assembly.  The plateau field is that of cfg.A, and
+    the certificate's tau is its unit-time map."""
     tol = tol or DEFAULT_TOL
     _check_pair(u, v, cfg)
     k = u.k
@@ -650,9 +640,9 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     lam_res = lambda_limit(u, v, cfg, tol)
     Lam = lam_res.map
 
-    field = field or PlateauField(A)
-    chart = chart or trajectory_chart(field, k, tol=tol)
-    tau = tau or time_t_map(field, 1.0, k, tol=tol)
+    field = PlateauField(A)
+    chart = trajectory_chart(field, k, tol=tol)
+    tau = time_t_map(field, 1.0, k, tol=tol)
     tau_b = time_t_map(field, b, k, tol=tol)
     cut = 2.0 * A + 0.75
 
@@ -703,14 +693,13 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
 # -- supporting estimates -------------------------------------------------------
 
 def disjoint_product_check(factors: list[Diffeo1], alpha,
-                           k: int | None = None,
                            tol: Tolerances | None = None) -> SlackReport:
     """Product of maps with pairwise disjoint supports: top seminorm at
     most twice the largest factor seminorm."""
     tol = tol or DEFAULT_TOL
     if len(factors) < 2:
         raise ValueError("need at least two factors")
-    k = factors[0].k if k is None else k
+    k = factors[0].k
     supports = [support_interval(f) for f in factors]
     spans = [s for s in supports if s is not None]
     spans.sort()
@@ -724,11 +713,10 @@ def disjoint_product_check(factors: list[Diffeo1], alpha,
         name="disjoint-product",
         constants={"factor": 2.0},
         values={"norm_product": norm_prod, "max_factor": worst},
-        slacks={"norm": 2.0 * worst * (1.0 + tol.estimator_slack)
-                - norm_prod})
+        slacks={"norm": 2.0 * worst * (1.0 + ESTIMATOR_SLACK) - norm_prod})
 
 
-def blend_excess(u: Diffeo1, t: float, alpha, k: int | None = None,
+def blend_excess(u: Diffeo1, t: float, alpha,
                  tol: Tolerances | None = None) -> dict:
     """Measured data for the convex-blend bound: composing u with the
     inverse blend at fraction t costs (1-t) of u's norm plus a quadratic
@@ -737,7 +725,7 @@ def blend_excess(u: Diffeo1, t: float, alpha, k: int | None = None,
     tol = tol or DEFAULT_TOL
     if u.tail != "periodic":
         raise PreconditionError("the blend bound concerns periodic maps")
-    k = u.k if k is None else k
+    k = u.k
     norm_u = holder_norm(u, alpha, k)
     w = compose(u, inverse(blend_toward_identity(u, t), tol), tol)
     norm_w = holder_norm(w, alpha, k)

@@ -5,12 +5,16 @@ part of the contract: 0 success, 1 failed verification, 2 usage errors,
 3 refused preconditions.
 """
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diffeolab import calibrated_bump, holder, to_dict
+import diffeolab
+from diffeolab import Tolerances, calibrated_bump, holder, to_dict
 from diffeolab.cli import EXIT_OK, EXIT_REFUSED, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -126,6 +130,18 @@ def test_psi_sweep_table(tmp_path):
     assert any(c.startswith("# seed=") for c in comments)
 
 
+def test_both_sweep_commands_write_the_same_table(tmp_path):
+    out = str(tmp_path)
+    assert run("mather", "psi", "--sweep", "1,2", "--out", out) == EXIT_OK
+    assert run("emit-plots", "--tables", "sweep", "--sweep", "1,2",
+               "--out", out) == EXIT_OK
+    _, header, rows = read_csv(tmp_path / "psi_sweep.csv")
+    _, header2, rows2 = read_csv(tmp_path / "norm_reduction_sweep.csv")
+    assert header2 == header
+    assert rows2 == rows
+    assert [r[0] for r in rows] == ["1", "2"]
+
+
 # -- the verification battery -----------------------------------------------------------
 
 def test_verify_battery_is_deterministic(tmp_path):
@@ -165,6 +181,31 @@ def test_fixpoint_round_trip_and_tamper(tmp_path):
     bad_path = tmp_path / "tampered.json"
     bad_path.write_text(json.dumps(chain))
     assert run("perfect", "verify", str(bad_path), "--out", out) == EXIT_VERIFY
+
+
+def test_fixpoint_no_convergence_is_a_reported_outcome(tmp_path):
+    out = str(tmp_path)
+    fin = tmp_path / "f.json"
+    fin.write_text(json.dumps(to_dict(calibrated_bump(1e-3, holder(0.5)))))
+    trace_path = tmp_path / "trace.json"
+    assert run("perfect", "fixpoint", "--in", str(fin), "--A", "4",
+               "--tol-fix-max-iter", "1", "--tol-fix-tol", "1e-30",
+               "--out-chain", str(trace_path), "--out", out) == EXIT_OK
+    trace = read_json(trace_path)
+    assert trace["format"] == "fixpoint-trace"
+    assert trace["outcome"] == "no-convergence"
+    assert len(trace["trace"]) == 1
+
+
+def test_fixpoint_rejects_a_malformed_map(tmp_path, capsys):
+    d = to_dict(calibrated_bump(1e-3, holder(0.5)))
+    del d["grid"]
+    fin = tmp_path / "f.json"
+    fin.write_text(json.dumps(d))
+    assert run("perfect", "fixpoint", "--in", str(fin), "--A", "4",
+               "--out-chain", str(tmp_path / "chain.json"),
+               "--out", str(tmp_path)) == EXIT_USAGE
+    assert "malformed map" in capsys.readouterr().err
 
 
 # -- tables and configuration --------------------------------------------------------------
@@ -212,3 +253,49 @@ def test_tolerance_override_flag(tmp_path):
                "--out", out) == EXIT_OK
     verdict = read_json(tmp_path / "modulus_verdict.json")
     assert verdict["run_config"]["tol"]["fix_max_iter"] == 17
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    out = str(tmp_path)
+    for bad in ({"tol": {"no_such_knob": 1.0}}, {"tol": {"eval_density": 8}},
+                {"grid_n": 0}):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(bad))
+        assert run("modulus", "analyze", "--config", str(cfg_path),
+                   "--out", out) == EXIT_USAGE
+        name = next(iter(bad.get("tol", bad)))
+        assert name in capsys.readouterr().err
+
+
+def test_config_file_must_be_an_object(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps([{"A": 2}]))
+    assert run("modulus", "analyze", "--config", str(cfg_path),
+               "--out", str(tmp_path)) == EXIT_USAGE
+
+
+def test_integer_knobs_reject_fractions(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run("modulus", "analyze", "--tol-max-nodes", "1.5",
+               "--out", out) == EXIT_USAGE
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"tol": {"max_nodes": 1.5}}))
+    capsys.readouterr()
+    assert run("modulus", "analyze", "--config", str(cfg_path),
+               "--out", out) == EXIT_USAGE
+    assert "max_nodes" in capsys.readouterr().err
+
+
+def test_every_tolerance_is_read_from_the_run():
+    # a Tolerances field that no module reads is a knob without effect, and
+    # one read from DEFAULT_TOL ignores the run's override
+    src = Path(diffeolab.__file__).parent
+    text = "\n".join(p.read_text(encoding="utf-8")
+                     for p in sorted(src.glob("*.py"))
+                     if p.name != "config.py")
+    names = [f.name for f in dataclasses.fields(Tolerances)]
+    unread = [n for n in names if not re.search(rf"\.{n}\b", text)]
+    assert unread == []
+    from_default = re.findall(rf"DEFAULT_TOL\.(?:{'|'.join(names)})\b",
+                              text)
+    assert from_default == []

@@ -195,7 +195,8 @@ def test_conjugation_scales_the_norm_exactly(preset_f, A):
     # the first step composes with the identity on [-2, 2]; the estimator
     # samples of the conjugate are those of f o u scaled by A, so the
     # seminorm scales by exactly rescale_factor
-    res = fixed_point_search(preset_f, make_config(2, ALPHA, A), max_iter=1)
+    res = fixed_point_search(preset_f, make_config(2, ALPHA, A),
+                             tol=DEFAULT_TOL.with_overrides(fix_max_iter=1))
     first = res.trace[0]
     assert first["norm_conjugated"] == pytest.approx(
         rescale_factor(ALPHA, A, 2) * first["norm_composed"], rel=1e-9)

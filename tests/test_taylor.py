@@ -16,6 +16,7 @@ from diffeolab._taylor import (
     derivs_to_coeffs,
     exp_well_series,
     factorials,
+    poly_jets,
     smoothstep_series,
     tconst,
     tdiv,
@@ -149,3 +150,18 @@ if HAVE_HYPOTHESIS:
         b = np.array(ys)[: k + 1]
         np.testing.assert_allclose(tmul(a, b), tmul(b, a), atol=1e-12)
         np.testing.assert_allclose(tmul(a, b + b), 2 * tmul(a, b), atol=1e-11)
+
+
+def test_poly_jets_matches_the_polyval_loop_bitwise():
+    # the reference: numpy's polyval of each polyder, order by order
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-2.0, 2.0, (5, 7))
+    for m in (1, 2, 5, 12):
+        c = rng.normal(size=m)
+        for order in (0, 1, m - 1, m + 2):
+            got = poly_jets(c, x, order)
+            d = c
+            for j in range(order + 1):
+                assert np.array_equal(got[..., j], P.polyval(x, d))
+                d = P.polyder(d)
+    assert poly_jets([1.0, 2.0, 3.0], 0.5, 2).shape == (3,)
