@@ -18,11 +18,10 @@ from .modulus import (ConcaveModulus, ModulusLawReport, TamenessVerdict,
                       holder, lcm_sandwich_slack, least_concave_majorant,
                       log_refined_holder, modulus_from_dict,
                       oscillation_modulus, tameness_functional)
-from .diffeo import (Diffeo1, compose, compose_all, evaluate, fragment,
-                     from_dict, from_preset, identity, inverse,
-                     post_translate, refined_grid, rescale_displacement,
-                     support_interval, to_dict, translate_conjugate,
-                     translation)
+from .diffeo import (Diffeo1, compose, compose_all, fragment, from_dict,
+                     from_preset, identity, inverse, post_translate,
+                     refined_grid, rescale_displacement, support_interval,
+                     to_dict, translate_conjugate, translation)
 from .norms import (NormReport, holder_norm, metric, norm_report,
                     verify_composition_bound, verify_derivation,
                     verify_domination, verify_lip_met, verify_subadditivity)
@@ -38,8 +37,8 @@ from .reduction import (ConjugacyCertificate, LambdaResult, MatherConfig,
                         sweep_profile, zeta_profile)
 from .fixpoint import (FixedPointResult, calibrated_bump, ck_distance,
                        dump_chain, fixed_point_search, load_chain,
-                       make_rescaler, renorm_step, scaling_ratio,
-                       verify_certificate, write_chain)
+                       make_rescaler, scaling_ratio, verify_certificate,
+                       write_chain)
 
 __version__ = "0.1.0"
 
@@ -53,7 +52,7 @@ __all__ = [
     "check_modulus_laws", "classify_tameness", "concavity_slack", "holder",
     "lcm_sandwich_slack", "least_concave_majorant", "log_refined_holder",
     "modulus_from_dict", "oscillation_modulus", "tameness_functional",
-    "Diffeo1", "compose", "compose_all", "evaluate", "fragment",
+    "Diffeo1", "compose", "compose_all", "fragment",
     "from_dict", "from_preset", "identity", "inverse", "post_translate",
     "refined_grid", "rescale_displacement", "support_interval", "to_dict",
     "translate_conjugate", "translation",
@@ -69,6 +68,6 @@ __all__ = [
     "roll_params", "roll_up", "spread", "spread_once", "sweep_profile",
     "zeta_profile",
     "FixedPointResult", "calibrated_bump", "ck_distance", "dump_chain",
-    "fixed_point_search", "load_chain", "make_rescaler", "renorm_step",
-    "scaling_ratio", "verify_certificate", "write_chain",
+    "fixed_point_search", "load_chain", "make_rescaler", "scaling_ratio",
+    "verify_certificate", "write_chain",
 ]

@@ -36,73 +36,74 @@ def _hermite_coeffs(jets: np.ndarray, h: float) -> np.ndarray:
     """Monomial coefficients, per interval, of the order-2k+1 interpolant.
 
     jets has shape (n, k+1) with derivative order on the last axis; the
-    result has shape (n-1, 2k+2) with coefficients of t^i, where t is the
-    local coordinate (x - x_left)/h.
+    result has shape (2k+2, n-1), laid out (coefficients, cells): row i
+    holds the coefficient of t^i in every cell, where t is the local
+    coordinate (x - x_left)/h.
     """
     n, kp1 = jets.shape
     k = kp1 - 1
-    fact = _taylor.factorials(k)
+    fact = _taylor.factorials(k)[:, None]
     hp = h ** np.arange(k + 1)
-    d0 = jets[:-1] * hp
-    d1 = jets[1:] * hp
-    c = np.zeros((n - 1, 2 * k + 2))
-    c[:, : k + 1] = d0 / fact
+    d0 = (jets[:-1] * hp).T
+    d1 = (jets[1:] * hp).T
+    c = np.zeros((2 * k + 2, n - 1))
+    c[: k + 1] = d0 / fact
 
     # derivatives at t=1 of the left Taylor part
     falling = np.zeros((2 * k + 2, k + 1))
     for i in range(2 * k + 2):
         for j in range(min(i, k) + 1):
             falling[i, j] = math.factorial(i) / math.factorial(i - j)
-    taylor_end = np.zeros((n - 1, k + 1))
+    taylor_end = np.zeros((k + 1, n - 1))
     for j in range(k + 1):
         acc = np.zeros(n - 1)
         for i in range(j, k + 1):
-            acc += c[:, i] * falling[i, j]
-        taylor_end[:, j] = acc
+            acc += c[i] * falling[i, j]
+        taylor_end[j] = acc
 
     need = d1 - taylor_end
     # correction sum_m q_m t^{k+1} (t-1)^m, solved triangularly at t=1
-    q = np.zeros((n - 1, k + 1))
+    q = np.zeros((k + 1, n - 1))
     for j in range(k + 1):
-        acc = need[:, j].copy()
+        acc = need[j].copy()
         for m in range(j):
             w = math.comb(j, m) * math.factorial(m) \
                 * math.factorial(k + 1) // math.factorial(k + 1 - (j - m))
-            acc -= w * q[:, m]
-        q[:, j] = acc / math.factorial(j)
+            acc -= w * q[m]
+        q[j] = acc / math.factorial(j)
     for m in range(k + 1):
         for s in range(m + 1):
-            c[:, k + 1 + s] += q[:, m] * math.comb(m, s) * (-1.0) ** (m - s)
+            c[k + 1 + s] += q[m] * math.comb(m, s) * (-1.0) ** (m - s)
     return c
 
 
-def _horner(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    acc = rows[..., -1].copy()
-    for i in range(rows.shape[-1] - 2, -1, -1):
-        acc = acc * t + rows[..., i]
-    return acc
-
-
 def _hermite_tables(jets: np.ndarray, h: float) -> list[np.ndarray]:
-    """Per-interval monomial coefficients of the interpolant and of its
-    derivatives 1..k, in the local coordinate t, for _hermite_eval."""
+    """Monomial coefficients of the interpolant and of its derivatives
+    1..k in the local coordinate t, for _hermite_eval: one (coefficients,
+    cells) table per derivative order, as laid out by _hermite_coeffs."""
     dc = [_hermite_coeffs(jets, h)]
     for _ in range(jets.shape[1] - 1):
         prev = dc[-1]
-        dc.append(prev[:, 1:] * np.arange(1, prev.shape[1]))
+        dc.append(prev[1:] * np.arange(1, prev.shape[0])[:, None])
     return dc
 
 
 def _hermite_eval(dc: list[np.ndarray], xf: np.ndarray, lo: float, h: float,
                   order: int) -> np.ndarray:
     """Derivatives 0..order of the interpolant on the grid lo + h*i at
-    points xf already folded into the grid."""
+    points xf already folded into the grid, by Horner's rule on the
+    coefficient rows gathered at each point's cell."""
     pos = (xf - lo) / h
-    idx = np.clip(pos.astype(int), 0, dc[0].shape[0] - 1)
+    idx = np.minimum(np.maximum(pos.astype(int), 0), dc[0].shape[1] - 1)
     t = pos - idx
     out = np.empty(xf.shape + (order + 1,))
     for j in range(order + 1):
-        out[..., j] = _horner(dc[j][idx], t) / h ** j
+        rows = dc[j]
+        acc = rows[-1].take(idx)
+        for i in range(rows.shape[0] - 2, -1, -1):
+            acc *= t
+            acc += rows[i].take(idx)
+        out[..., j] = acc / h ** j
     return out
 
 
@@ -194,7 +195,7 @@ class Diffeo1:
         """Map arbitrary points into the grid; also return the identity mask."""
         if self.tail == "compact":
             ident = (x <= self.a) | (x >= self.b)
-            xf = np.clip(x, self.a, self.b)
+            xf = np.minimum(np.maximum(x, self.a), self.b)
         elif self.tail == "periodic":
             ident = np.zeros(x.shape, dtype=bool)
             xf = self.a + np.mod(x - self.a, 1.0)
@@ -203,7 +204,7 @@ class Diffeo1:
             xf = np.where(x > self.b,
                           (self.b - 1.0) + np.mod(x - (self.b - 1.0), 1.0),
                           x)
-            xf = np.clip(xf, self.a, self.b)
+            xf = np.minimum(np.maximum(xf, self.a), self.b)
         return xf, ident
 
     def displacement_jets(self, x, order: int | None = None) -> np.ndarray:
@@ -323,10 +324,6 @@ def translation(c: float, k: int) -> Diffeo1:
     jets = np.zeros((2, k + 1))
     jets[:, 0] = c
     return Diffeo1("periodic", 0.0, 1.0, k, jets)
-
-
-def evaluate(f: Diffeo1, x, order: int | None = None) -> np.ndarray:
-    return f.jet_at(x, order)
 
 
 def refined_grid(f: Diffeo1, density: int) -> np.ndarray:

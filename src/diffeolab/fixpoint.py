@@ -252,13 +252,6 @@ def _renorm_full(u: Diffeo1, f: Diffeo1, rescaler: Diffeo1,
                       norm_composed=norm_fu)
 
 
-def renorm_step(u: Diffeo1, f: Diffeo1, rescaler: Diffeo1,
-                cfg: MatherConfig, tol: Tolerances | None = None) -> Diffeo1:
-    """One step of the iteration: reduce the rescaled conjugate of f o u."""
-    tol = tol or DEFAULT_TOL
-    return _renorm_full(u, f, rescaler, cfg, tol).map
-
-
 def ck_distance(u: Diffeo1, v: Diffeo1) -> float:
     """Largest absolute gap between the full jets of u and v, sampled on
     the union of both refined grids with tail extension."""

@@ -232,8 +232,8 @@ class Chart:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self._dc is None:
             self._dc = _hermite_tables(self.jets, self.h)
-        out = _hermite_eval(self._dc, np.clip(x, -self.w, self.w), -self.w,
-                            self.h, order)
+        xf = np.minimum(np.maximum(x, -self.w), self.w)
+        out = _hermite_eval(self._dc, xf, -self.w, self.h, order)
         beyond = np.abs(x) > self.w
         if beyond.any():
             clamp = np.where(x[beyond] > 0, self.jets[-1, 0], self.jets[0, 0])

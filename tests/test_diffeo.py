@@ -24,7 +24,9 @@ from diffeolab import (
     translate_conjugate,
     translation,
 )
-from diffeolab.diffeo import _build_adaptive, evaluate, fragment, refined_grid
+from diffeolab.diffeo import (TAILS, _build_adaptive, _hermite_tables,
+                              fragment, refined_grid)
+from diffeolab.jets import MAX_ORDER
 from _helpers import c0_gap, small_bump, small_periodic
 
 try:
@@ -86,9 +88,79 @@ def test_periodic_preset_commutes_with_unit_shift():
 
 def test_evaluate_returns_full_jets():
     f = small_bump(1e-3)
-    out = evaluate(f, np.linspace(-0.5, 0.5, 7))
+    out = f.jet_at(np.linspace(-0.5, 0.5, 7))
     assert out.shape == (7, 3)
     np.testing.assert_allclose(out[:, 1], 1.0, atol=2e-3)
+
+
+def _random_map(tail, k, rng):
+    """A map of the given tail class with random node jets on 7 nodes,
+    spaced 1/3 apart (1/6 for the periodic class)."""
+    a, b = (0.0, 1.0) if tail == "periodic" else (-0.5, 1.5)
+    jets = 0.1 * rng.standard_normal((7, k + 1))
+    if tail == "compact":
+        jets[[0, -1]] = 0.0
+    elif tail == "periodic":
+        jets[-1] = jets[0]
+    else:
+        jets[0] = 0.0
+        jets[3] = jets[-1]  # node b - 1 starts the repeating profile
+    return Diffeo1(tail, a, b, k, jets)
+
+
+def _probe_points(f):
+    """Both grid ends, a node, points inside cells and outside the grid."""
+    inside = f.a + f.h * np.array([0.37, 2.5, 5.91])
+    return np.concatenate([[f.a, f.b, f.a + 3 * f.h], inside,
+                           [f.a - 0.7, f.b + 0.3, f.b + 2.6]])
+
+
+def _polyval_oracle(f, xs):
+    """Displacement jets point by point: the tail law folds x into the
+    grid, then np.polyval runs the same Horner steps as the engine on the
+    cell's coefficients, highest power first."""
+    tables = _hermite_tables(f.jets, f.h)
+    out = np.zeros(xs.shape + (f.k + 1,))
+    for p in np.ndindex(xs.shape):
+        x = xs[p]
+        if f.tail == "periodic":
+            x = f.a + np.mod(x - f.a, 1.0)
+        elif x <= f.a or (f.tail == "compact" and x >= f.b):
+            continue
+        elif x > f.b:
+            x = (f.b - 1.0) + np.mod(x - (f.b - 1.0), 1.0)
+        pos = (x - f.a) / f.h
+        cell = min(int(pos), f.n - 2)
+        for j in range(f.k + 1):
+            out[p + (j,)] = (np.polyval(tables[j][::-1, cell], pos - cell)
+                             / f.h ** j)
+    return out
+
+
+@pytest.mark.parametrize("tail", TAILS)
+def test_displacement_jets_matches_per_cell_polyval_bitwise(tail):
+    rng = np.random.default_rng(23)
+    for k in range(1, MAX_ORDER + 1):
+        f = _random_map(tail, k, rng)
+        xs = _probe_points(f)
+        want = _polyval_oracle(f, xs)
+        np.testing.assert_array_equal(f.displacement_jets(xs), want)
+        np.testing.assert_array_equal(f.displacement_jets(xs.reshape(3, 3)),
+                                      want.reshape(3, 3, k + 1))
+        for x, w in zip(xs, want):
+            np.testing.assert_array_equal(f.displacement_jets(float(x)), w)
+
+
+@pytest.mark.parametrize("tail", TAILS)
+def test_lower_order_request_is_a_prefix(tail):
+    rng = np.random.default_rng(29)
+    for k in range(1, MAX_ORDER + 1):
+        f = _random_map(tail, k, rng)
+        xs = _probe_points(f).reshape(3, 3)
+        full = f.displacement_jets(xs, k)
+        for j in range(k):
+            np.testing.assert_array_equal(f.displacement_jets(xs, j),
+                                          full[..., :j + 1])
 
 
 # -- composition ----------------------------------------------------------------

@@ -28,7 +28,6 @@ from diffeolab import (
     load_chain,
     make_config,
     make_rescaler,
-    renorm_step,
     rescale_displacement,
     rescale_factor,
     scaling_ratio,
@@ -36,6 +35,7 @@ from diffeolab import (
     verify_certificate,
     write_chain,
 )
+from diffeolab.fixpoint import _renorm_full
 from _helpers import small_bump
 
 ALPHA = holder(0.5)
@@ -109,14 +109,15 @@ def test_calibrated_bump_hits_the_target_norm():
 
 def test_renorm_step_fixes_the_identity(cfg):
     q = make_rescaler(cfg)
-    out = renorm_step(identity(2, -1.0, 1.0), identity(2, -1.0, 1.0), q, cfg)
+    out = _renorm_full(identity(2, -1.0, 1.0), identity(2, -1.0, 1.0), q, cfg,
+                       DEFAULT_TOL).map
     assert np.all(out.jets == 0.0)
 
 
 def test_renorm_step_keeps_iterates_in_the_window(cfg, preset_f):
     q = make_rescaler(cfg)
     u = calibrated_bump(3e-4, ALPHA, center=0.3, radius=1.2)
-    out = renorm_step(u, preset_f, q, cfg)
+    out = _renorm_full(u, preset_f, q, cfg, DEFAULT_TOL).map
     supp = support_interval(out, slack=1e-9)
     assert supp[0] >= cfg.D[0] - out.h and supp[1] <= cfg.D[1] + out.h
 
@@ -125,14 +126,14 @@ def test_renorm_step_refuses_oversized_composites(cfg, preset_f):
     q = make_rescaler(cfg)
     big = small_bump(2e-3, radius=1.0)
     with pytest.raises(PreconditionError):
-        renorm_step(big, preset_f, q, cfg)
+        _renorm_full(big, preset_f, q, cfg, DEFAULT_TOL).map
 
 
 def test_renorm_step_names_the_composite_gate(cfg, preset_f):
     q = make_rescaler(cfg)
     big = small_bump(2e-3, radius=1.0)
     with pytest.raises(PreconditionError, match="^composition stage: "):
-        renorm_step(big, preset_f, q, cfg)
+        _renorm_full(big, preset_f, q, cfg, DEFAULT_TOL).map
 
 
 def test_renorm_step_reads_the_rescaler(cfg, preset_f):
@@ -141,7 +142,7 @@ def test_renorm_step_reads_the_rescaler(cfg, preset_f):
     fake = identity(2, -16.0, 16.0)
     u = identity(2, -2.0, 2.0)
     with pytest.raises(ConstructionError, match="^rescaling stage: "):
-        renorm_step(u, preset_f, fake, cfg)
+        _renorm_full(u, preset_f, fake, cfg, DEFAULT_TOL).map
 
 
 def test_contractivity_probe_is_logged_not_asserted(cfg, preset_f):
@@ -151,8 +152,8 @@ def test_contractivity_probe_is_logged_not_asserted(cfg, preset_f):
     u1 = calibrated_bump(3e-4, ALPHA, center=0.3, radius=1.2)
     u2 = calibrated_bump(5e-4, ALPHA, center=-0.2, radius=1.0)
     before = ck_distance(u1, u2)
-    after = ck_distance(renorm_step(u1, preset_f, q, cfg),
-                        renorm_step(u2, preset_f, q, cfg))
+    after = ck_distance(_renorm_full(u1, preset_f, q, cfg, DEFAULT_TOL).map,
+                        _renorm_full(u2, preset_f, q, cfg, DEFAULT_TOL).map)
     print(f"one-step distance ratio on probe pair: {after / before:.3f}")
     assert np.isfinite(after / before)
 
