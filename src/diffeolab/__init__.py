@@ -37,8 +37,8 @@ from .reduction import (ConjugacyCertificate, LambdaResult, MatherConfig,
                         sweep_profile, zeta_profile)
 from .fixpoint import (FixedPointResult, calibrated_bump, ck_distance,
                        dump_chain, fixed_point_search, load_chain,
-                       make_rescaler, scaling_ratio, verify_certificate,
-                       write_chain)
+                       make_rescaler, rescaler_params, scaling_ratio,
+                       verify_certificate, write_chain)
 
 __version__ = "0.1.0"
 
@@ -68,6 +68,6 @@ __all__ = [
     "roll_params", "roll_up", "spread", "spread_once", "sweep_profile",
     "zeta_profile",
     "FixedPointResult", "calibrated_bump", "ck_distance", "dump_chain",
-    "fixed_point_search", "load_chain", "make_rescaler", "scaling_ratio",
-    "verify_certificate", "write_chain",
+    "fixed_point_search", "load_chain", "make_rescaler", "rescaler_params",
+    "scaling_ratio", "verify_certificate", "write_chain",
 ]

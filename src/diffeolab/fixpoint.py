@@ -4,15 +4,20 @@ Starting from the identity, each step composes the input map with the
 current iterate, conjugates the composite by a fixed rescaler so that it
 fills the wide source interval, and applies the norm reduction to land
 back on the narrow target interval.  A fixed point of this step witnesses
-the input map's first-homology class as trivial: the run serializes every
-map and identity involved into a certificate chain that an independent
-replay can check without trusting any stored number.
+the input map's first-homology class as trivial: the run serializes the
+maps, the rescaler's parameters and the identities involved into a
+certificate chain that an independent replay can check without trusting
+any stored number.
 
 The conjugation is exact, not resampled.  The rescaler is the linear map
-x -> ratio*x on twice the target interval, which holds the support of the
-composite, so conjugating by it is the pure rescaling u(x) -> ratio *
-u(x/ratio) of the composite's node jets.  Each step checks the rescaler's
-node jets over that support before it takes the shortcut.
+x -> ratio*x on [-zi, zi], twice the target interval, which holds the
+support of the composite, so conjugating by it is the pure rescaling
+u(x) -> ratio * u(x/ratio) of the composite's node jets.  Four closed-form
+parameters (ratio, zi, zo, k) fix the rescaler, and only they enter the
+search and the chain: each step checks the composite's support against
+[-zi, zi] before it takes the shortcut, and the replay evaluates the
+rescaler in closed form.  `make_rescaler` builds the Hermite map of the
+same parameters for callers that want it as a Diffeo1.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .diffeo import (Diffeo1, _build_adaptive, compose, from_preset,
                      from_dict as map_from_dict)
 from .norms import holder_norm
 from .reduction import (MatherConfig, PsiResult, reduce_norm, conjugator,
-                        ConjugacyCertificate)
+                        ConjugacyCertificate, make_config)
 
 
 # -- rescaling conjugator ----------------------------------------------------
@@ -78,8 +83,14 @@ class _BlendProfile:
                     / (1.0 - w))
 
     @property
+    def min_slope(self) -> float:
+        """Least slope of the rescaler: each step moves monotonically
+        between ratio, ell and 1, so the extremes are those levels."""
+        return min(self.ratio, self.ell, 1.0)
+
+    @property
     def feasible(self) -> bool:
-        return self.mean > 0.0 and self.ell > 1e-3
+        return self.mean > 0.0 and self.min_slope > 1e-3
 
     def jets(self, t: np.ndarray) -> np.ndarray:
         """Rows [integral, slope, slope', ...] of the profile at t."""
@@ -115,9 +126,11 @@ class _BlendProfile:
         return out
 
 
-def _rescaler_fn(ratio: float, zi: float, zo: float, k: int,
-                 prof: _BlendProfile):
+def _rescaler_fn(ratio: float, zi: float, zo: float, k: int):
+    """Displacement jets of the rescaler with these parameters, in closed
+    form."""
     span = zo - zi
+    prof = _BlendProfile(ratio, zi, zo, k)
 
     def fn(xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -153,41 +166,44 @@ def scaling_ratio(cfg: MatherConfig) -> float:
     return (cfg.E[1] - cfg.E[0]) / (cfg.D[1] - cfg.D[0])
 
 
-def make_rescaler(cfg: MatherConfig,
-                  tol: Tolerances | None = None) -> Diffeo1:
-    """An odd diffeomorphism equal to ratio*x on twice the target interval
-    and to the identity outside four source widths, joined by a monotone
-    blend with the matching integral.
+def rescaler_params(cfg: MatherConfig) -> tuple[float, float, float, int]:
+    """(ratio, zi, zo, k) of the rescaler: an odd diffeomorphism equal to
+    ratio*x on [-zi, zi], twice the target interval, and to the identity
+    outside [-zo, zo], four source widths, joined by a monotone blend with
+    the matching integral.
 
-    Maps supported in the target interval are carried onto the source
-    interval by pure scaling under conjugation.  If the first blend zone
-    is thinner than one unit or cannot stay monotone, the zone is widened
-    once before giving up.
+    If the first blend zone is thinner than one unit or its slope falls to
+    1e-3 or below, the zone is widened once before giving up.
     """
-    tol = tol or DEFAULT_TOL
     width_d = cfg.D[1] - cfg.D[0]
     width_e = cfg.E[1] - cfg.E[0]
-    ratio = width_e / width_d
+    ratio = scaling_ratio(cfg)
     zi = 2.0 * width_d
     worst = None
     for zo in (4.0 * width_e, 4.0 * (width_e + width_d)):
         if not zo - zi > 1.0:
             continue
         prof = _BlendProfile(ratio, zi, zo, cfg.k)
-        if not prof.feasible:
-            worst = prof.ell
-            continue
-        n0 = max(513, int(round(256.0 * 2.0 * zo)) + 1)
-        q = _build_adaptive("compact", -zo, zo, cfg.k,
-                            _rescaler_fn(ratio, zi, zo, cfg.k, prof),
-                            n0, tol)
-        slope_min = float(np.min(q.jets[:, 1])) + 1.0
-        if slope_min > 1e-3:
-            return q
-        worst = slope_min
+        if prof.feasible:
+            return ratio, zi, zo, cfg.k
+        worst = prof.min_slope
     raise ConstructionError(
         f"rescaling stage: no monotone blend zone outside |x| = {zi:g} "
         f"(worst slope level {worst})")
+
+
+def make_rescaler(cfg: MatherConfig,
+                  tol: Tolerances | None = None) -> Diffeo1:
+    """The rescaler of rescaler_params(cfg) as a Hermite map on [-zo, zo].
+
+    Maps supported in the target interval are carried onto the source
+    interval by pure scaling under conjugation.
+    """
+    tol = tol or DEFAULT_TOL
+    ratio, zi, zo, k = rescaler_params(cfg)
+    n0 = max(513, int(round(256.0 * 2.0 * zo)) + 1)
+    return _build_adaptive("compact", -zo, zo, k,
+                           _rescaler_fn(ratio, zi, zo, k), n0, tol)
 
 
 # -- the renormalized reduction step -----------------------------------------
@@ -197,33 +213,27 @@ class RenormStep:
     """One application of the renormalized reduction, with diagnostics."""
 
     map: Diffeo1
+    composed: Diffeo1               # f o u
     conjugated: Diffeo1             # rescaler o (f o u) o rescaler^{-1}, the
-                                    # exact rescale of f o u's node jets
+                                    # exact rescale of f o u's node jets by
+                                    # the rescaler parameters' ratio
     reduction: PsiResult
     norm_composed: float            # norm of f o u before rescaling
 
 
-def _check_linear_on(rescaler: Diffeo1, supp: tuple[float, float],
-                     ratio: float, tol: Tolerances) -> None:
-    """Refuse unless the rescaler's node jets over every grid cell meeting
-    supp are those of x -> ratio*x; the interpolant is then that line."""
-    i0 = math.floor((supp[0] - rescaler.a) / rescaler.h)
-    i1 = math.ceil((supp[1] - rescaler.a) / rescaler.h)
-    if i0 < 0 or i1 > rescaler.n - 1:
+def _check_linear_on(params: tuple[float, float, float, int],
+                     supp: tuple[float, float]) -> None:
+    """Refuse unless supp lies in [-zi, zi], where the rescaler is
+    x -> ratio*x."""
+    ratio, zi = params[0], params[1]
+    if not (supp[0] >= -zi and supp[1] <= zi):
         raise ConstructionError(
-            f"rescaling stage: support {supp} of f o u leaves the rescaler "
-            f"grid [{rescaler.a:g}, {rescaler.b:g}]")
-    want = np.zeros((i1 - i0 + 1, rescaler.k + 1))
-    want[:, 0] = (ratio - 1.0) * rescaler.nodes[i0:i1 + 1]
-    want[:, 1] = ratio - 1.0
-    gap = float(np.max(np.abs(rescaler.jets[i0:i1 + 1] - want)))
-    if not gap <= tol.node_zero:
-        raise ConstructionError(
-            f"rescaling stage: rescaler departs from x -> {ratio:g}x by "
-            f"{gap:.3e} on the support {supp} of f o u")
+            f"rescaling stage: support {supp} of f o u leaves [-{zi:g}, "
+            f"{zi:g}], where the rescaler is x -> {ratio:g}x")
 
 
-def _renorm_full(u: Diffeo1, f: Diffeo1, rescaler: Diffeo1,
+def _renorm_full(u: Diffeo1, f: Diffeo1,
+                 params: tuple[float, float, float, int],
                  cfg: MatherConfig, tol: Tolerances) -> RenormStep:
     try:
         fu = compose(f, u, tol)
@@ -234,11 +244,10 @@ def _renorm_full(u: Diffeo1, f: Diffeo1, rescaler: Diffeo1,
         raise PreconditionError(
             f"composition stage: composite norm {norm_fu:.3e} exceeds the "
             f"iteration ball {3.0 * cfg.delta0:.1e}")
-    ratio = scaling_ratio(cfg)
     supp = support_interval(fu)
     if supp is not None:
-        _check_linear_on(rescaler, supp, ratio, tol)
-    g = rescale_displacement(fu, ratio)
+        _check_linear_on(params, supp)
+    g = rescale_displacement(fu, params[0])
     try:
         red = reduce_norm(g, cfg, tol)
     except (PreconditionError, ConstructionError) as e:
@@ -248,7 +257,7 @@ def _renorm_full(u: Diffeo1, f: Diffeo1, rescaler: Diffeo1,
                              or supp[1] > cfg.D[1] + red.map.h):
         raise ConstructionError(
             f"iterate support {supp} escapes the target interval {cfg.D}")
-    return RenormStep(map=red.map, conjugated=g, reduction=red,
+    return RenormStep(map=red.map, composed=fu, conjugated=g, reduction=red,
                       norm_composed=norm_fu)
 
 
@@ -304,34 +313,72 @@ def calibrated_bump(target: float, alpha, k: int = 2, center: float = 0.0,
     return f
 
 
-def _assemble_chain(f: Diffeo1, u0: Diffeo1, rescaler: Diffeo1, g: Diffeo1,
-                    red: PsiResult, cert: ConjugacyCertificate,
+CHAIN_FORMAT = "homology-certificate-chain"
+CHAIN_VERSION = 2
+_CHAIN_MAPS = ("f", "u0", "conjugated", "reduced", "witness",
+               "flow_time_one")
+
+
+def _samples(lo: float, hi: float, n: int, supports) -> np.ndarray:
+    """n samples over [lo, hi], widened a unit past any support it does not
+    hold, at the same spacing."""
+    step = (hi - lo) / (n - 1)
+    for s in supports:
+        if s is not None:
+            lo, hi = min(lo, s[0] - 1.0), max(hi, s[1] + 1.0)
+    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+
+
+def _rescale_residual(g: Diffeo1, fu: Diffeo1,
+                      params: tuple[float, float, float, int],
+                      window: tuple[float, float]) -> float:
+    """Largest gap of g o rescaler = rescaler o fu, with the rescaler in
+    closed form, over the window and the supports of fu and of g pulled
+    back by the inner scaling."""
+    ratio = params[0]
+    sg = support_interval(g)
+    xs = _samples(window[0] - 1.0, window[1] + 1.0, 1025,
+                  [support_interval(fu),
+                   None if sg is None else (sg[0] / ratio, sg[1] / ratio)])
+    disp = _rescaler_fn(*params)
+
+    def q(ys: np.ndarray) -> np.ndarray:
+        return ys + disp(ys)[..., 0]
+
+    return float(np.max(np.abs(g(q(xs)) - q(fu(xs)))))
+
+
+def _assemble_chain(f: Diffeo1, u0: Diffeo1,
+                    params: tuple[float, float, float, int],
+                    step: RenormStep, cert: ConjugacyCertificate,
                     fix_residual: float, cfg: MatherConfig, tol: Tolerances,
                     iterations: int, trace: list) -> dict:
-    fu = compose(f, u0, tol)
-    xs = np.linspace(cfg.D[0] - 1.0, cfg.D[1] + 1.0, 1025)
-    rescale_res = float(np.max(np.abs(g(rescaler(xs)) - rescaler(fu(xs)))))
+    red = step.reduction
+    ratio, zi, zo, k = params
     return {
-        "format": "homology-certificate-chain",
-        "version": 1,
+        "format": CHAIN_FORMAT,
+        "version": CHAIN_VERSION,
         "config": {**cfg.to_dict(), "fix_tol": tol.fix_tol,
                    "cert_tol": tol.cert_tol},
         "iterations": iterations,
         "residual": fix_residual,
         "trace": trace,
+        "rescaler": {"ratio": ratio, "zi": zi, "zo": zo, "k": k},
         "maps": {
             "f": map_to_dict(f),
             "u0": map_to_dict(u0),
-            "rescaler": map_to_dict(rescaler),
-            "conjugated": map_to_dict(g),
+            "conjugated": map_to_dict(step.conjugated),
             "reduced": map_to_dict(red.map),
             "witness": map_to_dict(cert.lam),
             "flow_time_one": map_to_dict(cert.tau),
         },
         "identities": {
             "rescale_conjugation": {
-                "statement": "conjugated o rescaler = rescaler o (f o u0)",
-                "residual": rescale_res,
+                "statement": ("conjugated o rescaler = rescaler o (f o u0), "
+                              "the rescaler in closed form from its "
+                              "parameters"),
+                "residual": _rescale_residual(step.conjugated, step.composed,
+                                              params, cfg.D),
                 "samples": 1025,
             },
             "flow_conjugacy": {
@@ -385,12 +432,12 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
             f"input norm {norm_f:.3e} exceeds the ball radius "
             f"{cfg.delta0:.1e}")
 
-    rescaler = make_rescaler(cfg, tol)
+    params = rescaler_params(cfg)
     u = identity(cfg.k, cfg.D[0], cfg.D[1])
     trace: list = []
     residual = math.inf
     for it in range(1, tol.fix_max_iter + 1):
-        step = _renorm_full(u, f, rescaler, cfg, tol)
+        step = _renorm_full(u, f, params, cfg, tol)
         residual = ck_distance(step.map, u)
         trace.append({
             "iteration": it,
@@ -402,9 +449,8 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
         })
         if residual <= tol.fix_tol:
             cert = conjugator(step.conjugated, step.map, cfg, tol)
-            chain = _assemble_chain(f, u, rescaler, step.conjugated,
-                                    step.reduction, cert, float(residual),
-                                    cfg, tol, it, trace)
+            chain = _assemble_chain(f, u, params, step, cert,
+                                    float(residual), cfg, tol, it, trace)
             return FixedPointResult(u0=u, iterations=it,
                                     residual=float(residual), trace=trace,
                                     certificates=[cert], chain=chain)
@@ -443,63 +489,109 @@ def write_chain(path: str, chain: dict) -> None:
 
 
 def load_chain(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
+def _gap(key: str, stored, want) -> float:
+    """Largest absolute difference of two numbers or equal-length lists; a
+    ValueError naming the key when they cannot be compared."""
+    try:
+        s = np.asarray(stored, dtype=float)
+        diff = np.abs(s - np.asarray(want, dtype=float))
+        ok = s.shape == np.shape(want) and bool(np.all(np.isfinite(diff)))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{key} is {stored!r} where a value like "
+                         f"{want!r} belongs")
+    return float(np.max(diff, initial=0.0))
+
+
 def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
-    """Replay a certificate chain: rebuild every map from its serialized
-    jets and recompute each stated identity, trusting no stored residual.
-    A recomputed residual passes when it is below twice the stored one or
-    the certificate tolerance, whichever is larger."""
+    """Replay a version-2 certificate chain, trusting no stored number.
+
+    The geometry (D, E and the rescaler parameters) is recomputed from the
+    stored k and A with the search's own rules, and the `config` item
+    requires the stored config, the `rescaler` entry and every map's k to
+    agree with it exactly.  Every map is rebuilt from its jets and each
+    stated identity recomputed; an identity passes only when its
+    recomputed residual is at most cert_tol, and the stored residuals are
+    reported for information only.  The support items check f, u0,
+    conjugated, reduced and the witness against their intervals.  A chain
+    of another format or version, or one that cannot be read, is a
+    ValueError.
+    """
     tol = tol or DEFAULT_TOL
+    if not isinstance(chain, dict):
+        raise ValueError(f"a certificate chain is a JSON object, found "
+                         f"{type(chain).__name__}")
+    found = (chain.get("format"), chain.get("version"))
+    if found != (CHAIN_FORMAT, CHAIN_VERSION):
+        raise ValueError(
+            f"not a {CHAIN_FORMAT} version {CHAIN_VERSION}: found format "
+            f"{found[0]!r}, version {found[1]!r}")
     try:
         cfgd = dict(chain["config"])
-        maps = chain["maps"]
+        k, A = cfgd["k"], cfgd["A"]
+        if type(k) is not int or type(A) is not int:
+            raise ValueError(f"config k and A must be integers, found "
+                             f"{k!r} and {A!r}")
+        # the replay never evaluates the modulus, so none is rebuilt
+        cfg = make_config(k, None, A)
+        params = rescaler_params(cfg)
+        stored_q = dict(chain["rescaler"])
+        maps = {name: map_from_dict(chain["maps"][name], tol)
+                for name in _CHAIN_MAPS}
         ids = chain["identities"]
-        window_d = (float(cfgd["D"][0]), float(cfgd["D"][1]))
-        half_e = float(cfgd["A"]) * 2.0
-        if int(cfgd["k"]) == 1:
-            half_e = 2.0
-        f = map_from_dict(maps["f"], tol)
-        u0 = map_from_dict(maps["u0"], tol)
-        rescaler = map_from_dict(maps["rescaler"], tol)
-        g = map_from_dict(maps["conjugated"], tol)
-        red = map_from_dict(maps["reduced"], tol)
-        lam = map_from_dict(maps["witness"], tol)
-        tau = map_from_dict(maps["flow_time_one"], tol)
         stored = {
             "rescale-conjugation":
                 float(ids["rescale_conjugation"]["residual"]),
             "flow-conjugacy": float(ids["flow_conjugacy"]["residual"]),
             "fixed-point": float(ids["fixed_point"]["residual"]),
         }
-    except (KeyError, IndexError, TypeError, ValueError) as e:
+        want = {"B": cfg.B, "D": list(cfg.D), "E": list(cfg.E),
+                "eps0": cfg.eps0, "delta0": cfg.delta0}
+        found_cfg = {key: cfgd.get(key) for key in want}
+        for key, value in zip(("ratio", "zi", "zo", "k"), params):
+            want[f"rescaler.{key}"] = value
+            found_cfg[f"rescaler.{key}"] = stored_q.get(key)
+        for name, m in maps.items():
+            want[f"{name}.k"] = k
+            found_cfg[f"{name}.k"] = m.k
+        gaps = {key: _gap(key, found_cfg[key], want[key]) for key in want}
+    except (KeyError, IndexError, TypeError, ValueError,
+            ConstructionError) as e:
         raise ValueError(f"malformed certificate chain: {e!r}") from e
+    f, u0, g, red = maps["f"], maps["u0"], maps["conjugated"], maps["reduced"]
+    lam, tau = maps["witness"], maps["flow_time_one"]
 
-    items = []
+    items = [{"name": "config", "stored": None,
+              "recomputed": max(gaps.values()), "bound": 0.0,
+              "mismatch": sorted(key for key, v in gaps.items() if v > 0.0),
+              "ok": all(v == 0.0 for v in gaps.values())}]
 
     def check(name: str, recomputed: float) -> None:
-        bound = max(2.0 * stored[name], tol.cert_tol)
         items.append({"name": name, "stored": stored[name],
-                      "recomputed": float(recomputed), "bound": bound,
-                      "ok": bool(recomputed <= bound)})
+                      "recomputed": float(recomputed), "bound": tol.cert_tol,
+                      "ok": bool(recomputed <= tol.cert_tol)})
 
-    fu = compose(f, u0, tol)
-    xs = np.linspace(window_d[0] - 1.0, window_d[1] + 1.0, 1025)
     check("rescale-conjugation",
-          float(np.max(np.abs(g(rescaler(xs)) - rescaler(fu(xs))))))
+          _rescale_residual(g, compose(f, u0, tol), params, cfg.D))
 
     lam_inv = inverse(lam, tol)
-    xs = np.linspace(-half_e - 2.0, half_e + 2.0, 2049)
+    xs = _samples(cfg.E[0] - 2.0, cfg.E[1] + 2.0, 2049,
+                  [support_interval(m) for m in (red, g, lam)])
     check("flow-conjugacy",
           float(np.max(np.abs(tau(red(xs)) - lam(tau(g(lam_inv(xs))))))))
 
     check("fixed-point", ck_distance(red, u0))
 
-    for name, m, win in (("support-u0", u0, window_d),
-                         ("support-witness", lam,
-                          (-half_e, half_e + 1.0))):
+    for name, m, win in (("support-f", f, cfg.D),
+                         ("support-u0", u0, cfg.D),
+                         ("support-conjugated", g, cfg.E),
+                         ("support-reduced", red, cfg.D),
+                         ("support-witness", lam, (cfg.E[0], cfg.E[1] + 1.0))):
         sm = support_interval(m)
         ok = sm is None or (sm[0] >= win[0] - m.h and sm[1] <= win[1] + m.h)
         items.append({"name": name, "stored": None,

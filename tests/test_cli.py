@@ -183,6 +183,29 @@ def test_fixpoint_round_trip_and_tamper(tmp_path):
     assert run("perfect", "verify", str(bad_path), "--out", out) == EXIT_VERIFY
 
 
+def test_verify_refuses_a_widened_config_and_an_old_version(tmp_path, capsys):
+    out = str(tmp_path)
+    fin = tmp_path / "f.json"
+    fin.write_text(json.dumps(to_dict(calibrated_bump(1e-3, holder(0.5)))))
+    chain_path = tmp_path / "chain.json"
+    assert run("perfect", "fixpoint", "--in", str(fin), "--A", "4",
+               "--out-chain", str(chain_path), "--out", out) == EXIT_OK
+    chain = read_json(chain_path)
+
+    chain["config"]["A"] = 8
+    bad_path = tmp_path / "widened.json"
+    bad_path.write_text(json.dumps(chain))
+    assert run("perfect", "verify", str(bad_path), "--out", out) == EXIT_VERIFY
+
+    chain["config"]["A"] = 4
+    chain["version"] = 1
+    old_path = tmp_path / "v1.json"
+    old_path.write_text(json.dumps(chain))
+    capsys.readouterr()
+    assert run("perfect", "verify", str(old_path), "--out", out) == EXIT_USAGE
+    assert "version 1" in capsys.readouterr().err
+
+
 def test_fixpoint_no_convergence_is_a_reported_outcome(tmp_path):
     out = str(tmp_path)
     fin = tmp_path / "f.json"

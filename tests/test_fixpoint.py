@@ -1,7 +1,8 @@
 """Rescaling, the renormalized step, the search, and its certificates.
 
 The hard guarantee established here: every certificate chain the search
-emits verifies on replay, and tampering with any stored map is caught.
+emits verifies on replay, and tampering with any stored map, rescaler
+parameter or config number is caught.
 """
 
 import dataclasses
@@ -29,13 +30,15 @@ from diffeolab import (
     make_config,
     make_rescaler,
     rescale_displacement,
+    rescaler_params,
     rescale_factor,
     scaling_ratio,
     support_interval,
+    to_dict,
     verify_certificate,
     write_chain,
 )
-from diffeolab.fixpoint import _renorm_full
+from diffeolab.fixpoint import _BlendProfile, _renorm_full
 from _helpers import small_bump
 
 ALPHA = holder(0.5)
@@ -94,7 +97,31 @@ def test_rescaler_widens_an_empty_blend_zone():
 def test_rescaler_refuses_windows_too_thin_to_blend(cfg):
     thin = dataclasses.replace(cfg, D=(-0.05, 0.05), E=(-0.05, 0.05))
     with pytest.raises(ConstructionError, match="^rescaling stage: "):
+        rescaler_params(thin)
+    with pytest.raises(ConstructionError, match="^rescaling stage: "):
         make_rescaler(thin)
+
+
+@pytest.mark.parametrize("A", [1, 2, 4, 8])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_make_rescaler_follows_its_closed_form(k, A):
+    # the Hermite rescaler spans [-zo, zo], is x -> ratio*x on [-zi, zi],
+    # meets the identity at zo, and its least node slope is the closed-form
+    # level the zone rule checks
+    c = make_config(k, ALPHA, A)
+    ratio, zi, zo, kk = rescaler_params(c)
+    assert (ratio, kk) == (scaling_ratio(c), k)
+    q = make_rescaler(c)
+    assert (q.a, q.b, q.k) == (-zo, zo, k)
+    inner = np.abs(q.nodes) <= zi
+    assert np.max(np.abs(q.jets[inner, 0]
+                         - (ratio - 1.0) * q.nodes[inner])) <= 1e-12 * zi
+    assert np.all(q.jets[inner, 1] == ratio - 1.0)
+    assert np.all(q.jets[inner, 2:] == 0.0)
+    assert np.all(q.jets[[0, -1]] == 0.0)
+    slope = _BlendProfile(ratio, zi, zo, k).min_slope
+    assert slope > 1e-3
+    assert float(np.min(q.jets[:, 1])) + 1.0 == pytest.approx(slope, abs=1e-9)
 
 
 # -- calibration -----------------------------------------------------------------
@@ -108,14 +135,14 @@ def test_calibrated_bump_hits_the_target_norm():
 # -- the renormalized step ---------------------------------------------------------
 
 def test_renorm_step_fixes_the_identity(cfg):
-    q = make_rescaler(cfg)
+    q = rescaler_params(cfg)
     out = _renorm_full(identity(2, -1.0, 1.0), identity(2, -1.0, 1.0), q, cfg,
                        DEFAULT_TOL).map
     assert np.all(out.jets == 0.0)
 
 
 def test_renorm_step_keeps_iterates_in_the_window(cfg, preset_f):
-    q = make_rescaler(cfg)
+    q = rescaler_params(cfg)
     u = calibrated_bump(3e-4, ALPHA, center=0.3, radius=1.2)
     out = _renorm_full(u, preset_f, q, cfg, DEFAULT_TOL).map
     supp = support_interval(out, slack=1e-9)
@@ -123,32 +150,50 @@ def test_renorm_step_keeps_iterates_in_the_window(cfg, preset_f):
 
 
 def test_renorm_step_refuses_oversized_composites(cfg, preset_f):
-    q = make_rescaler(cfg)
+    q = rescaler_params(cfg)
     big = small_bump(2e-3, radius=1.0)
     with pytest.raises(PreconditionError):
         _renorm_full(big, preset_f, q, cfg, DEFAULT_TOL).map
 
 
 def test_renorm_step_names_the_composite_gate(cfg, preset_f):
-    q = make_rescaler(cfg)
+    q = rescaler_params(cfg)
     big = small_bump(2e-3, radius=1.0)
     with pytest.raises(PreconditionError, match="^composition stage: "):
         _renorm_full(big, preset_f, q, cfg, DEFAULT_TOL).map
 
 
 def test_renorm_step_reads_the_rescaler(cfg, preset_f):
-    # the identity is not x -> 4x on the support of f, so the exact
-    # rescaling is refused instead of applied blindly
-    fake = identity(2, -16.0, 16.0)
+    # a rescaler linear only on [-0.5, 0.5] is not x -> 4x on the support
+    # of f, so the exact rescaling is refused instead of applied blindly
+    ratio, _, zo, k = rescaler_params(cfg)
     u = identity(2, -2.0, 2.0)
     with pytest.raises(ConstructionError, match="^rescaling stage: "):
-        _renorm_full(u, preset_f, fake, cfg, DEFAULT_TOL).map
+        _renorm_full(u, preset_f, (ratio, 0.5, zo, k), cfg, DEFAULT_TOL).map
+
+
+@pytest.mark.parametrize("center,side", [(-0.5, 0), (0.5, 1)])
+def test_renorm_step_refuses_a_support_outside_the_linear_zone(cfg, preset_f,
+                                                               center, side):
+    # the zone [-zi, zi] must hold supp(f o u): a zi a little short of its
+    # reach on either side is refused, a zi at its reach rescales as usual
+    ratio, _, zo, k = rescaler_params(cfg)
+    u = calibrated_bump(3e-4, ALPHA, center=center, radius=1.2)
+    supp = support_interval(compose(preset_f, u))
+    reach = abs(supp[side])
+    assert reach > abs(supp[1 - side])
+    with pytest.raises(ConstructionError, match="^rescaling stage: "):
+        _renorm_full(u, preset_f, (ratio, reach - 1e-3, zo, k), cfg,
+                     DEFAULT_TOL)
+    step = _renorm_full(u, preset_f, (ratio, reach, zo, k), cfg, DEFAULT_TOL)
+    assert np.array_equal(step.conjugated.jets,
+                          rescale_displacement(step.composed, ratio).jets)
 
 
 def test_contractivity_probe_is_logged_not_asserted(cfg, preset_f):
     # the contraction factor of one step on a probe pair; recorded for
     # inspection because the constant, not its exact value, is the claim
-    q = make_rescaler(cfg)
+    q = rescaler_params(cfg)
     u1 = calibrated_bump(3e-4, ALPHA, center=0.3, radius=1.2)
     u2 = calibrated_bump(5e-4, ALPHA, center=-0.2, radius=1.0)
     before = ck_distance(u1, u2)
@@ -232,8 +277,10 @@ def test_emitted_certificate_verifies(converged):
     report = verify_certificate(converged.chain)
     assert report["ok"]
     names = [item["name"] for item in report["items"]]
-    assert names == ["rescale-conjugation", "flow-conjugacy", "fixed-point",
-                     "support-u0", "support-witness"]
+    assert names == ["config", "rescale-conjugation", "flow-conjugacy",
+                     "fixed-point", "support-f", "support-u0",
+                     "support-conjugated", "support-reduced",
+                     "support-witness"]
     assert all(item["ok"] for item in report["items"])
 
 
@@ -244,6 +291,126 @@ def test_tampered_witness_fails_exactly_one_item(converged):
     assert not report["ok"]
     bad = [item["name"] for item in report["items"] if not item["ok"]]
     assert bad == ["flow-conjugacy"]
+
+
+def _copy(converged):
+    return json.loads(dump_chain(converged.chain))
+
+
+def _failed(report):
+    return {item["name"]: item["recomputed"] for item in report["items"]
+            if not item["ok"]}
+
+
+def test_the_chain_stores_rescaler_parameters_not_a_map(converged, cfg):
+    chain = converged.chain
+    assert (chain["format"], chain["version"]) == (
+        "homology-certificate-chain", 2)
+    assert set(chain["maps"]) == {"f", "u0", "conjugated", "reduced",
+                                  "witness", "flow_time_one"}
+    assert chain["rescaler"] == dict(zip(("ratio", "zi", "zo", "k"),
+                                         rescaler_params(cfg)))
+    assert len(dump_chain(chain)) <= 0.6e6
+
+
+@pytest.mark.parametrize("name,x0,identity", [
+    ("f", 0.1, "rescale-conjugation"),
+    ("u0", 0.2, "fixed-point"),
+    ("conjugated", 0.4, "rescale-conjugation"),
+    ("reduced", 0.2, "flow-conjugacy"),
+    ("witness", 1.0, "flow-conjugacy"),
+    ("flow_time_one", 1.0, "flow-conjugacy"),
+])
+def test_tampering_any_map_fails_its_identity(converged, name, x0, identity):
+    chain = _copy(converged)
+    m = chain["maps"][name]
+    a, b, n = m["grid"]["a"], m["grid"]["b"], m["grid"]["n"]
+    m["jets"][round((x0 - a) / (b - a) * (n - 1))][0] += 1e-3
+    report = verify_certificate(chain)
+    assert not report["ok"]
+    assert _failed(report)[identity] > DEFAULT_TOL.cert_tol
+
+
+@pytest.mark.parametrize("key,value", [("ratio", 5.0), ("zi", 9.0),
+                                       ("zo", 65.0), ("k", 3)])
+def test_tampered_rescaler_parameters_fail_the_config(converged, key, value):
+    chain = _copy(converged)
+    chain["rescaler"][key] = value
+    report = verify_certificate(chain)
+    assert not report["ok"]
+    assert _failed(report)["config"] > DEFAULT_TOL.cert_tol
+
+
+@pytest.mark.parametrize("key,value", [("k", 3), ("D", [-3.0, 3.0]),
+                                       ("E", [-8.0, 9.0]), ("B", 2),
+                                       ("delta0", 1.0)])
+def test_tampered_config_fails(converged, key, value):
+    chain = _copy(converged)
+    chain["config"][key] = value
+    report = verify_certificate(chain)
+    assert not report["ok"]
+    assert _failed(report)["config"] > DEFAULT_TOL.cert_tol
+
+
+@pytest.mark.parametrize("key,value", [("D", "junk"), ("D", 2.0),
+                                       ("E", [-8.0, 8.0, 1.0]),
+                                       ("delta0", None)])
+def test_unreadable_config_values_are_malformed(converged, key, value):
+    chain = _copy(converged)
+    chain["config"][key] = value
+    with pytest.raises(ValueError, match=f"malformed certificate chain: "
+                                         f".*{key} is "):
+        verify_certificate(chain)
+
+
+def test_a_widened_config_fails_the_conjugation(converged):
+    # A = 8 rescales by 8, but the conjugate was rescaled by 4; the stored
+    # D, E and rescaler entry no longer match the recomputed ones either
+    chain = _copy(converged)
+    chain["config"]["A"] = 8
+    report = verify_certificate(chain)
+    assert not report["ok"]
+    failed = _failed(report)
+    assert failed["rescale-conjugation"] > DEFAULT_TOL.cert_tol
+    assert failed["config"] > DEFAULT_TOL.cert_tol
+
+
+def test_a_small_stored_residual_is_no_licence(converged):
+    # the recomputed residual must meet cert_tol, however large the stored
+    # one claims to be
+    chain = _copy(converged)
+    w = chain["maps"]["witness"]
+    w["jets"] = (np.asarray(w["jets"]) * 1.5).tolist()
+    chain["identities"]["flow_conjugacy"]["residual"] = 1.0
+    report = verify_certificate(chain)
+    assert not report["ok"]
+    assert _failed(report)["flow-conjugacy"] > DEFAULT_TOL.cert_tol
+
+
+def test_an_input_reaching_past_the_target_is_caught(converged):
+    # a second bump at x = 5 lies outside D and outside D widened by one;
+    # the conjugation's samples follow the support out to it
+    chain = _copy(converged)
+    f = from_dict(chain["maps"]["f"])
+    chain["maps"]["f"] = to_dict(
+        compose(f, small_bump(1e-4, center=5.0, radius=0.5)))
+    report = verify_certificate(chain)
+    assert not report["ok"]
+    failed = _failed(report)
+    assert failed["rescale-conjugation"] > DEFAULT_TOL.cert_tol
+    assert "support-f" in failed
+
+
+@pytest.mark.parametrize("fmt,version", [("junk", 99),
+                                         ("homology-certificate-chain", 1),
+                                         ("homology-certificate-chain", 3),
+                                         (None, 2)])
+def test_other_formats_and_versions_are_refused(converged, fmt, version):
+    chain = _copy(converged)
+    chain["format"], chain["version"] = fmt, version
+    with pytest.raises(ValueError, match=f"format {fmt!r}, version "
+                                         f"{version!r}"):
+        verify_certificate(chain)
 
 
 def test_tampered_iterate_fails(converged):
