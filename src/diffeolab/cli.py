@@ -219,7 +219,7 @@ def _cmd_norms(args) -> int:
     report = norms.norm_report(f, alpha, k=cfg.k,
                                balls=(("C0", 1e-2), ("Ck", 1e-2),
                                       ("CkAlpha", 1e-2)))
-    total = norms.holder_norm(f, alpha, cfg.k)
+    total = report.holder_dev[-1]
     payload = {
         "run_config": cfg.to_dict(),
         "preset": args.preset,
@@ -235,33 +235,40 @@ def _cmd_norms(args) -> int:
 
 # -- flow ---------------------------------------------------------------------
 
+def _flow_checks(A: int, k: int, b: float, samples: int, tol) -> dict:
+    """Chart intertwining at time b and chart support-fixing on a bump
+    inside the plateau, for the plateau field of width A."""
+    field = flow.make_rho(A)
+    chart = flow.trajectory_chart(field, k, tol=tol)
+    resid = flow.verify_chart_conjugation(field, b, samples, k=k,
+                                          chart=chart, tol=tol)
+    radius = min(1.0, field.plateau / 2.0)
+    u = diffeo.from_preset("smooth_bump_displacement",
+                           {"eps": 1e-3, "radius": radius, "k": k}, tol)
+    fix_resid = flow.verify_chart_fixes_support(field, u, samples,
+                                                chart=chart, tol=tol)
+    ok = resid <= tol.intertwine and fix_resid <= tol.intertwine
+    return {"ok": bool(ok), "intertwining_residual": float(resid),
+            "support_fix_residual": float(fix_resid)}
+
+
 def _cmd_flow(args) -> int:
     cfg = _make_run_config(args)
     _echo_config(cfg)
-    field = flow.make_rho(max(cfg.A, 1))
-    chart = flow.trajectory_chart(field, cfg.k, tol=cfg.tol)
-    resid = flow.verify_chart_conjugation(field, args.b, args.samples,
-                                          k=cfg.k, chart=chart, tol=cfg.tol)
-    radius = min(1.0, field.plateau / 2.0)
-    u = diffeo.from_preset("smooth_bump_displacement",
-                           {"eps": 1e-3, "radius": radius, "k": cfg.k},
-                           cfg.tol)
-    fix_resid = flow.verify_chart_fixes_support(field, u, args.samples,
-                                                chart=chart, tol=cfg.tol)
-    ok = resid <= cfg.tol.intertwine and fix_resid <= cfg.tol.intertwine
+    checks = _flow_checks(max(cfg.A, 1), cfg.k, args.b, args.samples,
+                          cfg.tol)
     payload = {
         "run_config": cfg.to_dict(),
         "b": args.b,
         "samples": args.samples,
-        "intertwining_residual": resid,
-        "support_fix_residual": fix_resid,
-        "ok": ok,
+        **checks,
     }
     path = _out_path(cfg, "flow_chart.json")
     _write_json(path, payload)
-    print(f"flow chart: intertwining={resid:.3e} "
-          f"support-fix={fix_resid:.3e} ok={ok} -> {path}")
-    return EXIT_OK if ok else EXIT_VERIFY
+    print(f"flow chart: intertwining={checks['intertwining_residual']:.3e} "
+          f"support-fix={checks['support_fix_residual']:.3e} "
+          f"ok={checks['ok']} -> {path}")
+    return EXIT_OK if checks["ok"] else EXIT_VERIFY
 
 
 # -- mather -------------------------------------------------------------------
@@ -293,6 +300,19 @@ def _small_periodic(rng, k: int, eps: float) -> diffeo.Diffeo1:
             + 0.25 * a2 * (2.0 * w) ** j
             * np.sin(2.0 * w * xs + p2 + j * np.pi / 2.0))
     return diffeo.Diffeo1("periodic", 0.0, 1.0, k, jets)
+
+
+def _spread_roundtrip(rng, eps: float, mcfg, tol,
+                      samples: int) -> tuple[float, diffeo.Diffeo1]:
+    """Spread a random periodic map h of amplitude eps and roll it back
+    up: the sup gap to h recentered to fix 0 over `samples` points of one
+    period, returned with the spread map."""
+    h = _small_periodic(rng, mcfg.k, eps)
+    out = reduction.spread(h, mcfg, tol)
+    back = reduction.roll_up(out, tol)
+    target = diffeo.post_translate(h, -float(h(np.array(0.0))))
+    xs = np.linspace(0.0, 1.0, samples)
+    return float(np.max(np.abs(back(xs) - target(xs)))), out
 
 
 def _cmd_mather(args) -> int:
@@ -327,13 +347,8 @@ def _cmd_mather(args) -> int:
         return EXIT_OK if ok else EXIT_VERIFY
 
     if args.op == "omega":
-        rng = np.random.default_rng(cfg.seed)
-        h = _small_periodic(rng, k, args.eps)
-        out = reduction.spread(h, mcfg, tol)
-        back = reduction.roll_up(out, tol)
-        target = diffeo.post_translate(h, -float(h(np.array(0.0))))
-        xs = np.linspace(0.0, 1.0, 2049)
-        resid = float(np.max(np.abs(back(xs) - target(xs))))
+        resid, out = _spread_roundtrip(np.random.default_rng(cfg.seed),
+                                       args.eps, mcfg, tol, 2049)
         supp = diffeo.support_interval(out)
         ok = resid <= 1e-6
         payload = {
@@ -447,12 +462,18 @@ def _suite_jets(rng, tol) -> dict:
     return {"ok": worst <= 1e-9, "worst_rel_error": worst}
 
 
+def _oscillation_profile(rng) -> tuple[np.ndarray, np.ndarray]:
+    """Oscillation modulus (ts, mus) of a random increasing profile
+    sampled at 161 points of [0, 4]."""
+    xs = np.linspace(0.0, 4.0, 161)
+    fs = np.cumsum(np.abs(rng.normal(0.0, 0.1, 161)))
+    return modulus.oscillation_modulus(xs, fs)
+
+
 def _suite_modulus(rng, tol) -> dict:
     sandwich_min = np.inf
     for _ in range(8):
-        xs = np.linspace(0.0, 4.0, 161)
-        fs = np.cumsum(np.abs(rng.normal(0.0, 0.1, 161)))
-        ts, mus = modulus.oscillation_modulus(xs, fs)
+        ts, mus = _oscillation_profile(rng)
         if len(ts) < 3:
             continue
         beta0, _ = modulus.least_concave_majorant(ts, mus)
@@ -517,17 +538,7 @@ def _suite_norms(rng, tol) -> dict:
 
 
 def _suite_flow(rng, tol) -> dict:
-    field = flow.make_rho(1)
-    chart = flow.trajectory_chart(field, 2, tol=tol)
-    resid = flow.verify_chart_conjugation(field, 0.6, 33, k=2, chart=chart,
-                                          tol=tol)
-    u = diffeo.from_preset("smooth_bump_displacement",
-                           {"eps": 1e-3, "k": 2}, tol)
-    fix_resid = flow.verify_chart_fixes_support(field, u, 33, chart=chart,
-                                                tol=tol)
-    ok = resid <= tol.intertwine and fix_resid <= tol.intertwine
-    return {"ok": bool(ok), "intertwining_residual": float(resid),
-            "support_fix_residual": float(fix_resid)}
+    return _flow_checks(1, 2, 0.6, 33, tol)
 
 
 def _suite_mather(rng, tol) -> dict:
@@ -541,11 +552,7 @@ def _suite_mather(rng, tol) -> dict:
                            {"eps": 1e-5, "k": k}, tol)
     equi = reduction.roll_equivariance_residual(g, 0.21, tol)
     word = reduction.roll_norm_check(g, mcfg, tol)
-    h = _small_periodic(rng, k, 2e-5)
-    out = reduction.spread(h, mcfg, tol)
-    back = reduction.roll_up(out, tol)
-    target = diffeo.post_translate(h, -float(h(np.array(0.0))))
-    roundtrip = float(np.max(np.abs(back(xs) - target(xs))))
+    roundtrip, _ = _spread_roundtrip(rng, 2e-5, mcfg, tol, len(xs))
     ok = (gamma_id == 0.0 and equi <= 1e-9 and word.ok
           and roundtrip <= 1e-6)
     return {"ok": bool(ok), "roll_identity": gamma_id,
@@ -618,10 +625,7 @@ def _cmd_emit_plots(args) -> int:
         written.append(path)
 
     if "lcm" in tables:
-        rng = np.random.default_rng(cfg.seed)
-        xs = np.linspace(0.0, 4.0, 161)
-        fs = np.cumsum(np.abs(rng.normal(0.0, 0.1, 161)))
-        ts, mus = modulus.oscillation_modulus(xs, fs)
+        ts, mus = _oscillation_profile(np.random.default_rng(cfg.seed))
         beta0, _ = modulus.least_concave_majorant(ts, mus)
         vals = beta0(ts)
         rows = [[float(t), float(m), float(v), float(2.0 * m)]

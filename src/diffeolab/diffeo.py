@@ -456,6 +456,15 @@ def support_interval(f: Diffeo1, slack: float = 1e-10):
     return (lo, max(lo, hi))
 
 
+def support_within(f: Diffeo1, window: tuple[float, float]):
+    """(inside, support): whether f's support lies in the window up to one
+    grid step of f, and the support itself (None when f has none)."""
+    supp = support_interval(f)
+    inside = supp is None or (supp[0] >= window[0] - f.h
+                              and supp[1] <= window[1] + f.h)
+    return inside, supp
+
+
 def translate_conjugate(f: Diffeo1, c: float) -> Diffeo1:
     """T_c o f o T_{-c}: the displacement profile shifted by c, exactly."""
     return Diffeo1(f.tail, f.a + c, f.b + c, f.k, np.array(f.jets))

@@ -18,6 +18,10 @@ search and the chain: each step checks the composite's support against
 [-zi, zi] before it takes the shortcut, and the replay evaluates the
 rescaler in closed form.  `make_rescaler` builds the Hermite map of the
 same parameters for callers that want it as a Diffeo1.
+
+Identities are checked by evaluation at sample points, never by building
+the maps they mention: f o u0 is evaluated as f(u0(x)) and the witness's
+inverse is solved pointwise, so the replay builds no map at all.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from ._taylor import poly_jets
 from .config import EVAL_DENSITY, Tolerances, DEFAULT_TOL
 from .errors import PreconditionError, ConstructionError
 from .diffeo import (Diffeo1, _build_adaptive, compose, from_preset,
-                     identity, inverse, refined_grid, rescale_displacement,
-                     support_interval, to_dict as map_to_dict,
+                     identity, refined_grid, rescale_displacement,
+                     support_interval, support_within, to_dict as map_to_dict,
                      from_dict as map_from_dict)
 from .norms import holder_norm
 from .reduction import (MatherConfig, PsiResult, reduce_norm, conjugator,
@@ -213,7 +217,6 @@ class RenormStep:
     """One application of the renormalized reduction, with diagnostics."""
 
     map: Diffeo1
-    composed: Diffeo1               # f o u
     conjugated: Diffeo1             # rescaler o (f o u) o rescaler^{-1}, the
                                     # exact rescale of f o u's node jets by
                                     # the rescaler parameters' ratio
@@ -252,12 +255,11 @@ def _renorm_full(u: Diffeo1, f: Diffeo1,
         red = reduce_norm(g, cfg, tol)
     except (PreconditionError, ConstructionError) as e:
         raise type(e)(f"reduction stage: {e}") from e
-    supp = support_interval(red.map)
-    if supp is not None and (supp[0] < cfg.D[0] - red.map.h
-                             or supp[1] > cfg.D[1] + red.map.h):
+    inside, supp = support_within(red.map, cfg.D)
+    if not inside:
         raise ConstructionError(
             f"iterate support {supp} escapes the target interval {cfg.D}")
-    return RenormStep(map=red.map, composed=fu, conjugated=g, reduction=red,
+    return RenormStep(map=red.map, conjugated=g, reduction=red,
                       norm_composed=norm_fu)
 
 
@@ -329,23 +331,23 @@ def _samples(lo: float, hi: float, n: int, supports) -> np.ndarray:
     return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
 
 
-def _rescale_residual(g: Diffeo1, fu: Diffeo1,
+def _rescale_residual(g: Diffeo1, f: Diffeo1, u: Diffeo1,
                       params: tuple[float, float, float, int],
                       window: tuple[float, float]) -> float:
-    """Largest gap of g o rescaler = rescaler o fu, with the rescaler in
-    closed form, over the window and the supports of fu and of g pulled
-    back by the inner scaling."""
+    """Largest gap of g o rescaler = rescaler o f o u, with the rescaler in
+    closed form and f o u evaluated as f(u(x)), over the window and the
+    supports of f, of u and of g pulled back by the inner scaling."""
     ratio = params[0]
     sg = support_interval(g)
     xs = _samples(window[0] - 1.0, window[1] + 1.0, 1025,
-                  [support_interval(fu),
+                  [support_interval(f), support_interval(u),
                    None if sg is None else (sg[0] / ratio, sg[1] / ratio)])
     disp = _rescaler_fn(*params)
 
     def q(ys: np.ndarray) -> np.ndarray:
         return ys + disp(ys)[..., 0]
 
-    return float(np.max(np.abs(g(q(xs)) - q(fu(xs)))))
+    return float(np.max(np.abs(g(q(xs)) - q(f(u(xs))))))
 
 
 def _assemble_chain(f: Diffeo1, u0: Diffeo1,
@@ -377,7 +379,7 @@ def _assemble_chain(f: Diffeo1, u0: Diffeo1,
                 "statement": ("conjugated o rescaler = rescaler o (f o u0), "
                               "the rescaler in closed form from its "
                               "parameters"),
-                "residual": _rescale_residual(step.conjugated, step.composed,
+                "residual": _rescale_residual(step.conjugated, f, u0,
                                               params, cfg.D),
                 "samples": 1025,
             },
@@ -420,9 +422,8 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
         raise PreconditionError("the experiment needs a compact input map")
     if f.k != cfg.k:
         raise PreconditionError("input jet order disagrees with the config")
-    supp = support_interval(f)
-    if supp is not None and (supp[0] < cfg.D[0] - f.h
-                             or supp[1] > cfg.D[1] + f.h):
+    inside, supp = support_within(f, cfg.D)
+    if not inside:
         raise PreconditionError(
             f"input support {supp} is not inside the target interval "
             f"{cfg.D}")
@@ -576,14 +577,13 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
                       "recomputed": float(recomputed), "bound": tol.cert_tol,
                       "ok": bool(recomputed <= tol.cert_tol)})
 
-    check("rescale-conjugation",
-          _rescale_residual(g, compose(f, u0, tol), params, cfg.D))
+    check("rescale-conjugation", _rescale_residual(g, f, u0, params, cfg.D))
 
-    lam_inv = inverse(lam, tol)
     xs = _samples(cfg.E[0] - 2.0, cfg.E[1] + 2.0, 2049,
                   [support_interval(m) for m in (red, g, lam)])
+    pre = lam.inverse_values(xs, tol.invert_abscissa)
     check("flow-conjugacy",
-          float(np.max(np.abs(tau(red(xs)) - lam(tau(g(lam_inv(xs))))))))
+          float(np.max(np.abs(tau(red(xs)) - lam(tau(g(pre)))))))
 
     check("fixed-point", ck_distance(red, u0))
 
@@ -592,8 +592,7 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
                          ("support-conjugated", g, cfg.E),
                          ("support-reduced", red, cfg.D),
                          ("support-witness", lam, (cfg.E[0], cfg.E[1] + 1.0))):
-        sm = support_interval(m)
-        ok = sm is None or (sm[0] >= win[0] - m.h and sm[1] <= win[1] + m.h)
+        ok, sm = support_within(m, win)
         items.append({"name": name, "stored": None,
                       "recomputed": None if sm is None else list(sm),
                       "bound": list(win), "ok": bool(ok)})

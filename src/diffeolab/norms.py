@@ -50,8 +50,8 @@ def sample_points(window: tuple[float, float], step: float) -> np.ndarray:
     return np.linspace(lo, hi, m)
 
 
-def _step_for(f: Diffeo1, density: int) -> float:
-    return f.h / density
+def _step_for(f: Diffeo1) -> float:
+    return f.h / EVAL_DENSITY
 
 
 # -- Holder estimator --------------------------------------------------------
@@ -76,12 +76,10 @@ def holder_seminorm_samples(vals: np.ndarray, step: float, alpha) -> float:
     return best
 
 
-def holder_norm(f: Diffeo1, alpha, k: int | None = None,
-                density: int | None = None) -> float:
+def holder_norm(f: Diffeo1, alpha, k: int | None = None) -> float:
     """The seminorm [f^{(k)}]_alpha, estimated on a dense grid."""
     k = f.k if k is None else k
-    density = EVAL_DENSITY if density is None else density
-    step = _step_for(f, density)
+    step = _step_for(f)
     xs = sample_points(eval_window(f), step)
     vals = f.displacement_jets(xs, k)[:, k]
     return holder_seminorm_samples(vals, xs[1] - xs[0], alpha)
@@ -125,7 +123,7 @@ def norm_report(f: Diffeo1, alpha, k: int | None = None,
     k = f.k if k is None else k
     if k > f.k:
         raise ValueError("requested order exceeds the model order")
-    step = _step_for(f, EVAL_DENSITY)
+    step = _step_for(f)
     xs = sample_points(eval_window(f), step)
     jets = f.displacement_jets(xs, k)
     sup_dev = tuple(float(np.max(np.abs(jets[:, i]))) for i in range(k + 1))
@@ -159,7 +157,7 @@ def metric(f: Diffeo1, g: Diffeo1, kind: str, alpha=None,
     """Distance between two maps: "C0" (which compares the inverses too),
     "Ck", or "CkAlpha"."""
     tol = tol or DEFAULT_TOL
-    step = min(_step_for(f, EVAL_DENSITY), _step_for(g, EVAL_DENSITY))
+    step = min(_step_for(f), _step_for(g))
     xs = sample_points(pair_window(f, g), step)
     if kind == "C0":
         d_direct = float(np.max(np.abs(f(xs) - g(xs))))
@@ -228,7 +226,7 @@ def verify_domination(f: Diffeo1, g: Diffeo1, i: int, alpha) -> SlackReport:
             raise PreconditionError(
                 f"order-0 domination needs equality on the window ends; "
                 f"measured gap {gap:.3e}")
-    step = min(_step_for(f, EVAL_DENSITY), _step_for(g, EVAL_DENSITY))
+    step = min(_step_for(f), _step_for(g))
     xs = sample_points(pair_window(f, g), step)
     diff = f.jet_at(xs, i + 1) - g.jet_at(xs, i + 1)
     sup_i = float(np.max(np.abs(diff[:, i])))
@@ -253,7 +251,7 @@ def verify_derivation(f: Diffeo1, g: Diffeo1, alpha) -> SlackReport:
     """Check the product, multi-product (over phi, psi and phi + psi), and
     precomposition seminorm inequalities on the displacements of the
     given maps."""
-    step = min(_step_for(f, EVAL_DENSITY), _step_for(g, EVAL_DENSITY))
+    step = min(_step_for(f), _step_for(g))
     xs = sample_points(pair_window(f, g), step)
     h = xs[1] - xs[0]
     phi = f.displacement_jets(xs, 0)[:, 0]
@@ -295,7 +293,6 @@ def verify_derivation(f: Diffeo1, g: Diffeo1, alpha) -> SlackReport:
 
 def verify_composition_bound(f: Diffeo1, g: Diffeo1, alpha,
                              eps: float | None = None,
-                             density: int | None = None,
                              tol: Tolerances | None = None) -> dict:
     """Measure the smallest C with |fg|_{k,a} <= |f|_{k,a} + |g|_{k,a}
     + C |f|_{k,a} |g|_{k,a} on this pair; both maps must lie in the
@@ -305,13 +302,13 @@ def verify_composition_bound(f: Diffeo1, g: Diffeo1, alpha,
     if f.k != g.k:
         raise ValueError("operands carry different jet orders")
     k = f.k
-    nf = holder_norm(f, alpha, k, density)
-    ng = holder_norm(g, alpha, k, density)
+    nf = holder_norm(f, alpha, k)
+    ng = holder_norm(g, alpha, k)
     if eps is not None and max(nf, ng) > eps:
         raise PreconditionError(
             f"pair leaves the seminorm ball: {max(nf, ng):.3e} > {eps:.3e}")
     fg = _compose(f, g, tol)
-    nfg = holder_norm(fg, alpha, k, density)
+    nfg = holder_norm(fg, alpha, k)
     excess = nfg - nf - ng
     c_req = max(0.0, excess / (nf * ng)) if nf * ng > 0 else 0.0
     return {"norm_f": nf, "norm_g": ng, "norm_fg": nfg,
@@ -324,7 +321,7 @@ def verify_subadditivity(terms: list[Diffeo1], alpha) -> SlackReport:
         raise ValueError("need at least one term")
     lo = min(eval_window(t)[0] for t in terms)
     hi = max(eval_window(t)[1] for t in terms)
-    step = min(_step_for(t, EVAL_DENSITY) for t in terms)
+    step = min(_step_for(t) for t in terms)
     xs = sample_points((lo, hi), step)
     h = xs[1] - xs[0]
     vals = [t.displacement_jets(xs, 0)[:, 0] for t in terms]
@@ -349,7 +346,7 @@ def verify_lip_met(f: Diffeo1, alpha) -> SlackReport:
         jlen = max(supp[1] - supp[0], 1e-6)
     a_j = float(alpha(jlen))
     big_k = jlen + a_j + jlen / a_j
-    step = _step_for(f, EVAL_DENSITY)
+    step = _step_for(f)
     xs = sample_points(eval_window(f), step)
     h = xs[1] - xs[0]
     k = f.k

@@ -29,7 +29,7 @@ from .config import (DEFAULT_TOL, ESTIMATOR_SLACK, EVAL_DENSITY, Tolerances,
                      smallness_threshold)
 from .diffeo import (Diffeo1, _build_adaptive, compose, compose_all, inverse,
                      post_translate, refined_grid, support_interval,
-                     translate_conjugate)
+                     support_within, translate_conjugate)
 from .errors import ConstructionError, PreconditionError
 from .flow import PlateauField, time_t_map, trajectory_chart
 from .jets import compose_derivs, invert_derivs
@@ -367,9 +367,7 @@ def spread(g: Diffeo1, cfg: MatherConfig,
         wi = spread_once(hi, cfg, tol)
         factors.append(translate_conjugate(wi, float(-2 * B - 2 + 4 * i)))
     out = factors[0] if B == 1 else compose_all(factors, tol)
-    supp = support_interval(out)
-    if supp is not None and (supp[0] < -2.0 * B - out.h
-                             or supp[1] > 2.0 * B + out.h):
+    if not support_within(out, (-2.0 * B, 2.0 * B))[0]:
         raise ConstructionError("spread support leaked outside the target")
     return out
 
@@ -405,9 +403,8 @@ def reduce_norm(g: Diffeo1, cfg: MatherConfig,
     tol = tol or DEFAULT_TOL
     if g.tail != "compact":
         raise PreconditionError("the reduction step needs a compact map")
-    supp = support_interval(g)
-    if supp is not None and (supp[0] < cfg.E[0] - g.h
-                             or supp[1] > cfg.E[1] + g.h):
+    inside, supp = support_within(g, cfg.E)
+    if not inside:
         raise PreconditionError(
             f"support {supp} is not inside the source interval {cfg.E}")
     norm_in = holder_norm(g, cfg.alpha, cfg.k)
@@ -502,24 +499,11 @@ class LambdaResult:
 
     map: Diffeo1
     word_length: int
-    tail_residual: float            # against rolled-v o rolled-u^{-1}
+    translation: float              # mean of quot(x) - x over one period,
+                                    # quot = rolled-v o rolled-u^{-1}
+    translation_dev: float          # sup of |quot(x) - x - translation|
+    tail_residual: float            # word against quot right of 2A + 1/2
     intertwine_residual: float      # shifted-u vs shifted-v equivariance
-
-    def to_dict(self) -> dict:
-        return {"word_length": self.word_length,
-                "tail_residual": self.tail_residual,
-                "intertwine_residual": self.intertwine_residual}
-
-
-def _check_pair(u: Diffeo1, v: Diffeo1, cfg: MatherConfig):
-    J = 2.0 * cfg.A
-    for name, f in (("first", u), ("second", v)):
-        if f.tail != "compact":
-            raise PreconditionError(f"the {name} map must be compact")
-        supp = support_interval(f)
-        if supp is not None and (supp[0] < -J - f.h or supp[1] > J + f.h):
-            raise PreconditionError(
-                f"the {name} map is supported outside [-2A, 2A]")
 
 
 def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
@@ -527,13 +511,19 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     """The stabilized word (shifted v)^s (shifted u)^{-s}: the identity
     left of -2A, and the quotient of the rolled-up maps right of
     2A + 1/2.  Conjugating the unit shift by it carries shifted-u words
-    to shifted-v words."""
+    to shifted-v words.  The rolled quotient is built once; its mean
+    translation and the deviation from it are reported with the word."""
     tol = tol or DEFAULT_TOL
-    _check_pair(u, v, cfg)
-    if u.k != v.k:
-        raise ValueError("operands carry different jet orders")
     k = u.k
     A = cfg.A
+    for name, f in (("first", u), ("second", v)):
+        if f.tail != "compact":
+            raise PreconditionError(f"the {name} map must be compact")
+        if not support_within(f, (-2.0 * A, 2.0 * A))[0]:
+            raise PreconditionError(
+                f"the {name} map is supported outside [-2A, 2A]")
+    if v.k != k:
+        raise ValueError("operands carry different jet orders")
     au, _ = _sup_norms(u)
     av, _ = _sup_norms(v)
     a = max(au, av)
@@ -541,6 +531,11 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
         raise PreconditionError("displacement sup reaches 1")
     lo = -2.0 * A
     hi = 2.0 * A + 2.5
+    quot = compose(roll_up(v, tol), inverse(roll_up(u, tol), tol), tol)
+    xs_p = np.linspace(quot.a, quot.a + 1.0, 2049)
+    tvals = quot(xs_p) - xs_p
+    b = float(np.mean(tvals))
+    dev = float(np.max(np.abs(tvals - b)))
     u_inv = inverse(u, tol)
 
     s = int(math.ceil((4.0 * A + 1.5) / (1.0 - a)))
@@ -572,7 +567,6 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     lam = _build_adaptive("ep", lo, hi, k, fn, n0, tol)
 
     xs_t = np.linspace(2.0 * A + 0.5, 2.0 * A + 1.5, 257)
-    quot = compose(roll_up(v, tol), inverse(roll_up(u, tol), tol), tol)
     tail_residual = float(np.max(np.abs(lam(xs_t) - quot(xs_t))))
 
     xs_w = np.linspace(-2.0 * A - 2.0, 2.0 * A + 3.0, 1025)
@@ -583,8 +577,8 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
         raise ConstructionError(
             f"intertwining residual {intertwine:.3e} exceeds "
             f"{tol.intertwine:.1e}")
-    return LambdaResult(map=lam, word_length=2 * s,
-                        tail_residual=tail_residual,
+    return LambdaResult(map=lam, word_length=2 * s, translation=b,
+                        translation_dev=dev, tail_residual=tail_residual,
                         intertwine_residual=intertwine)
 
 
@@ -621,23 +615,14 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     the overlaps before assembly.  The plateau field is that of cfg.A, and
     the certificate's tau is its unit-time map."""
     tol = tol or DEFAULT_TOL
-    _check_pair(u, v, cfg)
-    k = u.k
-    A = cfg.A
-
-    gu = roll_up(u, tol)
-    gv = roll_up(v, tol)
-    quot = compose(gv, inverse(gu, tol), tol)
-    xs_p = np.linspace(quot.a, quot.a + 1.0, 2049)
-    tvals = quot(xs_p) - xs_p
-    b = float(np.mean(tvals))
-    dev = float(np.max(np.abs(tvals - b)))
+    lam_res = lambda_limit(u, v, cfg, tol)
+    b, dev = lam_res.translation, lam_res.translation_dev
     if dev > tol.tol_b:
         raise PreconditionError(
             f"rolled-up maps differ by a non-translation: deviation "
             f"{dev:.3e} exceeds {tol.tol_b:.1e}")
-
-    lam_res = lambda_limit(u, v, cfg, tol)
+    k = u.k
+    A = cfg.A
     Lam = lam_res.map
 
     field = PlateauField(A)
@@ -677,10 +662,9 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     n0 = max(257, int(round(256.0 * (4.0 * A + 1.0))) + 1)
     lam = _build_adaptive("compact", -2.0 * A, 2.0 * A + 1.0, k, fn, n0, tol)
 
-    lam_inv = inverse(lam, tol)
     xs_c = np.linspace(-2.0 * A - 2.0, 2.0 * A + 2.0, 2049)
     lhs = tau(v(xs_c))
-    rhs = lam(tau(u(lam_inv(xs_c))))
+    rhs = lam(tau(u(lam.inverse_values(xs_c, tol.invert_abscissa))))
     residual = float(np.max(np.abs(lhs - rhs)))
 
     return ConjugacyCertificate(

@@ -38,6 +38,7 @@ from diffeolab import (
     verify_certificate,
     write_chain,
 )
+from diffeolab import diffeo, fixpoint
 from diffeolab.fixpoint import _BlendProfile, _renorm_full
 from _helpers import small_bump
 
@@ -186,8 +187,9 @@ def test_renorm_step_refuses_a_support_outside_the_linear_zone(cfg, preset_f,
         _renorm_full(u, preset_f, (ratio, reach - 1e-3, zo, k), cfg,
                      DEFAULT_TOL)
     step = _renorm_full(u, preset_f, (ratio, reach, zo, k), cfg, DEFAULT_TOL)
+    fu = compose(preset_f, u)
     assert np.array_equal(step.conjugated.jets,
-                          rescale_displacement(step.composed, ratio).jets)
+                          rescale_displacement(fu, ratio).jets)
 
 
 def test_contractivity_probe_is_logged_not_asserted(cfg, preset_f):
@@ -282,6 +284,17 @@ def test_emitted_certificate_verifies(converged):
                      "support-conjugated", "support-reduced",
                      "support-witness"]
     assert all(item["ok"] for item in report["items"])
+
+
+def test_the_replay_builds_no_map(converged, monkeypatch):
+    # every identity is checked by evaluation at sample points
+    def refuse(*args, **kwargs):
+        raise AssertionError("the replay built a map")
+
+    for module in (diffeo, fixpoint):
+        for name in ("_build_adaptive", "compose", "inverse"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert verify_certificate(json.loads(dump_chain(converged.chain)))["ok"]
 
 
 def test_tampered_witness_fails_exactly_one_item(converged):

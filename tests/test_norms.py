@@ -9,6 +9,7 @@ sampling grid is refined.
 import numpy as np
 import pytest
 
+from diffeolab import norms
 from diffeolab import (
     PreconditionError,
     holder,
@@ -119,7 +120,7 @@ def test_derivation_inequalities_on_random_pairs():
         assert rep.ok, rep.to_dict()
 
 
-def test_composition_norm_bound_and_fitted_constant():
+def test_composition_norm_bound_and_fitted_constant(monkeypatch):
     rng = np.random.default_rng(5)
     fits = {8: [], 16: []}
     for _ in range(100):
@@ -128,7 +129,8 @@ def test_composition_norm_bound_and_fitted_constant():
         g = small_bump(rng.uniform(1e-4, 2e-3), center=rng.uniform(-0.3, 0.3),
                        radius=rng.uniform(0.6, 1.4), n=257)
         for density in (8, 16):
-            r = verify_composition_bound(f, g, ALPHA, density=density)
+            monkeypatch.setattr(norms, "EVAL_DENSITY", density)
+            r = verify_composition_bound(f, g, ALPHA)
             assert r["norm_fg"] <= (r["norm_f"] + r["norm_g"]
                                     + r["fitted_C"] * r["norm_f"]
                                     * r["norm_g"] + 1e-15)

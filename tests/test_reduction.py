@@ -32,6 +32,7 @@ from diffeolab import (
     support_interval,
     sweep_profile,
 )
+from diffeolab import reduction
 from diffeolab.reduction import (
     blend_excess,
     disjoint_product_check,
@@ -246,11 +247,21 @@ def test_lambda_limit_agrees_with_rolled_quotient_on_the_right():
     assert float(np.max(np.abs(lam.map(left) - left))) <= 1e-9
 
 
-def test_conjugator_certificate_for_a_reduced_pair():
+def test_conjugator_certificate_for_a_reduced_pair(monkeypatch):
     cfg = make_config(2, ALPHA, 2)
     g = sweep_profile(2, eps=4e-6)
     res = reduce_norm(g, cfg)
+    rolled = []
+
+    def counting_roll_up(f, tol=None):
+        rolled.append(f)
+        return roll_up(f, tol)
+
+    monkeypatch.setattr(reduction, "roll_up", counting_roll_up)
     cert = conjugator(g, res.map, cfg)
+    # the rolled quotient is built once, inside lambda_limit
+    assert len(rolled) == 2
+    assert {id(f) for f in rolled} == {id(g), id(res.map)}
     assert cert.residual <= 1e-5
     supp = support_interval(cert.lam, slack=1e-9)
     assert supp[0] >= -2.0 * cfg.A - cert.lam.h
@@ -311,3 +322,11 @@ def test_blend_excess_vanishes_at_the_ends():
     assert abs(blend_excess(u, 1.0, ALPHA)["excess"]) <= 1e-8
     d0 = blend_excess(u, 0.0, ALPHA)
     assert d0["norm_blend"] == pytest.approx(d0["norm_u"], rel=1e-9)
+
+
+def test_conjugator_refuses_a_pair_not_separated_by_a_translation():
+    cfg = make_config(2, ALPHA, 1)
+    u = small_bump(1e-4)
+    v = small_bump(1e-4, center=0.3, radius=0.5)
+    with pytest.raises(PreconditionError, match="non-translation"):
+        conjugator(u, v, cfg)
