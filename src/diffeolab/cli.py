@@ -315,6 +315,16 @@ def _spread_roundtrip(rng, eps: float, mcfg, tol,
     return float(np.max(np.abs(back(xs) - target(xs)))), out
 
 
+def _roll_checks(eps: float, mcfg, shift: float,
+                 tol) -> tuple[norms.SlackReport, float]:
+    """The rolling-up word checks on the smooth bump of amplitude eps: the
+    word norm check and the equivariance residual at the given shift."""
+    g = diffeo.from_preset("smooth_bump_displacement",
+                           {"eps": eps, "k": mcfg.k}, tol)
+    return (reduction.roll_norm_check(g, mcfg, tol),
+            reduction.roll_equivariance_residual(g, shift, tol))
+
+
 def _cmd_mather(args) -> int:
     cfg = _make_run_config(args)
     _echo_config(cfg)
@@ -329,10 +339,7 @@ def _cmd_mather(args) -> int:
     mcfg = reduction.make_config(k, alpha, max(cfg.A, 1))
 
     if args.op == "gamma":
-        g = diffeo.from_preset("smooth_bump_displacement",
-                               {"eps": args.eps, "k": k}, tol)
-        check = reduction.roll_norm_check(g, mcfg, tol)
-        equi = reduction.roll_equivariance_residual(g, 0.37, tol)
+        check, equi = _roll_checks(args.eps, mcfg, 0.37, tol)
         ok = check.ok and equi <= 1e-9
         payload = {
             "run_config": cfg.to_dict(),
@@ -548,10 +555,7 @@ def _suite_mather(rng, tol) -> dict:
     xs = np.linspace(0.0, 1.0, 1025)
     ident = reduction.roll_up(diffeo.identity(k, -0.5, 0.5), tol)
     gamma_id = float(np.max(np.abs(ident(xs) - xs)))
-    g = diffeo.from_preset("smooth_bump_displacement",
-                           {"eps": 1e-5, "k": k}, tol)
-    equi = reduction.roll_equivariance_residual(g, 0.21, tol)
-    word = reduction.roll_norm_check(g, mcfg, tol)
+    word, equi = _roll_checks(1e-5, mcfg, 0.21, tol)
     roundtrip, _ = _spread_roundtrip(rng, 2e-5, mcfg, tol, len(xs))
     ok = (gamma_id == 0.0 and equi <= 1e-9 and word.ok
           and roundtrip <= 1e-6)

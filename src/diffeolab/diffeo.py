@@ -5,13 +5,15 @@ A map f is kept as its displacement u = f - Id, sampled with derivatives
 Hermite polynomial of order 2k+1, so the model is C^k globally.  Tail
 classes fix the behaviour outside the grid: compactly supported maps are
 the identity there, periodic maps commute with the unit translation, and
-eventually-periodic maps are the identity on the left and 1-periodic on
-the right, with the final unit window of the grid holding the repeating
-profile.
+eventually-periodic ("ep") maps are the identity on the left and
+1-periodic on the right, with the final unit window of the grid holding
+the repeating profile.
 
-Group operations (composition, inversion) re-sample the exact jet
-propagation of the operands onto a fresh grid, doubling the node count
-until the midpoint interpolation residual is small.
+Group operations (composition, inversion) take compact or periodic maps
+and re-sample the exact jet propagation of the operands onto a fresh
+grid, doubling the node count until the midpoint interpolation residual
+is small.  The limit word of the conjugacy certificate builds ep maps,
+which are only evaluated.
 """
 
 from __future__ import annotations
@@ -105,6 +107,30 @@ def _hermite_eval(dc: list[np.ndarray], xf: np.ndarray, lo: float, h: float,
             acc += rows[i].take(idx)
         out[..., j] = acc / h ** j
     return out
+
+
+def _solve_increasing(jet1, y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                      x0: np.ndarray, tolx: float) -> np.ndarray:
+    """Solve F(x) = y pointwise for an increasing F, where jet1(x) gives
+    F and F' at x, by Newton steps safeguarded by bisection of the bracket
+    [lo, hi] that F(lo) <= y <= F(hi) must hold.  Stops once no point
+    moves by more than tolx, or after 80 steps."""
+    x = x0
+    for _ in range(80):
+        jet = jet1(x)
+        fx = jet[..., 0] - y
+        neg = fx < 0.0
+        lo = np.where(neg, x, lo)
+        hi = np.where(neg, hi, x)
+        step = fx / np.maximum(jet[..., 1], 1e-14)
+        xn = x - step
+        outside = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
+        xn = np.where(outside, 0.5 * (lo + hi), xn)
+        moved = np.max(np.abs(xn - x))
+        x = xn
+        if moved <= tolx:
+            break
+    return x
 
 
 class Diffeo1:
@@ -248,18 +274,13 @@ class Diffeo1:
 
     # -- structural queries ----------------------------------------------
 
-    def core_sup(self) -> float:
-        """Right end of the non-periodic part of the grid."""
-        if self.tail == "ep":
-            return self.b - 1.0
-        return self.b
-
     def displacement_bounds(self) -> tuple[float, float]:
         u = self.jets[:, 0]
         return float(u.min()), float(u.max())
 
     def inverse_values(self, y, xtol: float | None = None) -> np.ndarray:
-        """Solve f(x) = y pointwise by safeguarded Newton iteration."""
+        """Solve f(x) = y pointwise: bracket each point, run the shared
+        Newton-bisection loop _solve_increasing, then polish."""
         tolx = 1e-12 if xtol is None else xtol
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 0
@@ -278,21 +299,9 @@ class Diffeo1:
             hi = np.where(bad_hi, y - umin + pad, hi)
         else:
             raise ConstructionError("could not bracket the inverse")
-        x = np.clip(y - self.displacement_jets(y, 0)[..., 0], lo, hi)
-        for _ in range(80):
-            jet = self.jet_at(x, 1)
-            fx = jet[..., 0] - y
-            neg = fx < 0.0
-            lo = np.where(neg, x, lo)
-            hi = np.where(neg, hi, x)
-            step = fx / np.maximum(jet[..., 1], 1e-14)
-            xn = x - step
-            outside = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
-            xn = np.where(outside, 0.5 * (lo + hi), xn)
-            moved = np.max(np.abs(xn - x))
-            x = xn
-            if moved <= tolx:
-                break
+        x0 = np.clip(y - self.displacement_jets(y, 0)[..., 0], lo, hi)
+        x = _solve_increasing(lambda x: self.jet_at(x, 1), y, lo, hi, x0,
+                              tolx)
         # two polish sweeps accepted on residual decrease: stopping on step
         # size alone leaves per-node errors ~xtol whose node-to-node
         # roughness the Hermite cells amplify by 1/h^2 in the top jet
@@ -373,7 +382,8 @@ def _build_adaptive(tail: str, lo: float, hi: float, k: int, fn,
 
 
 def compose(f: Diffeo1, g: Diffeo1, tol: Tolerances | None = None) -> Diffeo1:
-    """The map f o g, re-sampled onto a grid fixed by the tail algebra."""
+    """The map f o g of two compact or two periodic maps, re-sampled onto a
+    grid fixed by the tail algebra."""
     tol = tol or DEFAULT_TOL
     if f.k != g.k:
         raise ValueError("operands carry different jet orders")
@@ -384,14 +394,8 @@ def compose(f: Diffeo1, g: Diffeo1, tol: Tolerances | None = None) -> Diffeo1:
     elif pair == ("periodic", "periodic"):
         tail = "periodic"
         lo, hi = g.a, g.a + 1.0
-    elif "periodic" in pair:
-        raise ValueError(f"incompatible tail classes {pair}")
     else:
-        tail = "ep"
-        lo = min(f.a, g.a)
-        umin_g, _ = g.displacement_bounds()
-        hi_core = max(g.core_sup(), f.core_sup() + max(0.0, -umin_g))
-        hi = hi_core + 1.0
+        raise ValueError(f"incompatible tail classes {pair}")
     n0 = max(f.n, g.n)
     return _build_adaptive(tail, lo, hi, f.k, _displacement_fn_compose(f, g),
                            n0, tol)
@@ -408,16 +412,15 @@ def compose_all(maps: list[Diffeo1], tol: Tolerances | None = None) -> Diffeo1:
 
 
 def inverse(f: Diffeo1, tol: Tolerances | None = None) -> Diffeo1:
-    """The inverse map, with node abscissae solved to tight tolerance."""
+    """The inverse of a compact or periodic map, with node abscissae solved
+    to tight tolerance."""
     tol = tol or DEFAULT_TOL
     if f.tail == "compact":
         lo, hi = f.a, f.b
     elif f.tail == "periodic":
         lo, hi = f.a, f.a + 1.0
     else:
-        cs = f.core_sup()
-        lo = f.a
-        hi = float(cs + f.displacement_jets(np.array([cs]), 0)[0, 0]) + 1.0
+        raise ValueError(f"no inverse is built for a map of class {f.tail!r}")
 
     def fn(ys: np.ndarray) -> np.ndarray:
         xs = f.inverse_values(ys, tol.invert_abscissa)
@@ -431,29 +434,21 @@ def inverse(f: Diffeo1, tol: Tolerances | None = None) -> Diffeo1:
 
 
 def support_interval(f: Diffeo1, slack: float = 1e-10):
-    """Smallest closed interval outside which the tail law already holds
-    at grid resolution, or None for maps with no such interval (periodic
-    maps, and the identity)."""
+    """Smallest closed interval outside which a compact map is the
+    identity at grid resolution, or None for maps with no such interval
+    (periodic maps, and the identity)."""
     if f.tail == "periodic":
         return None
+    if f.tail != "compact":
+        raise ValueError(f"no support is computed for a map of class "
+                         f"{f.tail!r}")
     active = np.any(np.abs(f.jets) > slack, axis=1)
     if not active.any():
         return None
     nodes = f.nodes
     lo = float(nodes[int(np.argmax(active))])
-    if f.tail == "compact":
-        hi = float(nodes[f.n - 1 - int(np.argmax(active[::-1]))])
-        return (lo, hi)
-    sel = nodes <= f.b - 1.0 + 1e-12
-    xs = nodes[sel]
-    here = f.jets[sel]
-    there = f.displacement_jets(xs + 1.0)
-    ok = np.max(np.abs(here - there), axis=1) <= max(slack, 1e-9)
-    idx = len(ok)
-    while idx > 0 and ok[idx - 1]:
-        idx -= 1
-    hi = float(xs[idx]) if idx < len(xs) else f.core_sup()
-    return (lo, max(lo, hi))
+    hi = float(nodes[f.n - 1 - int(np.argmax(active[::-1]))])
+    return (lo, hi)
 
 
 def support_within(f: Diffeo1, window: tuple[float, float]):

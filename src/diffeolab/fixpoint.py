@@ -520,8 +520,8 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
     recomputed residual is at most cert_tol, and the stored residuals are
     reported for information only.  The support items check f, u0,
     conjugated, reduced and the witness against their intervals.  A chain
-    of another format or version, or one that cannot be read, is a
-    ValueError.
+    of another format or version, one that cannot be read, or one with a
+    map whose class is not "compact" is a ValueError.
     """
     tol = tol or DEFAULT_TOL
     if not isinstance(chain, dict):
@@ -542,6 +542,11 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
         cfg = make_config(k, None, A)
         params = rescaler_params(cfg)
         stored_q = dict(chain["rescaler"])
+        for name in _CHAIN_MAPS:
+            tail = dict(chain["maps"][name]).get("class")
+            if tail != "compact":
+                raise ValueError(f"maps.{name} has class {tail!r}; every "
+                                 f"chain map is compact")
         maps = {name: map_from_dict(chain["maps"][name], tol)
                 for name in _CHAIN_MAPS}
         ids = chain["identities"]

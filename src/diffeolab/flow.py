@@ -37,7 +37,7 @@ from scipy.integrate import solve_ivp
 from . import _taylor
 from .config import DEFAULT_TOL, Tolerances
 from .diffeo import (Diffeo1, _hermite_eval, _hermite_tables,
-                     support_interval)
+                     _solve_increasing, support_interval)
 from .errors import ConstructionError, PreconditionError
 from .jets import compose_derivs
 
@@ -248,29 +248,17 @@ class Chart:
         return float(val[0]) if scalar else val
 
     def inverse_value(self, y) -> np.ndarray:
-        """Solve phi(x) = y inside the tabulated window, to steps of 1e-12."""
+        """Solve phi(x) = y inside the tabulated window [-W, W] by the
+        Newton-bisection loop shared with Diffeo1.inverse_values, to steps
+        of 1e-12."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(y <= self.jets[0, 0]) or np.any(y >= self.jets[-1, 0]):
             raise PreconditionError(
                 "flow stage: chart inverse requested outside attained range")
         lo = np.full(y.shape, -self.w)
         hi = np.full(y.shape, self.w)
-        x = np.clip(y, lo, hi)
-        for _ in range(200):
-            jet = self.jet_at(x, 1)
-            fx = jet[..., 0] - y
-            neg = fx < 0.0
-            lo = np.where(neg, x, lo)
-            hi = np.where(neg, hi, x)
-            step = fx / np.maximum(jet[..., 1], 1e-300)
-            xn = x - step
-            bad = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
-            xn = np.where(bad, 0.5 * (lo + hi), xn)
-            moved = float(np.max(np.abs(xn - x)))
-            x = xn
-            if moved <= 1e-12:
-                break
-        return x
+        return _solve_increasing(lambda x: self.jet_at(x, 1), y, lo, hi,
+                                 np.clip(y, lo, hi), 1e-12)
 
 
 def trajectory_chart(field: PlateauField, k: int,

@@ -38,20 +38,15 @@ def eval_window(f: Diffeo1) -> tuple[float, float]:
     return (f.a - margin, f.b + margin)
 
 
-def pair_window(f: Diffeo1, g: Diffeo1) -> tuple[float, float]:
-    wf, wg = eval_window(f), eval_window(g)
-    return (min(wf[0], wg[0]), max(wf[1], wg[1]))
-
-
-def sample_points(window: tuple[float, float], step: float) -> np.ndarray:
-    lo, hi = window
-    m = int(np.ceil((hi - lo) / step)) + 1
-    m = min(max(m, 16), _MAX_SAMPLES)
-    return np.linspace(lo, hi, m)
-
-
-def _step_for(f: Diffeo1) -> float:
-    return f.h / EVAL_DENSITY
+def sample_grid(*maps: Diffeo1) -> np.ndarray:
+    """Uniform samples of the union of the maps' eval_windows at the finest
+    step h / EVAL_DENSITY among them, clamped to 16..2^19 points."""
+    windows = [eval_window(m) for m in maps]
+    lo = min(w[0] for w in windows)
+    hi = max(w[1] for w in windows)
+    step = min(m.h / EVAL_DENSITY for m in maps)
+    count = int(np.ceil((hi - lo) / step)) + 1
+    return np.linspace(lo, hi, min(max(count, 16), _MAX_SAMPLES))
 
 
 # -- Holder estimator --------------------------------------------------------
@@ -79,8 +74,7 @@ def holder_seminorm_samples(vals: np.ndarray, step: float, alpha) -> float:
 def holder_norm(f: Diffeo1, alpha, k: int | None = None) -> float:
     """The seminorm [f^{(k)}]_alpha, estimated on a dense grid."""
     k = f.k if k is None else k
-    step = _step_for(f)
-    xs = sample_points(eval_window(f), step)
+    xs = sample_grid(f)
     vals = f.displacement_jets(xs, k)[:, k]
     return holder_seminorm_samples(vals, xs[1] - xs[0], alpha)
 
@@ -123,8 +117,7 @@ def norm_report(f: Diffeo1, alpha, k: int | None = None,
     k = f.k if k is None else k
     if k > f.k:
         raise ValueError("requested order exceeds the model order")
-    step = _step_for(f)
-    xs = sample_points(eval_window(f), step)
+    xs = sample_grid(f)
     jets = f.displacement_jets(xs, k)
     sup_dev = tuple(float(np.max(np.abs(jets[:, i]))) for i in range(k + 1))
     h = xs[1] - xs[0]
@@ -157,12 +150,11 @@ def metric(f: Diffeo1, g: Diffeo1, kind: str, alpha=None,
     """Distance between two maps: "C0" (which compares the inverses too),
     "Ck", or "CkAlpha"."""
     tol = tol or DEFAULT_TOL
-    step = min(_step_for(f), _step_for(g))
-    xs = sample_points(pair_window(f, g), step)
+    xs = sample_grid(f, g)
     if kind == "C0":
         d_direct = float(np.max(np.abs(f(xs) - g(xs))))
         fi, gi = _inverse(f, tol), _inverse(g, tol)
-        ys = sample_points(pair_window(fi, gi), step)
+        ys = sample_grid(fi, gi)
         d_inv = float(np.max(np.abs(fi(ys) - gi(ys))))
         return max(d_direct, d_inv)
     k = min(f.k, g.k)
@@ -226,8 +218,7 @@ def verify_domination(f: Diffeo1, g: Diffeo1, i: int, alpha) -> SlackReport:
             raise PreconditionError(
                 f"order-0 domination needs equality on the window ends; "
                 f"measured gap {gap:.3e}")
-    step = min(_step_for(f), _step_for(g))
-    xs = sample_points(pair_window(f, g), step)
+    xs = sample_grid(f, g)
     diff = f.jet_at(xs, i + 1) - g.jet_at(xs, i + 1)
     sup_i = float(np.max(np.abs(diff[:, i])))
     sup_ip1 = float(np.max(np.abs(diff[:, i + 1])))
@@ -251,8 +242,7 @@ def verify_derivation(f: Diffeo1, g: Diffeo1, alpha) -> SlackReport:
     """Check the product, multi-product (over phi, psi and phi + psi), and
     precomposition seminorm inequalities on the displacements of the
     given maps."""
-    step = min(_step_for(f), _step_for(g))
-    xs = sample_points(pair_window(f, g), step)
+    xs = sample_grid(f, g)
     h = xs[1] - xs[0]
     phi = f.displacement_jets(xs, 0)[:, 0]
     psi = g.displacement_jets(xs, 0)[:, 0]
@@ -319,10 +309,7 @@ def verify_subadditivity(terms: list[Diffeo1], alpha) -> SlackReport:
     """[sum phi_i]_alpha <= sum [phi_i]_alpha on displacement samples."""
     if not terms:
         raise ValueError("need at least one term")
-    lo = min(eval_window(t)[0] for t in terms)
-    hi = max(eval_window(t)[1] for t in terms)
-    step = min(_step_for(t) for t in terms)
-    xs = sample_points((lo, hi), step)
+    xs = sample_grid(*terms)
     h = xs[1] - xs[0]
     vals = [t.displacement_jets(xs, 0)[:, 0] for t in terms]
     lhs = holder_seminorm_samples(np.sum(vals, axis=0), h, alpha)
@@ -346,8 +333,7 @@ def verify_lip_met(f: Diffeo1, alpha) -> SlackReport:
         jlen = max(supp[1] - supp[0], 1e-6)
     a_j = float(alpha(jlen))
     big_k = jlen + a_j + jlen / a_j
-    step = _step_for(f)
-    xs = sample_points(eval_window(f), step)
+    xs = sample_grid(f)
     h = xs[1] - xs[0]
     k = f.k
     jets = f.displacement_jets(xs, k)

@@ -211,6 +211,22 @@ def test_compose_all_against_nested_compose():
     assert c0_gap(a, b, -2.0, 2.0) <= 1e-9
 
 
+def test_group_operations_refuse_eventually_periodic_maps():
+    # ep maps come only from the limit word, which evaluates them; no
+    # composition, inversion or support is computed for them
+    ep = _random_map("ep", 2, np.random.default_rng(31))
+    bump = small_bump(1e-3)
+    wiggle = small_periodic(np.random.default_rng(37), eps=1e-3)
+    for f, g in ((ep, bump), (bump, ep), (ep, ep), (ep, wiggle),
+                 (wiggle, ep)):
+        with pytest.raises(ValueError, match="incompatible tail classes"):
+            compose(f, g)
+    with pytest.raises(ValueError, match="class 'ep'"):
+        inverse(ep)
+    with pytest.raises(ValueError, match="class 'ep'"):
+        support_interval(ep)
+
+
 # -- inversion -------------------------------------------------------------------
 
 def test_inverse_round_trip_and_derivative_identity():

@@ -39,6 +39,7 @@ from diffeolab import (
     write_chain,
 )
 from diffeolab import diffeo, fixpoint
+from diffeolab.cli import EXIT_USAGE, main
 from diffeolab.fixpoint import _BlendProfile, _renorm_full
 from _helpers import small_bump
 
@@ -439,6 +440,25 @@ def test_malformed_chain_raises(converged):
     del chain["maps"]["witness"]
     with pytest.raises(ValueError):
         verify_certificate(chain)
+
+
+@pytest.mark.parametrize("name", fixpoint._CHAIN_MAPS)
+def test_a_map_of_another_tail_class_is_refused(tmp_path, capsys, converged,
+                                                name, monkeypatch):
+    chain = _copy(converged)
+    chain["maps"][name]["class"] = "ep"
+    built = []
+    monkeypatch.setattr(fixpoint, "map_from_dict",
+                        lambda *a: built.append(a) or from_dict(*a))
+    with pytest.raises(ValueError, match=f"maps.{name} has class 'ep'"):
+        verify_certificate(chain)
+    assert built == []  # refused before any map is built or evaluated
+    path = tmp_path / "ep.json"
+    path.write_text(json.dumps(chain))
+    capsys.readouterr()
+    assert main(["perfect", "verify", str(path),
+                 "--out", str(tmp_path)]) == EXIT_USAGE
+    assert f"maps.{name} has class 'ep'" in capsys.readouterr().err
 
 
 def test_chain_file_round_trip(tmp_path, converged):

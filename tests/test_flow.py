@@ -145,6 +145,14 @@ def test_chart_conjugates_translation_to_the_flow():
     assert verify_chart_conjugation(field, -0.8, 257) <= 1e-7
 
 
+@pytest.mark.parametrize("A,k", [(1, 2), (1, 3), (4, 2), (4, 3)])
+def test_chart_inverse_value_inverts_the_chart(A, k):
+    chart = trajectory_chart(make_rho(A), k)
+    r = chart.attained - 1e-9
+    ys = np.linspace(-r, r, 1001)
+    assert float(np.max(np.abs(chart(chart.inverse_value(ys)) - ys))) <= 1e-12
+
+
 def test_chart_conjugation_fixes_small_supported_maps():
     field = make_rho(2)  # plateau [-4, 4]
     u = small_bump(1e-3, center=0.0, radius=1.5)
