@@ -34,21 +34,22 @@ TAILS = ("compact", "periodic", "ep")
 _FOLD_SLACK = 10.0
 
 
-def _hermite_coeffs(jets: np.ndarray, h: float) -> np.ndarray:
-    """Monomial coefficients, per interval, of the order-2k+1 interpolant.
+def _hermite_coeffs(j0: np.ndarray, j1: np.ndarray, h: float) -> np.ndarray:
+    """Monomial coefficients, per cell, of the order-2k+1 interpolant.
 
-    jets has shape (n, k+1) with derivative order on the last axis; the
-    result has shape (2k+2, n-1), laid out (coefficients, cells): row i
-    holds the coefficient of t^i in every cell, where t is the local
-    coordinate (x - x_left)/h.
+    j0 and j1 hold the jets at the left and right ends of each cell of
+    width h, with shape (cells, k+1) and derivative order on the last axis;
+    the result has shape (2k+2, cells), in their dtype, laid out
+    (coefficients, cells): row i holds the coefficient of t^i in every
+    cell, where t is the local coordinate (x - x_left)/h.
     """
-    n, kp1 = jets.shape
+    cells, kp1 = j0.shape
     k = kp1 - 1
     fact = _taylor.factorials(k)[:, None]
     hp = h ** np.arange(k + 1)
-    d0 = (jets[:-1] * hp).T
-    d1 = (jets[1:] * hp).T
-    c = np.zeros((2 * k + 2, n - 1))
+    d0 = (j0 * hp).T
+    d1 = (j1 * hp).T
+    c = np.zeros((2 * k + 2, cells), dtype=j0.dtype)
     c[: k + 1] = d0 / fact
 
     # derivatives at t=1 of the left Taylor part
@@ -56,16 +57,16 @@ def _hermite_coeffs(jets: np.ndarray, h: float) -> np.ndarray:
     for i in range(2 * k + 2):
         for j in range(min(i, k) + 1):
             falling[i, j] = math.factorial(i) / math.factorial(i - j)
-    taylor_end = np.zeros((k + 1, n - 1))
+    taylor_end = np.zeros((k + 1, cells), dtype=j0.dtype)
     for j in range(k + 1):
-        acc = np.zeros(n - 1)
+        acc = np.zeros(cells, dtype=j0.dtype)
         for i in range(j, k + 1):
             acc += c[i] * falling[i, j]
         taylor_end[j] = acc
 
     need = d1 - taylor_end
     # correction sum_m q_m t^{k+1} (t-1)^m, solved triangularly at t=1
-    q = np.zeros((k + 1, n - 1))
+    q = np.zeros((k + 1, cells), dtype=j0.dtype)
     for j in range(k + 1):
         acc = need[j].copy()
         for m in range(j):
@@ -80,25 +81,40 @@ def _hermite_coeffs(jets: np.ndarray, h: float) -> np.ndarray:
 
 
 def _hermite_tables(jets: np.ndarray, h: float) -> list[np.ndarray]:
-    """Monomial coefficients of the interpolant and of its derivatives
-    1..k in the local coordinate t, for _hermite_eval: one (coefficients,
-    cells) table per derivative order, as laid out by _hermite_coeffs."""
-    dc = [_hermite_coeffs(jets, h)]
+    """Monomial coefficients of the interpolant of grid jets (n, k+1) and
+    of its derivatives 1..k in the local coordinate t, for _hermite_eval:
+    one (coefficients, cells) table per derivative order, as laid out by
+    _hermite_coeffs."""
+    dc = [_hermite_coeffs(jets[:-1], jets[1:], h)]
     for _ in range(jets.shape[1] - 1):
         prev = dc[-1]
         dc.append(prev[1:] * np.arange(1, prev.shape[0])[:, None])
     return dc
 
 
+def _grid_cells(xf: np.ndarray, lo: float, h: float,
+                cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index and local coordinate t of points xf on the grid lo + h*i
+    of `cells` cells, in the precision of xf."""
+    pos = (xf - lo) / h
+    idx = np.minimum(np.maximum(pos.astype(int), 0), cells - 1)
+    return idx, pos - idx
+
+
 def _hermite_eval(dc: list[np.ndarray], xf: np.ndarray, lo: float, h: float,
                   order: int) -> np.ndarray:
     """Derivatives 0..order of the interpolant on the grid lo + h*i at
-    points xf already folded into the grid, by Horner's rule on the
-    coefficient rows gathered at each point's cell."""
-    pos = (xf - lo) / h
-    idx = np.minimum(np.maximum(pos.astype(int), 0), dc[0].shape[1] - 1)
-    t = pos - idx
-    out = np.empty(xf.shape + (order + 1,))
+    points xf already folded into the grid."""
+    idx, t = _grid_cells(xf, lo, h, dc[0].shape[1])
+    return _horner(dc, idx, t, h, order)
+
+
+def _horner(dc: list[np.ndarray], idx: np.ndarray, t: np.ndarray, h: float,
+            order: int) -> np.ndarray:
+    """Derivatives 0..order of the interpolant at local coordinates t in
+    cells idx, by Horner's rule on the coefficient rows gathered at each
+    cell, in the dtype of the tables (t should carry the same precision)."""
+    out = np.empty(t.shape + (order + 1,), dtype=dc[0].dtype)
     for j in range(order + 1):
         rows = dc[j]
         acc = rows[-1].take(idx)
@@ -109,27 +125,49 @@ def _hermite_eval(dc: list[np.ndarray], xf: np.ndarray, lo: float, h: float,
     return out
 
 
+def _cell_bracket(a: float, h: float, node_values: np.ndarray,
+                  y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bracket F(x) = y by a grid cell, for an increasing F with values
+    node_values at the nodes a + h*i: the cell [x_i, x_i+1] whose end
+    values hold y (the first or last cell for y beyond them), and the
+    guess of the line through the two end values."""
+    i = np.searchsorted(node_values, y, side="right") - 1
+    i = np.minimum(np.maximum(i, 0), node_values.size - 2)
+    f0, f1 = node_values[i], node_values[i + 1]
+    lo, hi = a + h * i, a + h * (i + 1)
+    t = np.minimum(np.maximum((y - f0) / (f1 - f0), 0.0), 1.0)
+    return lo, hi, lo + h * t
+
+
 def _solve_increasing(jet1, y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                       x0: np.ndarray, tolx: float) -> np.ndarray:
     """Solve F(x) = y pointwise for an increasing F, where jet1(x) gives
     F and F' at x, by Newton steps safeguarded by bisection of the bracket
-    [lo, hi] that F(lo) <= y <= F(hi) must hold.  Stops once no point
-    moves by more than tolx, or after 80 steps."""
-    x = x0
+    [lo, hi] that F(lo) <= y <= F(hi) must hold.  Each step narrows the
+    bracket to the side of the root; a step that leaves the bracket, but
+    not one that lands on an end of it, is replaced by its midpoint.  A
+    point stops once its own step is at most tolx, and only the points
+    still moving are evaluated again; after 80 steps the loop gives up
+    and returns where the points are.  From a bracket of one grid cell
+    (_cell_bracket) this takes 1 to 3 steps."""
+    x = np.array(x0, dtype=float)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    act = np.arange(x.size)
     for _ in range(80):
-        jet = jet1(x)
-        fx = jet[..., 0] - y
-        neg = fx < 0.0
-        lo = np.where(neg, x, lo)
-        hi = np.where(neg, hi, x)
-        step = fx / np.maximum(jet[..., 1], 1e-14)
-        xn = x - step
-        outside = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
-        xn = np.where(outside, 0.5 * (lo + hi), xn)
-        moved = np.max(np.abs(xn - x))
-        x = xn
-        if moved <= tolx:
+        if act.size == 0:
             break
+        xa, ya = x[act], y[act]
+        jet = jet1(xa)
+        fx = jet[..., 0] - ya
+        neg = fx < 0.0
+        la = np.where(neg, xa, lo[act])
+        ha = np.where(neg, hi[act], xa)
+        xn = xa - fx / np.maximum(jet[..., 1], 1e-14)
+        outside = (xn < la) | (xn > ha) | ~np.isfinite(xn)
+        xn = np.where(outside, 0.5 * (la + ha), xn)
+        x[act], lo[act], hi[act] = xn, la, ha
+        act = act[np.abs(xn - xa) > tolx]
     return x
 
 
@@ -274,52 +312,64 @@ class Diffeo1:
 
     # -- structural queries ----------------------------------------------
 
-    def displacement_bounds(self) -> tuple[float, float]:
-        u = self.jets[:, 0]
-        return float(u.min()), float(u.max())
-
     def inverse_values(self, y, xtol: float | None = None) -> np.ndarray:
-        """Solve f(x) = y pointwise: bracket each point, run the shared
-        Newton-bisection loop _solve_increasing, then polish."""
+        """Solve f(x) = y pointwise for a compact or periodic map.
+
+        A compact map is the identity outside [a, b], so there x = y
+        exactly.  A periodic map commutes with the unit shift, so y is
+        first moved by an integer m into [f(a), f(a) + 1) and m is added
+        back to the root.  Every other point is bracketed by its node cell
+        (_cell_bracket) and solved by _solve_increasing to steps of xtol;
+        one more Newton step, with the residual f(x) - y taken in extended
+        precision, then leaves x at (or next to) the double nearest the
+        interpolant's root, so the roots carry no rounding noise from node
+        to node.  A residual above 1e-8 after the loop is a
+        ConstructionError."""
+        if self.tail == "ep":
+            raise ValueError(f"no inverse is solved for a map of class "
+                             f"{self.tail!r}")
         tolx = 1e-12 if xtol is None else xtol
         y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y).astype(float)
-        umin, umax = self.displacement_bounds()
-        pad = 1e-6 + 0.1 * (umax - umin)
-        lo = y - umax - pad
-        hi = y - umin + pad
-        for _ in range(60):
-            bad_lo = self(lo) > y
-            bad_hi = self(hi) < y
-            if not (bad_lo.any() or bad_hi.any()):
-                break
-            pad *= 2.0
-            lo = np.where(bad_lo, y - umax - pad, lo)
-            hi = np.where(bad_hi, y - umin + pad, hi)
+        shape = y.shape
+        y = y.ravel()
+        x = y.copy()
+        if self.tail == "periodic":
+            sel = np.arange(y.size)
+            m = np.floor(y - (self.a + self.jets[0, 0]))
         else:
-            raise ConstructionError("could not bracket the inverse")
-        x0 = np.clip(y - self.displacement_jets(y, 0)[..., 0], lo, hi)
-        x = _solve_increasing(lambda x: self.jet_at(x, 1), y, lo, hi, x0,
-                              tolx)
-        # two polish sweeps accepted on residual decrease: stopping on step
-        # size alone leaves per-node errors ~xtol whose node-to-node
-        # roughness the Hermite cells amplify by 1/h^2 in the top jet
-        for _ in range(2):
-            jet = self.jet_at(x, 1)
-            fx = jet[..., 0] - y
-            step = fx / np.maximum(jet[..., 1], 1e-14)
-            xn = x - step
-            xn = np.where(np.isfinite(xn), xn, x)
-            fxn = self(xn) - y
-            x = np.where(np.abs(fxn) <= np.abs(fx), xn, x)
-        resid = float(np.max(np.abs(self(x) - y)))
-        if resid > 1e-8:
-            raise ConstructionError(
-                f"inverse solve stalled with residual {resid:.3e}")
-        if scalar:
-            return x[0]
-        return x
+            sel = np.flatnonzero((y > self.a) & (y < self.b))
+            m = 0.0
+        ys = y[sel] - m
+        lo, hi, x0 = _cell_bracket(self.a, self.h,
+                                   self.nodes + self.jets[:, 0], ys)
+        xs = _solve_increasing(lambda x: self.jet_at(x, 1), ys, lo, hi, x0,
+                               tolx) + m
+        if xs.size:
+            x[sel], resid = self._newton_in_long_double(xs, y[sel])
+            if resid > 1e-8:
+                raise ConstructionError(
+                    f"inverse solve stalled with residual {resid:.3e}")
+        return x[0] if shape == () else x.reshape(shape)
+
+    def _newton_in_long_double(self, x: np.ndarray,
+                               y: np.ndarray) -> tuple[np.ndarray, float]:
+        """One Newton step toward f(x) = y whose residual is evaluated in
+        np.longdouble (80-bit where the platform has it, else an ordinary
+        step), and the largest residual |f(x) - y| before the step.  Only
+        the cells holding the points get long-double coefficients, built
+        for this call.  The residual is a few ulp at most, so the step
+        takes the slope of the cell's chord."""
+        xl = x.astype(np.longdouble)
+        xf, ident = self._fold(xl)
+        i, t = _grid_cells(xf, self.a, self.h, self.n - 1)
+        c = _hermite_coeffs(self.jets[i].astype(np.longdouble),
+                            self.jets[i + 1].astype(np.longdouble), self.h)
+        u = _horner([c], np.arange(i.size), t, self.h, 0)[:, 0]
+        u[ident] = 0.0
+        r = xl + u - y
+        slope = 1.0 + (self.jets[i + 1, 0] - self.jets[i, 0]) / self.h
+        xn = xl - r / np.maximum(slope, 1e-14)
+        return xn.astype(float), float(np.max(np.abs(r)))
 
 
 # -- constructors ---------------------------------------------------------

@@ -12,4 +12,4 @@ class PreconditionError(ValueError):
 
 class ConstructionError(RuntimeError):
     """An internal construction could not be completed (e.g. a blend lost
-    monotonicity after the retry, or a root find failed to bracket)."""
+    monotonicity after the retry, or a root find stalled)."""

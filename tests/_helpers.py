@@ -8,7 +8,7 @@ Faa di Bruno machinery they are used to check.
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from diffeolab import Diffeo1, from_preset
+from diffeolab import Diffeo1, diffeo, flow, from_preset
 
 
 # Partition counts B_1..B_10, frozen from the classical recurrence
@@ -80,3 +80,25 @@ def small_periodic(rng, k=2, eps=1e-4, n=257):
 def c0_gap(f, g, lo, hi, n=2001):
     xs = np.linspace(lo, hi, n)
     return float(np.max(np.abs(f(xs) - g(xs))))
+
+
+def count_solve_steps(monkeypatch):
+    """Wrap the shared Newton loop so that every solve appends the number
+    of steps it took (calls of its jet1) to the returned list."""
+    steps = []
+    solve = diffeo._solve_increasing
+
+    def counted(jet1, *args):
+        calls = [0]
+
+        def jet1_counted(x):
+            calls[0] += 1
+            return jet1(x)
+
+        x = solve(jet1_counted, *args)
+        steps.append(calls[0])
+        return x
+
+    monkeypatch.setattr(diffeo, "_solve_increasing", counted)
+    monkeypatch.setattr(flow, "_solve_increasing", counted)
+    return steps

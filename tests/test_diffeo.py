@@ -16,8 +16,11 @@ from diffeolab import (
     compose_all,
     from_dict,
     from_preset,
+    holder,
     identity,
     inverse,
+    make_config,
+    make_rescaler,
     post_translate,
     support_interval,
     to_dict,
@@ -27,7 +30,7 @@ from diffeolab import (
 from diffeolab.diffeo import (TAILS, _build_adaptive, _hermite_tables,
                               fragment, refined_grid)
 from diffeolab.jets import MAX_ORDER
-from _helpers import c0_gap, small_bump, small_periodic
+from _helpers import c0_gap, count_solve_steps, small_bump, small_periodic
 
 try:
     from hypothesis import given, settings
@@ -224,6 +227,8 @@ def test_group_operations_refuse_eventually_periodic_maps():
     with pytest.raises(ValueError, match="class 'ep'"):
         inverse(ep)
     with pytest.raises(ValueError, match="class 'ep'"):
+        ep.inverse_values(np.array([0.5]))
+    with pytest.raises(ValueError, match="class 'ep'"):
         support_interval(ep)
 
 
@@ -248,6 +253,24 @@ def test_inverse_of_periodic_map_is_periodic():
     assert gi.tail == "periodic"
     xs = np.linspace(-2.0, 2.0, 1001)
     assert float(np.max(np.abs(gi(g(xs)) - xs))) <= 1e-9
+
+
+def test_inverse_values_outside_the_grid():
+    # a compact map is the identity outside [a, b], so y is its own root
+    # there; a periodic map is solved one period over and shifted back
+    f = small_bump(5e-3, center=0.3, radius=1.2)
+    ys = np.array([-7.5, f.a - 1e-9, f.a, f.b, f.b + 1e-9, 3.25])
+    np.testing.assert_array_equal(f.inverse_values(ys), ys)
+    g = small_periodic(np.random.default_rng(5), eps=1e-3)
+    ys = np.linspace(-3.2, 5.7, 2001)
+    assert float(np.max(np.abs(g(g.inverse_values(ys)) - ys))) <= 1e-12
+
+
+def test_inverse_solves_take_at_most_three_steps(monkeypatch):
+    steps = count_solve_steps(monkeypatch)
+    inverse(small_bump(5e-3, center=0.3, radius=1.2))
+    inverse(make_rescaler(make_config(2, holder(0.5), 4)))
+    assert steps and max(steps) <= 3
 
 
 def test_inverse_distance_is_lipschitz_in_the_maps():

@@ -126,6 +126,15 @@ def test_make_rescaler_follows_its_closed_form(k, A):
     assert float(np.min(q.jets[:, 1])) + 1.0 == pytest.approx(slope, abs=1e-9)
 
 
+@pytest.mark.parametrize("A", [4, 8])
+@pytest.mark.parametrize("k", [2, 3])
+def test_rescaler_inverse_builds_and_round_trips(k, A):
+    q = make_rescaler(make_config(k, ALPHA, A))
+    qi = inverse(q)
+    xs = np.linspace(q.a - 1.0, q.b + 1.0, 20001)
+    assert float(np.max(np.abs(qi(q(xs)) - xs))) <= 1e-9
+
+
 # -- calibration -----------------------------------------------------------------
 
 def test_calibrated_bump_hits_the_target_norm():

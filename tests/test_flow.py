@@ -21,7 +21,7 @@ from diffeolab import (
     verify_chart_conjugation,
     verify_chart_fixes_support,
 )
-from _helpers import c0_gap, small_bump
+from _helpers import c0_gap, count_solve_steps, small_bump
 
 
 def variational_time_t_jets(field, t, k, n):
@@ -153,6 +153,15 @@ def test_chart_inverse_value_inverts_the_chart(A, k):
     assert float(np.max(np.abs(chart(chart.inverse_value(ys)) - ys))) <= 1e-12
 
 
+@pytest.mark.parametrize("A", [1, 4, 16])
+def test_chart_inverse_takes_few_steps(A, monkeypatch):
+    chart = trajectory_chart(make_rho(A), 2)
+    steps = count_solve_steps(monkeypatch)
+    r = chart.attained - 1e-9
+    chart.inverse_value(np.linspace(-r, r, 1001))
+    assert len(steps) == 1 and steps[0] <= 4
+
+
 def test_chart_conjugation_fixes_small_supported_maps():
     field = make_rho(2)  # plateau [-4, 4]
     u = small_bump(1e-3, center=0.0, radius=1.5)
@@ -178,11 +187,15 @@ def test_flow_refusals_are_typed():
     assert type(e.value) is PreconditionError
 
 
-def test_flow_map_inversion_refuses_at_the_flat_edge():
-    # the slope of the time-1 map collapses like the cutoff ratio near the
-    # edge, so a faithful global inverse is not representable; the solver
-    # must refuse instead of returning a stalled fit (the flow itself
-    # provides the inverse as the time-(-1) map, checked above)
-    from diffeolab import ConstructionError
-    with pytest.raises(ConstructionError):
-        inverse(time_t_map(make_rho(1), 1.0, 2))
+def test_flow_map_inverse_is_faithful_at_the_flat_edge():
+    # the time-1 map flattens toward the edge (least node slope 0.16), yet
+    # its inverse builds and matches the time-(-1) map of the same flow
+    field = make_rho(1)
+    tau = time_t_map(field, 1.0, 2)
+    tau_inv = inverse(tau)
+    exact = time_t_map(field, -1.0, 2)
+    xs = np.linspace(-field.edge - 0.5, field.edge + 0.5, 20001)
+    gap = np.max(np.abs(tau_inv.jet_at(xs, 1) - exact.jet_at(xs, 1)), axis=0)
+    assert gap[0] <= 1e-9
+    assert gap[1] <= 1e-7
+    assert float(np.max(np.abs(tau_inv(tau(xs)) - xs))) <= 1e-9
