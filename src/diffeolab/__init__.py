@@ -34,7 +34,7 @@ from .reduction import (ConjugacyCertificate, LambdaResult, MatherConfig,
                         reduction_sweep, rescale_factor, restrict_periodic,
                         roll_equivariance_residual, roll_norm_check,
                         roll_params, roll_up, spread, spread_once,
-                        sweep_profile, zeta_profile)
+                        sweep_profile, witness_window, zeta_profile)
 from .fixpoint import (FixedPointResult, calibrated_bump, ck_distance,
                        dump_chain, fixed_point_search, load_chain,
                        make_rescaler, rescaler_params, scaling_ratio,
@@ -66,7 +66,7 @@ __all__ = [
     "make_config", "reduce_norm", "reduction_sweep", "rescale_factor",
     "restrict_periodic", "roll_equivariance_residual", "roll_norm_check",
     "roll_params", "roll_up", "spread", "spread_once", "sweep_profile",
-    "zeta_profile",
+    "witness_window", "zeta_profile",
     "FixedPointResult", "calibrated_bump", "ck_distance", "dump_chain",
     "fixed_point_search", "load_chain", "make_rescaler", "rescaler_params",
     "scaling_ratio", "verify_certificate", "write_chain",

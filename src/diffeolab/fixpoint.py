@@ -44,7 +44,7 @@ from .diffeo import (Diffeo1, _build_adaptive, compose, from_preset,
                      from_dict as map_from_dict)
 from .norms import holder_norm
 from .reduction import (MatherConfig, PsiResult, reduce_norm, conjugator,
-                        ConjugacyCertificate, make_config)
+                        ConjugacyCertificate, make_config, witness_window)
 
 
 # -- rescaling conjugator ----------------------------------------------------
@@ -596,7 +596,7 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
                          ("support-u0", u0, cfg.D),
                          ("support-conjugated", g, cfg.E),
                          ("support-reduced", red, cfg.D),
-                         ("support-witness", lam, (cfg.E[0], cfg.E[1] + 1.0))):
+                         ("support-witness", lam, witness_window(cfg))):
         ok, sm = support_within(m, win)
         items.append({"name": name, "stored": None,
                       "recomputed": None if sm is None else list(sm),

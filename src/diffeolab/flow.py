@@ -5,29 +5,38 @@ smooth: rho(x) = S(2A+1-|x|) / (S(2A+1-|x|) + S(|x|-2A)) with
 S(t) = exp(-1/t) for t > 0 and 0 otherwise.
 
 Time-t maps use the 1-D flow identity rho(Phi_t(x)) = Phi_t'(x) rho(x)
-instead of variational equations.  One adaptive high-order Runge-Kutta
-solve integrates only the displacements D = Phi_t(x) - x of all nodes, a
-vector of n scalar ODEs whose right-hand side is the closed-form field
-value.  The jets then follow from the identity: Phi_t' - 1 =
-(rho(x+D) - rho(x)) / rho(x), and order m of its Leibniz expansion gives
-Phi_t^(m+1) from the lower orders through the chain-rule table.  Where
-rho(x) = 0 the map is the identity.  Next to the edge D is so small that
-x + D rounds to x; there rho(x+D) - rho(x) comes from a Taylor shift in
-D from the jets of rho at x, since a difference of two values would
-collapse every jet of such a node to zero.
+instead of variational equations.  A node whose path x -> x + t stays on
+the plateau moves by exactly t with all higher jets 0, and a node where
+rho(x) = 0 never moves.  One adaptive high-order Runge-Kutta solve
+integrates the displacements D = Phi_t(x) - x of the remaining ramp
+nodes only, a vector of scalar ODEs whose right-hand side is the
+closed-form field value.  The jets then follow from the identity:
+Phi_t' - 1 = (rho(x+D) - rho(x)) / rho(x), and order m of its Leibniz
+expansion gives Phi_t^(m+1) from the lower orders through the chain-rule
+table.  Next to the edge D is so small that x + D rounds to x; there
+rho(x+D) - rho(x) comes from a Taylor shift in D from the jets of rho at
+x, since a difference of two values would collapse every jet of such a
+node to zero.
 
-The chart phi(x) is the trajectory of 0 evaluated at time x.  Its
-derivative jets need no extra integration: phi' = rho(phi) is the same
-identity with rho(x) replaced by 1 (x is time), and the same triangular
-recursion gives the higher orders.  phi increases from -2A-1 to 2A+1 but
-only logarithmically fast outside the plateau, so the tabulated window
-ends at W = 8(2A+1) with a constant clamp beyond; the clamp value still
-sits visibly inside the asymptote and inverse lookups are restricted to
-the attained range.
+The chart phi(x) is the trajectory of 0 evaluated at time x.  It is x
+exactly on the plateau [-2A, 2A], and it is odd since rho is even.  Right
+of the plateau phi(2A + s) = 2A + P(s), where the half-edge profile P
+solves P' = R(P), P(0) = 0 with R(s) = rho(2A + s), a ramp that does not
+involve A.  So one profile, integrated once per process for each
+(k, ode_tol) on s in [0, L] with L = PROFILE_SPAN = 40, serves the chart
+of every A.  Its jets need no extra integration: P' = R(P) is the time-t
+identity with rho(x) replaced by 1 (s is time), and the same triangular
+recursion gives the higher orders.  Left of the plateau the jets reflect,
+phi^(m)(-x) = (-1)^(m+1) phi^(m)(x).  phi increases from -2A-1 to 2A+1
+but only logarithmically fast outside the plateau, so the chart is
+clamped to its value at W = 2A + L beyond W; that value,
+attained = 2A + P(L) = 2A + 0.8875, sits visibly inside the asymptote and
+inverse lookups are restricted to the attained range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +60,15 @@ _NODES_PER_UNIT = 256
 # a Taylor shift with this many terms instead of from values at x + d
 _SHIFT_BELOW = 1e-5
 _SHIFT_TERMS = 4
+
+# the chart's half-edge profile P(s) = phi(2A + s) - 2A is tabulated for
+# s in [0, PROFILE_SPAN]; the chart is clamped beyond W = 2A + PROFILE_SPAN
+PROFILE_SPAN = 40.0
+
+# the conjugator checks its pieces on [2A + 0.55, 2A + OVERLAP_REACH] and
+# [-2A - OVERLAP_REACH, -2A] through the chart inverse, so the profile must
+# reach past it: P = 0.884 at s = 32.9, and P(PROFILE_SPAN) = 0.8875
+OVERLAP_REACH = 0.884
 
 
 def _auto_nodes(width: float) -> int:
@@ -178,42 +196,82 @@ def time_t_map(field: PlateauField, t: float, k: int,
     jets = np.zeros((n, k + 1))
     if t == 0.0:
         return Diffeo1("compact", lo, hi, k, jets, tol=tol)
+    # a node whose path x -> x + t stays on the plateau moves by exactly t;
+    # where rho(x) = 0 the node never moves: the map is the identity there
+    flat = (np.abs(xs) <= field.plateau) & (np.abs(xs + t) <= field.plateau)
+    jets[flat, 0] = t
+    ramp = ~flat & (field.values(xs) != 0.0)
+    x = xs[ramp]
     # the displacements D = Phi_t(x) - x; atol = ode_tol^2 leaves ode_tol
     # a relative tolerance down to displacements of size ode_tol
-    sol = solve_ivp(lambda _s, d: field.values(xs + d), (0.0, t), np.zeros(n),
-                    method=_ODE_METHOD, atol=tol.ode_tol ** 2,
-                    rtol=tol.ode_tol, t_eval=[t])
+    sol = solve_ivp(lambda _s, d: field.values(x + d), (0.0, t),
+                    np.zeros(x.size), method=_ODE_METHOD,
+                    atol=tol.ode_tol ** 2, rtol=tol.ode_tol, t_eval=[t])
     if not sol.success:
-        raise ConstructionError(f"flow integration failed: {sol.message}")
-    rj = field.jets(xs, k + _SHIFT_TERMS - 1)
-    # where rho(x) = 0 the node never moves: the map is the identity there
-    live = rj[:, 0] != 0.0
-    x, d, rj = xs[live], sol.y[live, -1], rj[live]
+        raise ConstructionError(
+            f"flow stage: flow integration failed: {sol.message}")
+    d = sol.y[:, -1]
+    rj = field.jets(x, k + _SHIFT_TERMS - 1)
     drho = _rho_shift(field, x, d, rj, k)
     phi = _identity_jets(x + d, rj[:, :k] + drho, rj[:, :k])
-    jets[live, 0] = d
+    jets[ramp, 0] = d
     # Phi' = rho(Phi) / rho, so Phi' - 1 = (rho(x + D) - rho(x)) / rho(x)
-    jets[live, 1] = drho[:, 0] / rj[:, 0]
-    jets[live, 2:] = phi[:, 2:]
+    jets[ramp, 1] = drho[:, 0] / rj[:, 0]
+    jets[ramp, 2:] = phi[:, 2:]
     return Diffeo1("compact", lo, hi, k, jets, tol=tol)
 
 
-class Chart:
-    """Monotone map phi with range inside (-2A-1, 2A+1), tabulated as jets
-    on [-W, W] and clamped to its end values beyond."""
+@dataclass(frozen=True)
+class _EdgeProfile:
+    """The half-edge profile P on [0, PROFILE_SPAN]: node values and the
+    Hermite tables of its jets 0..k on the grid of spacing h."""
+    h: float
+    values: np.ndarray
+    tables: list
 
-    def __init__(self, field: PlateauField, k: int, jets: np.ndarray,
-                 w: float):
+    def jet_at(self, s: np.ndarray, order: int) -> np.ndarray:
+        return _hermite_eval(self.tables, s, 0.0, self.h, order)
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_profile(k: int, ode_tol: float) -> _EdgeProfile:
+    """Integrate P' = R(P), P(0) = 0 on [0, PROFILE_SPAN], with
+    R(s) = rho(2A + s) for every A (the ramp of PlateauField(0)), and
+    tabulate it at _NODES_PER_UNIT nodes per unit with jets 0..k."""
+    ramp = PlateauField(0)
+    n = int(PROFILE_SPAN * _NODES_PER_UNIT) + 1
+    ss = np.linspace(0.0, PROFILE_SPAN, n)
+    sol = solve_ivp(lambda _s, p: ramp.values(p), (0.0, PROFILE_SPAN), [0.0],
+                    method=_ODE_METHOD, atol=ode_tol, rtol=ode_tol, t_eval=ss)
+    if not sol.success:
+        raise ConstructionError(
+            f"flow stage: chart integration failed: {sol.message}")
+    vals = sol.y[0]
+    if not vals[-1] > OVERLAP_REACH:
+        raise ConstructionError(
+            f"flow stage: the chart reaches 2A + {vals[-1]:.6f}, not past "
+            f"the overlap windows' end 2A + {OVERLAP_REACH}")
+    # P' = R(P): the identity with v = 1, since s is time
+    unit = np.zeros((n, k))
+    unit[:, 0] = 1.0
+    jets = _identity_jets(vals, ramp.jets(vals, k - 1), unit)
+    # one profile serves every caller: its arrays are read-only
+    tables = _hermite_tables(jets, ss[1])
+    for arr in (vals, *tables):
+        arr.setflags(write=False)
+    return _EdgeProfile(ss[1], vals, tables)
+
+
+class Chart:
+    """The trajectory chart of a plateau field: phi(x) = x on the plateau
+    [-2A, 2A], 2A + P(x - 2A) right of it, odd, and clamped to its value
+    at W = 2A + PROFILE_SPAN beyond W."""
+
+    def __init__(self, field: PlateauField, k: int, profile: _EdgeProfile):
         self.field = field
         self.k = k
-        self.w = w
-        n = jets.shape[0]
-        self.n = n
-        self.h = 2.0 * w / (n - 1)
-        jets = np.array(jets, dtype=float)
-        jets.setflags(write=False)
-        self.jets = jets
-        self._dc = None
+        self.w = field.plateau + PROFILE_SPAN
+        self._profile = profile
 
     @property
     def asymptote(self) -> float:
@@ -221,24 +279,33 @@ class Chart:
 
     @property
     def attained(self) -> float:
-        """Largest chart value in the table (strictly below the asymptote)."""
-        return float(self.jets[-1, 0])
+        """Largest chart value, 2A + P(L) (strictly below the asymptote)."""
+        return self.field.plateau + float(self._profile.values[-1])
 
     def jet_at(self, x, order: int | None = None) -> np.ndarray:
         if order is None:
             order = self.k
         if order > self.k:
-            raise ValueError("requested order exceeds the chart order")
+            raise PreconditionError(
+                f"flow stage: chart jets of order {order} requested from a "
+                f"chart of order {self.k}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self._dc is None:
-            self._dc = _hermite_tables(self.jets, self.h)
-        xf = np.minimum(np.maximum(x, -self.w), self.w)
-        out = _hermite_eval(self._dc, xf, -self.w, self.h, order)
-        beyond = np.abs(x) > self.w
-        if beyond.any():
-            clamp = np.where(x[beyond] > 0, self.jets[-1, 0], self.jets[0, 0])
-            out[beyond] = 0.0
-            out[beyond, 0] = clamp
+        out = np.zeros(x.shape + (order + 1,))
+        out[..., 0] = x
+        if order >= 1:
+            out[..., 1] = 1.0
+        ax = np.abs(x)
+        ramp = ax > self.field.plateau
+        if ramp.any():
+            s = ax[ramp] - self.field.plateau
+            pj = self._profile.jet_at(np.minimum(s, PROFILE_SPAN), order)
+            beyond = s > PROFILE_SPAN
+            pj[beyond, 1:] = 0.0
+            pj[:, 0] += self.field.plateau
+            # phi is odd: phi^(m)(-x) = (-1)^(m+1) phi^(m)(x)
+            sign = np.where(x[ramp][:, None] < 0.0,
+                            -(-1.0) ** np.arange(order + 1)[None, :], 1.0)
+            out[ramp] = pj * sign
         return out
 
     def __call__(self, x) -> np.ndarray:
@@ -248,46 +315,33 @@ class Chart:
         return float(val[0]) if scalar else val
 
     def inverse_value(self, y) -> np.ndarray:
-        """Solve phi(x) = y inside the tabulated window [-W, W]: bracket
-        each point by its table cell and run the Newton-bisection loop
-        shared with Diffeo1.inverse_values to steps of 1e-12, which takes
-        about 3 steps.  y must lie strictly inside the attained range."""
+        """Solve phi(x) = y: y itself on the plateau, else 2A + s with
+        P(s) = |y| - 2A, bracketed by the profile cell and solved by the
+        Newton-bisection loop shared with Diffeo1.inverse_values to steps
+        of 1e-12, which takes about 3 steps; odd.  |y| must lie strictly
+        below the attained value."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(y <= self.jets[0, 0]) or np.any(y >= self.jets[-1, 0]):
+        if np.any(np.abs(y) >= self.attained):
             raise PreconditionError(
                 "flow stage: chart inverse requested outside attained range")
-        lo, hi, x0 = _cell_bracket(-self.w, self.h, self.jets[:, 0], y)
-        return _solve_increasing(lambda x: self.jet_at(x, 1), y, lo, hi, x0,
-                                 1e-12)
+        x = y.copy()
+        ramp = np.abs(y) > self.field.plateau
+        if ramp.any():
+            p = np.abs(y[ramp]) - self.field.plateau
+            prof = self._profile
+            lo, hi, s0 = _cell_bracket(0.0, prof.h, prof.values, p)
+            s = _solve_increasing(lambda s: prof.jet_at(s, 1), p, lo, hi, s0,
+                                  1e-12)
+            x[ramp] = np.copysign(self.field.plateau + s, y[ramp])
+        return x
 
 
 def trajectory_chart(field: PlateauField, k: int,
                      tol: Tolerances | None = None) -> Chart:
-    """Integrate the trajectory of 0 for time x, for x in [-W, W]."""
+    """The trajectory of 0 as a function of time, on the process's one
+    edge profile for (k, tol.ode_tol)."""
     tol = tol or DEFAULT_TOL
-    w = 8.0 * field.edge
-    n = _auto_nodes(2.0 * w)
-    xs = np.linspace(-w, w, n)
-    half = (n - 1) // 2
-    vals = np.empty(n)
-    vals[half] = 0.0
-
-    for sign, sl in ((1.0, slice(half + 1, n)), (-1.0, slice(half - 1, None, -1))):
-        times = sign * xs[sl] if sign < 0 else xs[sl]
-        sol = solve_ivp(lambda _s, y: sign * field.values(y),
-                        (0.0, float(times[-1])),
-                        [0.0], method=_ODE_METHOD,
-                        atol=tol.ode_tol, rtol=tol.ode_tol,
-                        t_eval=times)
-        if not sol.success:
-            raise ConstructionError(f"chart integration failed: {sol.message}")
-        vals[sl] = sol.y[0]
-
-    # phi' = rho(phi): the identity with v = 1, since x is time
-    unit = np.zeros((n, k))
-    unit[:, 0] = 1.0
-    return Chart(field, k, _identity_jets(vals, field.jets(vals, k - 1), unit),
-                 w)
+    return Chart(field, k, _edge_profile(k, tol.ode_tol))
 
 
 def verify_chart_conjugation(field: PlateauField, b: float, samples: int,

@@ -31,7 +31,7 @@ from .diffeo import (Diffeo1, _build_adaptive, compose, compose_all, inverse,
                      post_translate, refined_grid, support_interval,
                      support_within, translate_conjugate)
 from .errors import ConstructionError, PreconditionError
-from .flow import PlateauField, time_t_map, trajectory_chart
+from .flow import OVERLAP_REACH, PlateauField, time_t_map, trajectory_chart
 from .jets import compose_derivs, invert_derivs
 from .norms import SlackReport, holder_norm
 
@@ -146,6 +146,14 @@ def make_config(k: int, alpha, A: int) -> MatherConfig:
     return MatherConfig(k=k, alpha=alpha, A=A, B=B, D=D, E=E,
                         eps0=spreading_smallness(),
                         delta0=smallness_threshold(k))
+
+
+def witness_window(cfg: MatherConfig) -> tuple[float, float]:
+    """The grid, and so the support bound, of the conjugacy witness:
+    [-2A, 2A + 1], the plateau of the field of cfg.A and its right ramp.
+    lambda_limit needs both maps inside [-2A, 2A], which is E for k >= 2
+    and D for k = 1, so the window is not E widened by one."""
+    return -2.0 * cfg.A, 2.0 * cfg.A + 1.0
 
 
 # -- rolling up ---------------------------------------------------------------
@@ -648,19 +656,18 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
         out[..., 1] -= 1.0
         return out
 
-    attained = chart.attained
-    xs_r = np.linspace(2.0 * A + 0.55, min(2.0 * A + 0.95, attained - 0.02),
-                       101)
+    xs_r = np.linspace(2.0 * A + 0.55, 2.0 * A + OVERLAP_REACH, 101)
     right = float(np.max(np.abs(chart_side(xs_r)[..., 0] - tau_b(xs_r))))
-    xs_l = np.linspace(max(-attained + 0.02, -2.0 * A - 0.95), -2.0 * A, 101)
+    xs_l = np.linspace(-2.0 * A - OVERLAP_REACH, -2.0 * A, 101)
     left = float(np.max(np.abs(chart_side(xs_l)[..., 0] - xs_l)))
     if max(left, right) > tol.overlap:
         raise ConstructionError(
             f"piecewise overlap residual {max(left, right):.3e} exceeds "
             f"{tol.overlap:.1e}")
 
-    n0 = max(257, int(round(256.0 * (4.0 * A + 1.0))) + 1)
-    lam = _build_adaptive("compact", -2.0 * A, 2.0 * A + 1.0, k, fn, n0, tol)
+    lo, hi = witness_window(cfg)
+    n0 = max(257, int(round(256.0 * (hi - lo))) + 1)
+    lam = _build_adaptive("compact", lo, hi, k, fn, n0, tol)
 
     xs_c = np.linspace(-2.0 * A - 2.0, 2.0 * A + 2.0, 2049)
     lhs = tau(v(xs_c))

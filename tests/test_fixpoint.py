@@ -27,6 +27,7 @@ from diffeolab import (
     identity,
     inverse,
     load_chain,
+    log_refined_holder,
     make_config,
     make_rescaler,
     rescale_displacement,
@@ -36,6 +37,7 @@ from diffeolab import (
     support_interval,
     to_dict,
     verify_certificate,
+    witness_window,
     write_chain,
 )
 from diffeolab import diffeo, fixpoint
@@ -264,6 +266,22 @@ def test_search_converges_at_width_8(preset_f):
     res = fixed_point_search(preset_f, make_config(2, ALPHA, 8))
     assert res.converged and res.residual <= 1e-6
     assert verify_certificate(res.chain)["ok"]
+
+
+def test_k1_chains_replay_their_own_witness_window():
+    # at k = 1 the source window E is [-2, 2] while the witness lives on
+    # [-2A, 2A + 1]; the replay must bound it by the same window
+    alpha = log_refined_holder(0.5, 0.3)
+    cfg1 = make_config(1, alpha, 8)
+    assert witness_window(cfg1) == (-16.0, 17.0)
+    f = calibrated_bump(0.3 * cfg1.delta0, alpha, k=1, center=0.1)
+    res = fixed_point_search(f, cfg1)
+    assert res.converged
+    report = verify_certificate(json.loads(dump_chain(res.chain)))
+    assert report["ok"], [it for it in report["items"] if not it["ok"]]
+    # at k >= 2 the window is E widened by one unit to the right, as before
+    cfg2 = make_config(2, alpha, 8)
+    assert witness_window(cfg2) == (cfg2.E[0], cfg2.E[1] + 1.0)
 
 
 def test_search_reports_no_convergence_honestly(preset_f, cfg):

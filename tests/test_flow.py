@@ -10,6 +10,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from diffeolab import (
+    DEFAULT_TOL,
+    ConstructionError,
     PreconditionError,
     compose,
     compose_derivs,
@@ -21,6 +23,7 @@ from diffeolab import (
     verify_chart_conjugation,
     verify_chart_fixes_support,
 )
+from diffeolab import flow
 from _helpers import c0_gap, count_solve_steps, small_bump
 
 
@@ -103,6 +106,37 @@ def test_flow_maps_keep_orientation_for_long_times():
         assert np.all(slopes > 0.0)
 
 
+@pytest.mark.parametrize("A", [1, 4])
+@pytest.mark.parametrize("t", [1.0, 0.6, -4.19e-6, -2.5])
+def test_plateau_nodes_move_by_exactly_t(A, t):
+    field = make_rho(A)
+    tau = time_t_map(field, t, 3)
+    xs = tau.nodes
+    flat = (np.abs(xs) <= field.plateau) & (np.abs(xs + t) <= field.plateau)
+    assert flat.sum() > 100
+    assert np.all(tau.jets[flat, 0] == t)
+    assert np.all(tau.jets[flat, 1:] == 0.0)
+
+
+@pytest.mark.parametrize("A", [1, 4])
+@pytest.mark.parametrize("t", [1.0, 0.6, -4.19e-6])
+def test_ramp_nodes_match_an_all_node_integration(A, t):
+    # the map integrates only the nodes whose path meets a ramp; one solve
+    # over every node, with the same tolerances, must give the same
+    # displacements there
+    field = make_rho(A)
+    tau = time_t_map(field, t, 2)
+    xs = tau.nodes
+    ode_tol = DEFAULT_TOL.ode_tol
+    sol = solve_ivp(lambda _s, d: field.values(xs + d), (0.0, t),
+                    np.zeros(xs.size), method="DOP853", atol=ode_tol ** 2,
+                    rtol=ode_tol, t_eval=[t])
+    assert sol.success
+    ramp = (np.abs(xs) > field.plateau) | (np.abs(xs + t) > field.plateau)
+    gap = np.abs(tau.jets[ramp, 0] - sol.y[ramp, -1])
+    assert float(np.max(gap)) <= 1e-11
+
+
 @pytest.mark.parametrize("A,t", [(1, 0.6), (4, 1.0), (8, -0.37)])
 def test_time_t_map_matches_variational_route(A, t):
     # node jets of the 1-D identity route against the variational ODE;
@@ -135,6 +169,69 @@ def test_chart_is_identity_inside_and_bounded_outside():
     far = float(chart.jet_at(np.array([10.0 * field.plateau]), 0)[0, 0])
     assert far < field.edge
     assert chart.attained < chart.asymptote
+
+
+@pytest.mark.parametrize("A", [1, 4])
+def test_chart_is_exactly_the_identity_on_the_plateau(A):
+    chart = trajectory_chart(make_rho(A), 3)
+    xs = np.linspace(-2.0 * A, 2.0 * A, 4001)
+    jets = chart.jet_at(xs)
+    assert jets[:, 0].tobytes() == xs.tobytes()
+    assert np.all(jets[:, 1] == 1.0) and np.all(jets[:, 2:] == 0.0)
+    np.testing.assert_array_equal(chart.inverse_value(xs), xs)
+
+
+@pytest.mark.parametrize("A", [1, 4])
+def test_chart_is_exactly_odd(A):
+    chart = trajectory_chart(make_rho(A), 3)
+    xs = np.linspace(0.0, chart.w + 3.0, 20001)
+    pos, neg = chart.jet_at(xs), chart.jet_at(-xs)
+    assert (-pos[:, 0]).tobytes() == neg[:, 0].tobytes()
+    # phi^(m)(-x) = (-1)^(m+1) phi^(m)(x) exactly (0.0 == -0.0 here)
+    np.testing.assert_array_equal(neg[:, 1:], pos[:, 1:] * [1.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("A", [1, 4])
+def test_chart_matches_a_direct_trajectory_of_zero(A):
+    # the chart rests on one A-free profile; the trajectory of 0 under the
+    # field of this A, integrated here from time 0, must agree with it
+    field = make_rho(A)
+    times = np.linspace(2.0 * A, 2.0 * A + 32.0, 1001)
+    sol = solve_ivp(lambda _s, y: field.values(y), (0.0, times[-1]), [0.0],
+                    method="DOP853", atol=1e-13, rtol=1e-13, t_eval=times)
+    assert sol.success
+    chart = trajectory_chart(field, 2)
+    assert float(np.max(np.abs(chart(times) - sol.y[0]))) <= 1e-10
+    assert float(np.max(np.abs(chart(-times) + sol.y[0]))) <= 1e-10
+
+
+def test_one_profile_serves_every_width(monkeypatch):
+    calls = []
+    solve = flow.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("rtol"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_ivp", counted)
+    # tolerances no other test uses, so neither profile is cached yet
+    tol = DEFAULT_TOL.with_overrides(ode_tol=2.5e-12)
+    charts = [trajectory_chart(make_rho(A), 2, tol=tol) for A in (1, 2, 4, 8)]
+    assert calls == [2.5e-12]
+    assert all(c._profile is charts[0]._profile for c in charts)
+    trajectory_chart(make_rho(4), 2,
+                     tol=DEFAULT_TOL.with_overrides(ode_tol=3.5e-12))
+    assert calls == [2.5e-12, 3.5e-12]
+
+
+def test_profile_refuses_a_reach_it_does_not_attain(monkeypatch):
+    # the conjugator's overlap windows end at 2A + OVERLAP_REACH, which
+    # the chart inverse must reach inside the profile
+    assert flow.OVERLAP_REACH < trajectory_chart(make_rho(1), 2).attained - 2
+    monkeypatch.setattr(flow, "OVERLAP_REACH", 0.95)
+    tol = DEFAULT_TOL.with_overrides(ode_tol=4.5e-12)
+    with pytest.raises(ConstructionError, match="flow stage"):
+        trajectory_chart(make_rho(1), 2, tol=tol)
 
 
 def test_chart_conjugates_translation_to_the_flow():
@@ -184,6 +281,9 @@ def test_flow_refusals_are_typed():
     assert type(e.value) is PreconditionError
     with pytest.raises(PreconditionError, match="flow stage") as e:
         chart.inverse_value(np.array([field.edge]))
+    assert type(e.value) is PreconditionError
+    with pytest.raises(PreconditionError, match="flow stage") as e:
+        chart.jet_at(np.array([0.5, 2.5]), 3)
     assert type(e.value) is PreconditionError
 
 
