@@ -123,7 +123,10 @@ def _make_run_config(args) -> RunConfig:
     )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _common_parser() -> argparse.ArgumentParser:
+    """The flags every leaf command takes, built once and passed to each
+    leaf as a parent parser; the --tol-* flags stay out of --help."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--k", type=int, default=None, help="jet order")
     p.add_argument("--alpha", default=None,
                    help="modulus: holder:0.5 | omegaz:0.5,0.3 | file:PATH")
@@ -136,6 +139,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--tol-{name.replace('_', '-')}",
                        dest=f"tol_{name}", type=kind, default=None,
                        help=argparse.SUPPRESS)
+    return p
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -666,38 +670,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical workbench for norm reduction on the "
                     "diffeomorphism group of the line.")
     sub = ap.add_subparsers(dest="command", required=True)
+    common = [_common_parser()]
 
     p = sub.add_parser("modulus", help="analyze a concave modulus")
     ps = p.add_subparsers(dest="op", required=True)
-    pa = ps.add_parser("analyze", help="tameness verdict and law checks")
+    pa = ps.add_parser("analyze", parents=common,
+                       help="tameness verdict and law checks")
     pa.add_argument("--holder", type=float, default=None,
                     help="shortcut for --alpha holder:S")
-    _add_common(pa)
     pa.set_defaults(fn=_cmd_modulus)
 
     p = sub.add_parser("diffeo", help="interpolation model checks")
     ps = p.add_subparsers(dest="op", required=True)
-    pc = ps.add_parser("check", help="inverse and serialization residuals")
+    pc = ps.add_parser("check", parents=common,
+                       help="inverse and serialization residuals")
     pc.add_argument("--preset", default="smooth_bump_displacement")
     pc.add_argument("--eps", type=float, default=1e-3)
-    _add_common(pc)
     pc.set_defaults(fn=_cmd_diffeo)
 
     p = sub.add_parser("norms", help="norm and seminorm measurement")
     ps = p.add_subparsers(dest="op", required=True)
-    pm = ps.add_parser("measure", help="full norm report for a preset")
+    pm = ps.add_parser("measure", parents=common,
+                       help="full norm report for a preset")
     pm.add_argument("--preset", default="smooth_bump_displacement")
     pm.add_argument("--eps", type=float, default=1e-3)
-    _add_common(pm)
     pm.set_defaults(fn=_cmd_norms)
 
     p = sub.add_parser("flow", help="plateau-field flow checks")
     ps = p.add_subparsers(dest="op", required=True)
-    pf = ps.add_parser("chart",
+    pf = ps.add_parser("chart", parents=common,
                        help="trajectory-chart conjugation residuals")
     pf.add_argument("--b", type=float, default=0.6)
     pf.add_argument("--samples", type=int, default=33)
-    _add_common(pf)
     pf.set_defaults(fn=_cmd_flow)
 
     p = sub.add_parser("mather", help="rolling up, spreading, reduction")
@@ -706,41 +710,40 @@ def build_parser() -> argparse.ArgumentParser:
             ("gamma", 1e-5, "rolling-up word checks"),
             ("omega", 3e-5, "spreading round trip"),
             ("lambda", 4e-6, "conjugacy witness for one reduction")):
-        po = ps.add_parser(op, help=blurb)
+        po = ps.add_parser(op, parents=common, help=blurb)
         po.add_argument("--eps", type=float, default=eps_default)
-        _add_common(po)
         po.set_defaults(fn=_cmd_mather)
-    pp = ps.add_parser("psi", help="norm-reduction ratio sweep")
+    pp = ps.add_parser("psi", parents=common,
+                       help="norm-reduction ratio sweep")
     pp.add_argument("--sweep", default="1,2,4,8",
                     help="comma-separated width parameters")
-    _add_common(pp)
     pp.set_defaults(fn=_cmd_mather)
 
     p = sub.add_parser("perfect", help="fixed-point experiment")
     ps = p.add_subparsers(dest="op", required=True)
-    pf = ps.add_parser("fixpoint", help="run the iteration, emit a chain")
+    pf = ps.add_parser("fixpoint", parents=common,
+                       help="run the iteration, emit a chain")
     pf.add_argument("--in", dest="infile", required=True,
                     help="JSON file describing the input map")
     pf.add_argument("--out-chain", dest="outfile", default="chain.json")
-    _add_common(pf)
     pf.set_defaults(fn=_cmd_perfect)
-    pv = ps.add_parser("verify", help="replay a certificate chain")
+    pv = ps.add_parser("verify", parents=common,
+                       help="replay a certificate chain")
     pv.add_argument("chain")
     pv.add_argument("--report", default=None)
-    _add_common(pv)
     pv.set_defaults(fn=_cmd_perfect)
 
-    p = sub.add_parser("verify", help="cross-module invariant battery")
+    p = sub.add_parser("verify", parents=common,
+                       help="cross-module invariant battery")
     p.add_argument("--suite", default="all",
                    help="all or comma-separated: " + ",".join(_SUITES))
-    _add_common(p)
     p.set_defaults(fn=_cmd_verify, op=None)
 
-    p = sub.add_parser("emit-plots", help="write the standard data tables")
+    p = sub.add_parser("emit-plots", parents=common,
+                       help="write the standard data tables")
     p.add_argument("--tables", default="sweep,tameness,lcm,traces")
     p.add_argument("--sweep", default="1,2,4,8")
     p.add_argument("--fix-norm", type=float, default=1e-3)
-    _add_common(p)
     p.set_defaults(fn=_cmd_emit_plots, op=None)
 
     return ap

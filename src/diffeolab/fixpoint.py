@@ -258,7 +258,8 @@ def _renorm_full(u: Diffeo1, f: Diffeo1,
     inside, supp = support_within(red.map, cfg.D)
     if not inside:
         raise ConstructionError(
-            f"iterate support {supp} escapes the target interval {cfg.D}")
+            f"reduction stage: iterate support {supp} escapes the target "
+            f"interval {cfg.D}")
     return RenormStep(map=red.map, conjugated=g, reduction=red,
                       norm_composed=norm_fu)
 
@@ -449,7 +450,10 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
             "rolled_slope": float(step.reduction.rolled_slope),
         })
         if residual <= tol.fix_tol:
-            cert = conjugator(step.conjugated, step.map, cfg, tol)
+            try:
+                cert = conjugator(step.conjugated, step.map, cfg, tol)
+            except (PreconditionError, ConstructionError) as e:
+                raise type(e)(f"certificate stage: {e}") from e
             chain = _assemble_chain(f, u, params, step, cert,
                                     float(residual), cfg, tol, it, trace)
             return FixedPointResult(u0=u, iterations=it,

@@ -167,18 +167,41 @@ def _sup_norms(f: Diffeo1) -> tuple[float, float]:
     return s0, s1
 
 
+def _apply_letter(g: Diffeo1, Y: np.ndarray, order: int) -> None:
+    """Replace the jets Y (points x orders 0..order) by those of g o Y,
+    in place.  A compact g is the identity off (g.a, g.b): there jet_at
+    gives exactly (x, 1, 0, ...) and compose_derivs returns Y itself, up
+    to the sign of a zero.  So only the index range from the first to the
+    last point strictly inside (g.a, g.b) is evaluated.  The range is a
+    contiguous superset of those points and needs no sorted order; a point
+    in it but off the grid still gets the exact identity.  Any other g
+    acts on every point.  The base points are copied out of Y first: a
+    contiguous array compares and evaluates faster than Y's column."""
+    x = Y[:, 0].copy()
+    if g.tail == "compact":
+        inside = (x > g.a) & (x < g.b)
+        if not inside.any():
+            return
+        lo, hi = int(inside.argmax()), x.size - int(inside[::-1].argmax())
+        Y, x = Y[lo:hi], x[lo:hi]
+    Y[:] = compose_derivs(g.jet_at(x, order), Y)
+
+
 def roll_word(g: Diffeo1, x, r, s: int, order: int | None = None) -> np.ndarray:
     """Full-map jets of the word (shift by r-s) o (Tg)^s o (shift by -r)
-    at the points x; r may be a scalar or per-point."""
+    at the points x; r may be a scalar or per-point.  Each letter g acts
+    only on the points inside its grid (_apply_letter); the floats are
+    those of applying it everywhere."""
     order = g.k if order is None else order
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r = np.asarray(r, dtype=float)
-    Y = np.zeros(x.shape + (order + 1,))
-    Y[..., 0] = x - r
-    Y[..., 1] = 1.0
+    Y = np.zeros((x.size, order + 1))
+    Y[:, 0] = (x - r).ravel()
+    Y[:, 1] = 1.0
     for _ in range(int(s)):
-        Y = compose_derivs(g.jet_at(Y[..., 0], order), Y)
-        Y[..., 0] += 1.0
+        _apply_letter(g, Y, order)
+        Y[:, 0] += 1.0
+    Y = Y.reshape(x.shape + (order + 1,))
     Y[..., 0] += r - float(s)
     return Y
 
@@ -520,7 +543,10 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     left of -2A, and the quotient of the rolled-up maps right of
     2A + 1/2.  Conjugating the unit shift by it carries shifted-u words
     to shifted-v words.  The rolled quotient is built once; its mean
-    translation and the deviation from it are reported with the word."""
+    translation and the deviation from it are reported with the word.
+    Each letter acts only on the points inside its grid (_apply_letter);
+    the floats are those of applying it everywhere.  A length s above
+    tol.word_cap is refused before the word is built."""
     tol = tol or DEFAULT_TOL
     k = u.k
     A = cfg.A
@@ -539,36 +565,37 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
         raise PreconditionError("displacement sup reaches 1")
     lo = -2.0 * A
     hi = 2.0 * A + 2.5
-    quot = compose(roll_up(v, tol), inverse(roll_up(u, tol), tol), tol)
-    xs_p = np.linspace(quot.a, quot.a + 1.0, 2049)
-    tvals = quot(xs_p) - xs_p
-    b = float(np.mean(tvals))
-    dev = float(np.max(np.abs(tvals - b)))
     u_inv = inverse(u, tol)
 
     s = int(math.ceil((4.0 * A + 1.5) / (1.0 - a)))
     while True:
+        if s > tol.word_cap:
+            raise ConstructionError(f"word length {s} exceeds the cap")
         y = hi
         for _ in range(s):
             y = float(u_inv(np.array(y - 1.0)))
         if y <= -2.0 * A:
             break
         s += int(math.ceil((y + 2.0 * A) / (1.0 - a))) + 1
-        if s > tol.word_cap:
-            raise ConstructionError(f"word length {s} exceeds the cap")
+
+    quot = compose(roll_up(v, tol), inverse(roll_up(u, tol), tol), tol)
+    xs_p = np.linspace(quot.a, quot.a + 1.0, 2049)
+    tvals = quot(xs_p) - xs_p
+    b = float(np.mean(tvals))
+    dev = float(np.max(np.abs(tvals - b)))
 
     def fn(xs: np.ndarray) -> np.ndarray:
-        Y = np.zeros(xs.shape + (k + 1,))
-        Y[..., 0] = xs
-        Y[..., 1] = 1.0
+        Y = np.zeros((xs.size, k + 1))
+        Y[:, 0] = xs
+        Y[:, 1] = 1.0
         for _ in range(s):
-            Y[..., 0] -= 1.0
-            Y = compose_derivs(u_inv.jet_at(Y[..., 0], k), Y)
+            Y[:, 0] -= 1.0
+            _apply_letter(u_inv, Y, k)
         for _ in range(s):
-            Y = compose_derivs(v.jet_at(Y[..., 0], k), Y)
-            Y[..., 0] += 1.0
-        Y[..., 0] -= xs
-        Y[..., 1] -= 1.0
+            _apply_letter(v, Y, k)
+            Y[:, 0] += 1.0
+        Y[:, 0] -= xs
+        Y[:, 1] -= 1.0
         return Y
 
     n0 = max(257, int(round(256.0 * (hi - lo))) + 1)

@@ -5,6 +5,7 @@ part of the contract: 0 success, 1 failed verification, 2 usage errors,
 3 refused preconditions.
 """
 
+import argparse
 import dataclasses
 import json
 import re
@@ -15,7 +16,8 @@ import pytest
 
 import diffeolab
 from diffeolab import Tolerances, calibrated_bump, holder, to_dict
-from diffeolab.cli import EXIT_OK, EXIT_REFUSED, EXIT_USAGE, EXIT_VERIFY, main
+from diffeolab.cli import (EXIT_OK, EXIT_REFUSED, EXIT_USAGE, EXIT_VERIFY,
+                           build_parser, main)
 
 
 def run(*argv):
@@ -59,6 +61,41 @@ def test_exit_codes_are_distinct(tmp_path):
 def test_help_exits_cleanly(capsys):
     assert run("--help") == EXIT_OK
     assert "diffeolab" in capsys.readouterr().out
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_parsers(child, path + (name,))
+
+
+def test_every_leaf_command_takes_the_common_flags():
+    want = {"--k": ("k", int), "--alpha": ("alpha", None),
+            "--A": ("A", int), "--seed": ("seed", int),
+            "--out": ("out", None), "--config": ("config", None)}
+    for f in dataclasses.fields(Tolerances):
+        want[f"--tol-{f.name.replace('_', '-')}"] = (f"tol_{f.name}",
+                                                    type(f.default))
+    required = {("perfect", "fixpoint"): ["--in", "f.json"],
+                ("perfect", "verify"): ["chain.json"]}
+    common = ["--k", "3", "--alpha", "holder:0.4", "--A", "2", "--seed", "5",
+              "--out", "o", "--config", "c.json", "--tol-word-cap", "9"]
+    leaves = list(_leaf_parsers(build_parser()))
+    assert len(leaves) == 12
+    for path, leaf in leaves:
+        got = {o: (a.dest, a.type) for a in leaf._actions
+               for o in a.option_strings if o in want}
+        assert got == want, path
+        assert "--tol" not in leaf.format_help(), path
+        ns = build_parser().parse_args(
+            list(path) + required.get(path, []) + common)
+        assert (ns.k, ns.alpha, ns.A, ns.seed, ns.out, ns.config,
+                ns.tol_word_cap) == (3, "holder:0.4", 2, 5, "o", "c.json",
+                                     9), path
 
 
 # -- analysis commands ----------------------------------------------------------------

@@ -293,6 +293,13 @@ def test_search_reports_no_convergence_honestly(preset_f, cfg):
     assert res.residual > 1e-30
 
 
+def test_search_names_the_certificate_stage(preset_f, cfg):
+    tol = DEFAULT_TOL.with_overrides(overlap=1e-300)
+    with pytest.raises(ConstructionError,
+                       match="^certificate stage: piecewise overlap"):
+        fixed_point_search(preset_f, cfg, tol=tol)
+
+
 def test_search_refuses_inadmissible_input(cfg):
     with pytest.raises(PreconditionError):
         fixed_point_search(small_bump(1e-2, radius=1.5), cfg)  # too large

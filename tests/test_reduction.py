@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from diffeolab import (
+    DEFAULT_TOL,
+    ConstructionError,
+    Diffeo1,
     PreconditionError,
     blend_toward_identity,
     compose_all,
@@ -32,8 +35,11 @@ from diffeolab import (
     support_interval,
     sweep_profile,
 )
-from diffeolab import reduction
+from diffeolab import from_preset, reduction
+from diffeolab.diffeo import _build_adaptive
+from diffeolab.jets import compose_derivs
 from diffeolab.reduction import (
+    _apply_letter,
     blend_excess,
     disjoint_product_check,
     roll_word,
@@ -245,6 +251,121 @@ def test_lambda_limit_agrees_with_rolled_quotient_on_the_right():
     # identity on the far left
     left = np.linspace(-2.0 * cfg.A - 3.0, -2.0 * cfg.A, 200)
     assert float(np.max(np.abs(lam.map(left) - left))) <= 1e-9
+
+
+# The reference words: every letter applied to every point.
+
+def _plain_letter(g, Y, order):
+    return compose_derivs(g.jet_at(Y[..., 0], order), Y)
+
+
+def _plain_roll_word(g, x, r, s, order):
+    Y = np.zeros(x.shape + (order + 1,))
+    Y[..., 0] = x - r
+    Y[..., 1] = 1.0
+    for _ in range(s):
+        Y = _plain_letter(g, Y, order)
+        Y[..., 0] += 1.0
+    Y[..., 0] += r - float(s)
+    return Y
+
+
+def _plain_lambda_map(u, v, A, s):
+    k = u.k
+    u_inv = inverse(u)
+
+    def fn(xs):
+        Y = np.zeros(xs.shape + (k + 1,))
+        Y[..., 0] = xs
+        Y[..., 1] = 1.0
+        for _ in range(s):
+            Y[..., 0] -= 1.0
+            Y = _plain_letter(u_inv, Y, k)
+        for _ in range(s):
+            Y = _plain_letter(v, Y, k)
+            Y[..., 0] += 1.0
+        Y[..., 0] -= xs
+        Y[..., 1] -= 1.0
+        return Y
+
+    lo, hi = -2.0 * A, 2.0 * A + 2.5
+    n0 = max(257, int(round(256.0 * (hi - lo))) + 1)
+    return _build_adaptive("ep", lo, hi, k, fn, n0, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("k, A", [(2, 4), (3, 2)])
+def test_lambda_limit_word_is_bitwise_the_unmasked_word(k, A):
+    cfg = make_config(k, ALPHA, A)
+    if k == 2:
+        u = sweep_profile(A, k)
+        v = reduce_norm(u, cfg).map
+    else:
+        u = sweep_profile(A, k, eps=1e-7)
+        v = sweep_profile(A, k, eps=5e-8, phase=1.0)
+    lam = lambda_limit(u, v, cfg)
+    ref = _plain_lambda_map(u, v, A, lam.word_length // 2)
+    assert (lam.map.a, lam.map.b, lam.map.n) == (ref.a, ref.b, ref.n)
+    assert np.array_equal(lam.map.jets, ref.jets)
+
+
+def test_roll_word_is_bitwise_the_unmasked_word_on_unsorted_points():
+    rng = np.random.default_rng(41)
+    g = small_bump(2e-3, center=0.4, radius=0.8)
+    xs = rng.permutation(np.linspace(-3.0, 4.0, 1501))
+    r = rng.integers(-2, 3, xs.size).astype(float) + np.ceil(xs - g.a)
+    _, _, _, s = roll_params(g)
+    for order in (1, 2):
+        want = _plain_roll_word(g, xs, r, s, order)
+        assert np.array_equal(roll_word(g, xs, r, s, order), want)
+
+
+def test_a_letter_on_a_grid_wider_than_its_support():
+    bump = small_bump(1e-3, center=0.2, radius=0.7, n=257)
+    xs = np.linspace(-3.0, 3.0, 1537)
+    jets = np.zeros((xs.size, 3))
+    on = (xs > bump.a) & (xs < bump.b)
+    jets[on] = bump.displacement_jets(xs[on], 2)
+    wide = Diffeo1("compact", -3.0, 3.0, 2, jets)
+    assert support_interval(wide)[1] - support_interval(wide)[0] < 2.0
+    rng = np.random.default_rng(42)
+    pts = rng.uniform(-5.0, 5.0, 801)
+    Y = np.stack([pts, rng.uniform(0.5, 2.0, pts.size),
+                  rng.normal(size=pts.size)], axis=1)
+    want = _plain_letter(wide, Y, 2)
+    _apply_letter(wide, Y, 2)
+    assert np.array_equal(Y, want)
+    # the inverse of a compact map is a letter of the word too
+    u_inv = inverse(wide)
+    Y = want.copy()
+    want = _plain_letter(u_inv, Y, 2)
+    _apply_letter(u_inv, Y, 2)
+    assert np.array_equal(Y, want)
+
+
+def test_a_batch_outside_the_letter_grid_is_left_alone():
+    g = small_bump(1e-3, center=0.0, radius=0.5)
+    pts = np.concatenate([np.linspace(-4.0, g.a, 50),
+                          np.linspace(g.b, 4.0, 50)])
+    Y = np.stack([pts, np.full(pts.size, 1.5), np.full(pts.size, -0.25)],
+                 axis=1)
+    before = Y.copy()
+    _apply_letter(g, Y, 2)
+    assert np.array_equal(Y, before)
+    assert np.array_equal(Y, _plain_letter(g, before, 2))
+
+
+def test_lambda_limit_refuses_a_word_above_the_cap_before_building(
+        monkeypatch):
+    cfg = make_config(2, ALPHA, 1)
+    u = from_preset("smooth_bump_displacement",
+                    {"eps": 0.2, "radius": 0.9, "k": 2})
+    built = []
+    monkeypatch.setattr(reduction, "_build_adaptive",
+                        lambda *a, **kw: built.append(a[0]))
+    tol = DEFAULT_TOL.with_overrides(word_cap=6)
+    with pytest.raises(ConstructionError, match="word length 7 exceeds"):
+        lambda_limit(u, u, cfg, tol)
+    assert built == []
 
 
 def test_conjugator_certificate_for_a_reduced_pair(monkeypatch):
