@@ -26,10 +26,6 @@ def coeffs_to_derivs(c: np.ndarray) -> np.ndarray:
     return c * factorials(c.shape[-1] - 1)
 
 
-def derivs_to_coeffs(d: np.ndarray) -> np.ndarray:
-    return d / factorials(d.shape[-1] - 1)
-
-
 def tconst(value, k: int, shape=()) -> np.ndarray:
     out = np.zeros(shape + (k + 1,))
     out[..., 0] = value
@@ -84,21 +80,6 @@ def texp(a: np.ndarray) -> np.ndarray:
         j = np.arange(1, n + 1)
         out[..., n] = np.einsum("...j,...j->...", a[..., 1 : n + 1] * j, out[..., n - 1 :: -1][..., :n]) / n
     return out
-
-
-def tsincos(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sin a, cos a) as series via the coupled recursion."""
-    k = a.shape[-1] - 1
-    s = np.zeros(a.shape)
-    c = np.zeros(a.shape)
-    s[..., 0] = np.sin(a[..., 0])
-    c[..., 0] = np.cos(a[..., 0])
-    for n in range(1, k + 1):
-        j = np.arange(1, n + 1)
-        aj = a[..., 1 : n + 1] * j
-        s[..., n] = np.einsum("...j,...j->...", aj, c[..., n - 1 :: -1][..., :n]) / n
-        c[..., n] = -np.einsum("...j,...j->...", aj, s[..., n - 1 :: -1][..., :n]) / n
-    return s, c
 
 
 def exp_well_series(t: np.ndarray, k: int) -> np.ndarray:

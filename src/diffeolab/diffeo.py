@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import _taylor
-from .config import DEFAULT_TOL, EVAL_DENSITY, Tolerances
+from .config import DEFAULT_TOL, Tolerances
 from .errors import ConstructionError, PreconditionError
 from .jets import MAX_ORDER, compose_derivs, invert_derivs
 
@@ -627,106 +627,3 @@ def from_dict(d: dict, tol: Tolerances | None = None) -> Diffeo1:
     if jets.shape != (n, k + 1):
         raise ValueError("jet array shape disagrees with grid/order fields")
     return Diffeo1(tail, a, b, k, jets, tol=tol)
-
-
-# -- fragmentation -----------------------------------------------------------
-
-def _partition_series(xs: np.ndarray, cover: list[tuple[float, float]],
-                      k: int) -> list[np.ndarray]:
-    """Taylor coefficients at xs of a partition of unity subordinate to the
-    cover, built from smoothed steps; valid where the cover has depth."""
-    bumps = []
-    for (l, r) in cover:
-        w = (r - l) / 4.0
-        tl = (xs - l) / w
-        tr = (r - xs) / w
-        sl = _taylor.compose_affine(_taylor.smoothstep_series(tl, k), 1.0 / w)
-        sr = _taylor.compose_affine(_taylor.smoothstep_series(tr, k), -1.0 / w)
-        bumps.append(_taylor.tmul(sl, sr))
-    total = np.sum(bumps, axis=0)
-    covered = total[:, 0] > 1e-12
-    parts = []
-    for psi in bumps:
-        phi = np.zeros_like(psi)
-        if covered.any():
-            phi[covered] = _taylor.tdiv(psi[covered], total[covered])
-        parts.append(phi)
-    return parts
-
-
-def fragment(g: Diffeo1, cover: list[tuple[float, float]],
-             tol: Tolerances | None = None) -> list[Diffeo1]:
-    """Split g into a composition of maps, each supported in one cover
-    element: the returned list composes left-to-right back to g.
-
-    Refuses (PreconditionError) when the measured C^1 size of g is not
-    below 1/(2K), K = 2 + sum of the partition derivative sups, and fails
-    (ConstructionError) when the product misses g by more than 1e-8.
-    """
-    tol = tol or DEFAULT_TOL
-    if g.tail != "compact":
-        raise ValueError("fragmentation expects a compactly supported map")
-    cover = sorted([(float(l), float(r)) for (l, r) in cover])
-    if not cover:
-        raise ValueError("empty cover")
-    for (l, r) in cover:
-        if not r > l:
-            raise ValueError("cover elements must be nonempty open intervals")
-
-    supp = support_interval(g, slack=tol.node_zero)
-    if supp is None:
-        return []
-    lo_s, hi_s = supp
-    reach = cover[0][1]
-    if cover[0][0] >= lo_s:
-        raise PreconditionError("cover does not reach left of the support")
-    for (l, r) in cover[1:]:
-        if l >= reach and l < hi_s:
-            raise PreconditionError(f"cover gap at {l:.6g}")
-        reach = max(reach, r)
-    if reach <= hi_s:
-        raise PreconditionError("cover does not reach right of the support")
-
-    xs = g.nodes
-    parts = _partition_series(xs, cover, g.k)
-
-    dense = refined_grid(g, EVAL_DENSITY)
-    parts_dense = _partition_series(dense, cover, g.k)
-    phi_slopes = [float(np.max(np.abs(p[:, 1]))) for p in parts_dense]
-    big_k = 2.0 + sum(phi_slopes)
-    uj = g.displacement_jets(dense, 1)
-    eps = max(float(np.max(np.abs(uj[:, 0]))), float(np.max(np.abs(uj[:, 1]))))
-    if not eps < 0.5 / big_k:
-        raise PreconditionError(
-            f"fragmentation refused: C^1 size {eps:.3e} is not below "
-            f"1/(2K) = {0.5 / big_k:.3e} (K = {big_k:.3f})")
-
-    u_coeffs = _taylor.derivs_to_coeffs(np.array(g.jets))
-    stages = [identity(g.k, g.a, g.b)]
-    running = np.zeros_like(parts[0])
-    for phi in parts:
-        running = running + phi
-        disp = _taylor.coeffs_to_derivs(_taylor.tmul(running, u_coeffs))
-        stages.append(Diffeo1("compact", g.a, g.b, g.k, disp, tol=tol))
-
-    pieces = []
-    for j in range(1, len(stages)):
-        if j == 1:
-            piece = stages[1]
-        else:
-            piece = compose(inverse(stages[j - 1], tol), stages[j], tol)
-        pieces.append(piece)
-        got = support_interval(piece, slack=1e-9)
-        l, r = cover[j - 1]
-        cell = piece.h
-        if got is not None and (got[0] < l - cell or got[1] > r + cell):
-            raise ConstructionError(
-                f"fragment {j} leaks outside its cover element")
-
-    recon = compose_all(pieces, tol)
-    probe = refined_grid(g, 4)
-    err = float(np.max(np.abs(recon(probe) - g(probe))))
-    if err > 1e-8:
-        raise ConstructionError(
-            f"fragment product misses the original by {err:.3e}")
-    return pieces

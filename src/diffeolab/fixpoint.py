@@ -44,7 +44,8 @@ from .diffeo import (Diffeo1, _build_adaptive, compose, from_preset,
                      from_dict as map_from_dict)
 from .norms import holder_norm
 from .reduction import (MatherConfig, PsiResult, reduce_norm, conjugator,
-                        ConjugacyCertificate, make_config, witness_window)
+                        ConjugacyCertificate, make_config, rescale_factor,
+                        witness_window)
 
 
 # -- rescaling conjugator ----------------------------------------------------
@@ -414,11 +415,20 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
     is stationary, then certify the run.
 
     Stationarity means the C^k distance between the iterate and its image
-    is at most tol.fix_tol, within at most tol.fix_max_iter steps.
+    is at most tol.fix_tol, within at most tol.fix_max_iter steps.  At
+    A=1 neither the rescaling nor the norm scaling shrinks anything, so
+    the search refuses before it builds a map.
     Non-convergence is a reported outcome, not an exception: u0 is None
     and the trace records every residual.
     """
     tol = tol or DEFAULT_TOL
+    if cfg.A == 1:
+        ratio = scaling_ratio(cfg)
+        rf = rescale_factor(cfg.alpha, cfg.A, cfg.k)
+        raise PreconditionError(
+            f"configuration stage: at A=1 the scaling ratio is {ratio:g} "
+            f"and the rescale factor {rf:g}, so the renormalized step "
+            f"cannot contract")
     if f.tail != "compact":
         raise PreconditionError("the experiment needs a compact input map")
     if f.k != cfg.k:

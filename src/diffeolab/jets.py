@@ -13,7 +13,6 @@ part sizes j_1 <= ... <= j_i summing to k.  The two extreme terms are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,34 +20,11 @@ import numpy as np
 MAX_ORDER = 12  # coefficients stay comfortably inside 64-bit integers
 
 
-@dataclass(frozen=True)
-class Row:
-    blocks: int              # order of the outer derivative factor
-    parts: tuple[int, ...]   # inner derivative orders, ascending, sum = k
-    coeff: int
-
-
-@dataclass(frozen=True)
-class CompositionTable:
-    order: int
-    rows: tuple[Row, ...]
-
-    def coefficient_sum(self) -> int:
-        return sum(r.coeff for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "rows": [
-                {"blocks": r.blocks, "parts": list(r.parts), "coeff": r.coeff}
-                for r in self.rows
-            ],
-            "coefficient_sum": self.coefficient_sum(),
-        }
-
-
 @lru_cache(maxsize=None)
 def _rows_raw(k: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """Terms (blocks, parts, coeff) of the order-k derivative of f o g:
+    blocks is the order of the outer derivative factor, parts the inner
+    derivative orders (ascending, summing to k), coeff the integer count."""
     if k == 1:
         return ((1, (1,), 1),)
     acc: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -63,13 +39,6 @@ def _rows_raw(k: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
             key = (blocks, tuple(sorted(bumped)))
             acc[key] = acc.get(key, 0) + coeff
     return tuple((b, p, c) for (b, p), c in sorted(acc.items()))
-
-
-def build_table(k: int) -> CompositionTable:
-    """Coefficient table for the order-k derivative of a composition."""
-    if not (1 <= k <= MAX_ORDER):
-        raise ValueError(f"jet order must be in 1..{MAX_ORDER}, got {k}")
-    return CompositionTable(order=k, rows=tuple(Row(*r) for r in _rows_raw(k)))
 
 
 def compose_derivs(F: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -123,47 +92,3 @@ def invert_derivs(F: np.ndarray, base) -> np.ndarray:
             acc -= term
         H[..., m] = acc
     return H
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Derivative values of orders 0..k of a map at a base point."""
-
-    d: np.ndarray
-    base: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
-
-    @property
-    def order(self) -> int:
-        return self.d.shape[-1] - 1
-
-    def value(self) -> float:
-        return float(self.d[0])
-
-
-def identity_jet(x: float, k: int) -> Jet:
-    d = np.zeros(k + 1)
-    d[0] = x
-    if k >= 1:
-        d[1] = 1.0
-    return Jet(d=d, base=float(x))
-
-
-def compose_jets(f_jet: Jet, g_jet: Jet) -> Jet:
-    """Jet of f o g at x from the jet of f at g(x) and the jet of g at x;
-    the two base points must agree within 1e-9."""
-    if f_jet.order != g_jet.order:
-        raise ValueError("jet orders differ")
-    if abs(f_jet.base - g_jet.value()) > 1e-9:
-        raise ValueError(
-            f"base mismatch: f at {f_jet.base}, g evaluates to {g_jet.value()}"
-        )
-    return Jet(d=compose_derivs(f_jet.d, g_jet.d), base=g_jet.base)
-
-
-def invert_jet(f_jet: Jet) -> Jet:
-    """Jet of the inverse map at f(x) from the jet of f at x."""
-    d = invert_derivs(f_jet.d, f_jet.base)
-    return Jet(d=d, base=float(f_jet.d[0]))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
+from .errors import PreconditionError
 
 
 def default_abscissae() -> np.ndarray:
@@ -229,10 +230,14 @@ def modulus_from_dict(d: dict) -> ConcaveModulus:
 
 
 def oscillation_modulus(xs, fs) -> tuple[np.ndarray, np.ndarray]:
-    """mu(t) = sup{|f(x)-f(y)| : |x-y| <= t} over all sampled pairs.
+    """mu(t) = sup{|f(x)-f(y)| : |x-y| <= t} over all pairs of a uniform
+    sample grid.
 
-    Returns (ts, mus) at the distinct pair separations, nondecreasing by
-    construction (cumulative max over growing separation).
+    Returns (ts, mus) with one entry per stride s = 1..n-1: the largest
+    separation xs[i+s] - xs[i], and the running max over strides up to s
+    of |fs[i+s] - fs[i]|, so mus is nondecreasing.  Memory is O(n).
+    Samples whose steps differ by more than 1e-9 of the first step are
+    refused.
     """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
@@ -240,15 +245,18 @@ def oscillation_modulus(xs, fs) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least two samples of a real map")
     order = np.argsort(xs)
     xs, fs = xs[order], fs[order]
-    i, j = np.triu_indices(xs.shape[0], k=1)
-    sep = xs[j] - xs[i]
-    dif = np.abs(fs[j] - fs[i])
-    rank = np.argsort(sep, kind="stable")
-    sep, dif = sep[rank], dif[rank]
-    running = np.maximum.accumulate(dif)
-    # collapse equal separations, keeping the max reached at each
-    keep = np.append(np.abs(np.diff(sep)) > 1e-15, True)
-    return sep[keep], running[keep]
+    steps = np.diff(xs)
+    if not steps[0] > 0.0 or np.ptp(steps) > 1e-9 * steps[0]:
+        raise PreconditionError(
+            f"oscillation needs a uniform sample grid; steps range over "
+            f"[{steps.min():.6g}, {steps.max():.6g}]")
+    n = xs.shape[0]
+    ts = np.empty(n - 1)
+    gaps = np.empty(n - 1)
+    for s in range(1, n):
+        ts[s - 1] = np.max(xs[s:] - xs[:-s])
+        gaps[s - 1] = np.max(np.abs(fs[s:] - fs[:-s]))
+    return ts, np.maximum.accumulate(gaps)
 
 
 def least_concave_majorant(ts, mus) -> tuple[SampledModulus, SampledModulus]:

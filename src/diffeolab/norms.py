@@ -1,11 +1,12 @@
-"""Norms, seminorms, and metrics for one-dimensional maps.
+"""Norms, seminorms, and norm-inequality checks for one-dimensional maps.
 
 Conventions: for a function phi, ``|phi|_k`` is the sup of the k-th
 derivative alone, and ``|phi|_{k,alpha}`` is the concave-modulus Holder
-seminorm of the k-th derivative.  For maps f, g the metrics take sups
-over derivative orders of the differences.  Displacements are used
-throughout, which changes nothing for k >= 1 since constants drop out
-of seminorms and derivative sups.
+seminorm of the k-th derivative.  Checks on a pair of maps f, g measure
+the jets of their difference.  Displacements are used throughout, which
+changes nothing for k >= 1 since constants drop out of seminorms and
+derivative sups.  The distance between two maps is
+``fixpoint.ck_distance``.
 
 Holder seminorms are estimated from below: for each of a ladder of
 dyadic separations between the sample step and the window width, the
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ESTIMATOR_SLACK, EVAL_DENSITY, Tolerances
-from .diffeo import Diffeo1, inverse as _inverse, support_interval
+from .config import ESTIMATOR_SLACK, EVAL_DENSITY
+from .diffeo import Diffeo1, support_interval
 from .errors import PreconditionError
 
 _MAX_SAMPLES = 1 << 19
@@ -143,35 +144,6 @@ def norm_report(f: Diffeo1, alpha, k: int | None = None,
                       sup_dev, holder_dev, m_k, memberships, ratio)
 
 
-# -- metrics -----------------------------------------------------------------
-
-def metric(f: Diffeo1, g: Diffeo1, kind: str, alpha=None,
-           tol: Tolerances | None = None) -> float:
-    """Distance between two maps: "C0" (which compares the inverses too),
-    "Ck", or "CkAlpha"."""
-    tol = tol or DEFAULT_TOL
-    xs = sample_grid(f, g)
-    if kind == "C0":
-        d_direct = float(np.max(np.abs(f(xs) - g(xs))))
-        fi, gi = _inverse(f, tol), _inverse(g, tol)
-        ys = sample_grid(fi, gi)
-        d_inv = float(np.max(np.abs(fi(ys) - gi(ys))))
-        return max(d_direct, d_inv)
-    k = min(f.k, g.k)
-    diff = f.jet_at(xs, k) - g.jet_at(xs, k)
-    d_k = float(np.max(np.abs(diff)))
-    if kind == "Ck":
-        return d_k
-    if kind == "CkAlpha":
-        if alpha is None:
-            raise ValueError("CkAlpha metric needs a modulus")
-        h = xs[1] - xs[0]
-        sem = max(holder_seminorm_samples(diff[:, i], h, alpha)
-                  for i in range(1, k + 1))
-        return max(d_k, sem)
-    raise ValueError(f"unknown metric kind {kind!r}")
-
-
 # -- inequality checks -------------------------------------------------------
 
 def _joint_support_window(f: Diffeo1, g: Diffeo1) -> tuple[float, float]:
@@ -279,30 +251,6 @@ def verify_derivation(f: Diffeo1, g: Diffeo1, alpha) -> SlackReport:
         slacks={"product": rhs1 * (1.0 + slack) - lhs1,
                 "multi": rhs2 * (1.0 + slack) - lhs2,
                 "precompose": rhs3 * (1.0 + slack) - lhs3})
-
-
-def verify_composition_bound(f: Diffeo1, g: Diffeo1, alpha,
-                             eps: float | None = None,
-                             tol: Tolerances | None = None) -> dict:
-    """Measure the smallest C with |fg|_{k,a} <= |f|_{k,a} + |g|_{k,a}
-    + C |f|_{k,a} |g|_{k,a} on this pair; both maps must lie in the
-    seminorm ball of radius eps."""
-    from .diffeo import compose as _compose
-    tol = tol or DEFAULT_TOL
-    if f.k != g.k:
-        raise ValueError("operands carry different jet orders")
-    k = f.k
-    nf = holder_norm(f, alpha, k)
-    ng = holder_norm(g, alpha, k)
-    if eps is not None and max(nf, ng) > eps:
-        raise PreconditionError(
-            f"pair leaves the seminorm ball: {max(nf, ng):.3e} > {eps:.3e}")
-    fg = _compose(f, g, tol)
-    nfg = holder_norm(fg, alpha, k)
-    excess = nfg - nf - ng
-    c_req = max(0.0, excess / (nf * ng)) if nf * ng > 0 else 0.0
-    return {"norm_f": nf, "norm_g": ng, "norm_fg": nfg,
-            "fitted_C": c_req}
 
 
 def verify_subadditivity(terms: list[Diffeo1], alpha) -> SlackReport:

@@ -36,13 +36,12 @@ from .jets import compose_derivs, invert_derivs
 from .norms import SlackReport, holder_norm
 
 __all__ = [
-    "PlateauBump", "zeta_profile", "MatherConfig", "make_config",
+    "PlateauBump", "MatherConfig", "make_config",
     "roll_word", "roll_params", "roll_up", "roll_norm_check",
     "roll_equivariance_residual", "restrict_periodic", "spread_once",
     "blend_toward_identity", "isotopy_step", "spread",
     "PsiResult", "reduce_norm", "reduction_sweep",
     "LambdaResult", "lambda_limit", "ConjugacyCertificate", "conjugator",
-    "disjoint_product_check", "blend_excess",
 ]
 
 
@@ -91,10 +90,6 @@ class PlateauBump:
 
 
 _ZETA = PlateauBump()
-
-
-def zeta_profile() -> PlateauBump:
-    return _ZETA
 
 
 def spreading_smallness() -> float:
@@ -706,47 +701,3 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
         overlaps={"left": left, "right": right},
         word_length=lam_res.word_length, translation_dev=dev,
         config=cfg.to_dict())
-
-
-# -- supporting estimates -------------------------------------------------------
-
-def disjoint_product_check(factors: list[Diffeo1], alpha,
-                           tol: Tolerances | None = None) -> SlackReport:
-    """Product of maps with pairwise disjoint supports: top seminorm at
-    most twice the largest factor seminorm."""
-    tol = tol or DEFAULT_TOL
-    if len(factors) < 2:
-        raise ValueError("need at least two factors")
-    k = factors[0].k
-    supports = [support_interval(f) for f in factors]
-    spans = [s for s in supports if s is not None]
-    spans.sort()
-    for left, rite in zip(spans, spans[1:]):
-        if left[1] > rite[0] + 1e-12:
-            raise PreconditionError("supports overlap")
-    prod = compose_all(factors, tol)
-    norm_prod = holder_norm(prod, alpha, k)
-    worst = max(holder_norm(f, alpha, k) for f in factors)
-    return SlackReport(
-        name="disjoint-product",
-        constants={"factor": 2.0},
-        values={"norm_product": norm_prod, "max_factor": worst},
-        slacks={"norm": 2.0 * worst * (1.0 + ESTIMATOR_SLACK) - norm_prod})
-
-
-def blend_excess(u: Diffeo1, t: float, alpha,
-                 tol: Tolerances | None = None) -> dict:
-    """Measured data for the convex-blend bound: composing u with the
-    inverse blend at fraction t costs (1-t) of u's norm plus a quadratic
-    excess.  Returns the ingredients for a batch fit of the quadratic
-    constant."""
-    tol = tol or DEFAULT_TOL
-    if u.tail != "periodic":
-        raise PreconditionError("the blend bound concerns periodic maps")
-    k = u.k
-    norm_u = holder_norm(u, alpha, k)
-    w = compose(u, inverse(blend_toward_identity(u, t), tol), tol)
-    norm_w = holder_norm(w, alpha, k)
-    excess = norm_w - (1.0 - t) * norm_u
-    return {"t": t, "norm_u": norm_u, "norm_blend": norm_w,
-            "excess": excess}

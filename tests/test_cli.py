@@ -286,6 +286,14 @@ def test_emit_plots_lcm_and_tameness(tmp_path):
         assert abs(f_sup - t ** (1.0 - s)) <= 1e-10
 
 
+def test_emit_plots_traces_refuse_at_the_default_width(tmp_path, capsys):
+    # the default A is 1, where the renormalized step cannot contract
+    assert run("emit-plots", "--tables", "traces",
+               "--out", str(tmp_path)) == EXIT_REFUSED
+    assert "configuration stage" in capsys.readouterr().err
+    assert not (tmp_path / "residual_traces.csv").exists()
+
+
 def test_emit_plots_rejects_unknown_table(tmp_path):
     assert run("emit-plots", "--tables", "nope",
                "--out", str(tmp_path)) == EXIT_USAGE

@@ -27,8 +27,7 @@ from diffeolab import (
     translate_conjugate,
     translation,
 )
-from diffeolab.diffeo import (TAILS, _build_adaptive, _hermite_tables,
-                              fragment, refined_grid)
+from diffeolab.diffeo import TAILS, _build_adaptive, _hermite_tables
 from diffeolab.jets import MAX_ORDER
 from _helpers import c0_gap, count_solve_steps, small_bump, small_periodic
 
@@ -360,40 +359,6 @@ def test_from_dict_rejects_unknown_class():
     with pytest.raises(ValueError):
         from_dict({"class": "nope", "grid": {"a": 0.0, "b": 1.0, "n": 2},
                    "k": 1, "jets": [[0.0, 0.0], [0.0, 0.0]]})
-
-
-# -- fragmentation -------------------------------------------------------------------
-
-def test_fragment_identity_and_single_element():
-    assert fragment(identity(2, -1.0, 1.0), [(-2.0, 2.0)]) == []
-    f = small_bump(1e-3)
-    pieces = fragment(f, [(-2.0, 2.0)])
-    assert len(pieces) == 1
-    assert np.array_equal(pieces[0].jets, f.jets)
-
-
-def test_fragment_two_elements_reconstructs():
-    f = small_bump(1e-3, center=0.0, radius=1.0)
-    cover = [(-1.5, 0.3), (-0.3, 1.5)]
-    pieces = fragment(f, cover)
-    assert len(pieces) == 2
-    recon = compose_all(pieces)
-    probe = refined_grid(f, 8)
-    assert float(np.max(np.abs(recon(probe) - f(probe)))) <= 1e-8
-    for piece, (lo, hi) in zip(pieces, cover):
-        supp = support_interval(piece, slack=1e-9)
-        assert supp[0] >= lo - piece.h and supp[1] <= hi + piece.h
-
-
-def test_fragment_refuses_large_maps_and_bad_covers():
-    f = small_bump(1e-3)
-    with pytest.raises(PreconditionError):
-        fragment(f, [(-1.5, 0.0), (0.4, 1.5)])  # gap over the support
-    with pytest.raises(PreconditionError):
-        fragment(f, [(-0.5, 1.5)])  # does not reach left of the support
-    g = small_bump(0.4, radius=1.0)
-    with pytest.raises(PreconditionError):
-        fragment(g, [(-1.5, 0.3), (-0.3, 1.5)])  # C^1 size above 1/(2K)
 
 
 if HAVE_HYPOTHESIS:

@@ -300,6 +300,18 @@ def test_search_names_the_certificate_stage(preset_f, cfg):
         fixed_point_search(preset_f, cfg, tol=tol)
 
 
+def test_search_refuses_width_one_before_building(monkeypatch):
+    # at A=1 the scaling ratio and the rescale factor are both 1
+    def no_build(*args):
+        raise AssertionError("the search built a rescaler")
+    monkeypatch.setattr(fixpoint, "rescaler_params", no_build)
+    cfg1 = make_config(2, ALPHA, 1)
+    with pytest.raises(PreconditionError, match=(
+            "^configuration stage: at A=1 the scaling ratio is 1 and the "
+            "rescale factor 1")):
+        fixed_point_search(identity(2, -1.0, 1.0), cfg1)
+
+
 def test_search_refuses_inadmissible_input(cfg):
     with pytest.raises(PreconditionError):
         fixed_point_search(small_bump(1e-2, radius=1.5), cfg)  # too large

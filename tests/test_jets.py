@@ -9,16 +9,8 @@ table being tested.
 import numpy as np
 import pytest
 
-from diffeolab import (
-    Jet,
-    MAX_ORDER,
-    build_table,
-    compose_derivs,
-    compose_jets,
-    identity_jet,
-    invert_derivs,
-    invert_jet,
-)
+from diffeolab import MAX_ORDER, Diffeo1, compose_derivs, invert_derivs
+from diffeolab.jets import _rows_raw
 from _helpers import BELL, poly_compose, poly_derivs, series_invert
 
 try:
@@ -32,29 +24,27 @@ except ImportError:
 # -- the partition table ------------------------------------------------------
 
 def test_table_order_two_rows():
-    rows = {(r.blocks, r.parts, r.coeff) for r in build_table(2).rows}
-    assert rows == {(1, (2,), 1), (2, (1, 1), 1)}
+    assert set(_rows_raw(2)) == {(1, (2,), 1), (2, (1, 1), 1)}
 
 
 def test_table_order_three_interior_coefficient():
-    table = build_table(3)
-    by_parts = {r.parts: r for r in table.rows}
-    assert by_parts[(1, 2)].coeff == 3
-    assert by_parts[(1, 2)].blocks == 2
-    assert table.coefficient_sum() == 5
+    rows = _rows_raw(3)
+    by_parts = {parts: (blocks, coeff) for blocks, parts, coeff in rows}
+    assert by_parts[(1, 2)] == (2, 3)
+    assert sum(coeff for _, _, coeff in rows) == 5
 
 
 def test_coefficient_sums_are_partition_counts():
     for k in range(1, 11):
-        assert build_table(k).coefficient_sum() == BELL[k]
+        assert sum(coeff for _, _, coeff in _rows_raw(k)) == BELL[k]
 
 
 def test_table_order_bounds():
-    assert build_table(MAX_ORDER).order == MAX_ORDER
-    with pytest.raises(ValueError):
-        build_table(MAX_ORDER + 1)
-    with pytest.raises(ValueError):
-        build_table(0)
+    # maps carry jets only of the orders the table covers
+    Diffeo1("compact", -1.0, 1.0, MAX_ORDER, np.zeros((3, MAX_ORDER + 1)))
+    for k in (0, MAX_ORDER + 1):
+        with pytest.raises(ValueError, match="order k must lie in"):
+            Diffeo1("compact", -1.0, 1.0, k, np.zeros((3, k + 1)))
 
 
 # -- composition against the polynomial oracle --------------------------------
@@ -108,6 +98,11 @@ def test_associativity_of_composition():
         assert float(np.max(np.abs(left - right))) <= 1e-8
 
 
+def test_compose_derivs_rejects_order_mismatch():
+    with pytest.raises(ValueError, match="jet orders differ"):
+        compose_derivs(np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0]))
+
+
 # -- inversion -----------------------------------------------------------------
 
 def test_invert_quadratic_frozen_values():
@@ -119,9 +114,8 @@ def test_invert_quadratic_frozen_values():
 
 
 def test_invert_linear_map():
-    j = invert_jet(Jet(d=np.array([0.0, 2.0, 0.0]), base=0.0))
-    np.testing.assert_allclose(j.d, [0.0, 0.5, 0.0], atol=1e-15)
-    assert j.base == 0.0
+    d = invert_derivs(np.array([0.0, 2.0, 0.0]), 0.0)
+    np.testing.assert_allclose(d, [0.0, 0.5, 0.0], atol=1e-15)
 
 
 def test_invert_matches_series_inversion_oracle():
@@ -148,11 +142,10 @@ def test_invert_then_compose_is_identity():
         d = rng.uniform(-1.0, 1.0, size=k + 1)
         d[1] = rng.uniform(0.5, 2.0)
         x0 = float(rng.uniform(-1.0, 1.0))
-        f = Jet(d=d, base=x0)
-        back = compose_jets(invert_jet(f), f)
-        want = identity_jet(x0, k).d
-        assert float(np.max(np.abs(back.d - want))) <= 1e-9
-        assert back.base == x0
+        back = compose_derivs(invert_derivs(d, x0), d)
+        want = np.zeros(k + 1)
+        want[:2] = x0, 1.0
+        assert float(np.max(np.abs(back - want))) <= 1e-9
 
 
 def test_invert_requires_positive_slope():
@@ -160,38 +153,6 @@ def test_invert_requires_positive_slope():
         invert_derivs(np.array([0.0, -1.0, 0.3]), 0.0)
     with pytest.raises(ValueError):
         invert_derivs(np.array([0.0, 0.0, 1.0]), 0.0)
-
-
-# -- the jet wrapper -----------------------------------------------------------
-
-def test_identity_jet_contents():
-    j = identity_jet(0.3, 4)
-    np.testing.assert_array_equal(j.d, [0.3, 1.0, 0.0, 0.0, 0.0])
-    assert j.base == 0.3 and j.value() == 0.3 and j.order == 4
-
-
-def test_compose_jets_base_bookkeeping():
-    g = Jet(d=np.array([1.0, 2.0, 0.5]), base=0.2)
-    f = Jet(d=np.array([3.0, 1.0, 0.0]), base=1.0)
-    fg = compose_jets(f, g)
-    assert fg.base == 0.2
-    assert fg.value() == 3.0
-
-
-def test_compose_jets_rejects_base_mismatch():
-    g = Jet(d=np.array([1.0, 2.0, 0.5]), base=0.2)
-    f_bad = Jet(d=np.array([3.0, 1.0, 0.0]), base=1.0 + 1e-6)
-    with pytest.raises(ValueError):
-        compose_jets(f_bad, g)
-    f_ok = Jet(d=np.array([3.0, 1.0, 0.0]), base=1.0 + 1e-10)
-    compose_jets(f_ok, g)
-
-
-def test_compose_jets_rejects_order_mismatch():
-    g = Jet(d=np.array([0.0, 1.0]), base=0.0)
-    f = Jet(d=np.array([0.0, 1.0, 0.0]), base=0.0)
-    with pytest.raises(ValueError):
-        compose_jets(f, g)
 
 
 if HAVE_HYPOTHESIS:
@@ -204,7 +165,7 @@ if HAVE_HYPOTHESIS:
             max_size=k + 1))
         d = np.array(vals)
         d[1] = 0.5 + abs(d[1])
-        j = Jet(d=d, base=0.1)
-        back = invert_jet(invert_jet(j))
-        np.testing.assert_allclose(back.d, j.d, rtol=0, atol=1e-9)
-        assert back.base == j.base
+        inv = invert_derivs(d, 0.1)
+        assert inv[0] == 0.1
+        back = invert_derivs(inv, d[0])
+        np.testing.assert_allclose(back, d, rtol=0, atol=1e-9)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from diffeolab import (
+    PreconditionError,
     check_modulus_laws,
     classify_tameness,
     concavity_slack,
@@ -71,6 +72,44 @@ def test_oscillation_of_square_matches_closed_form():
     i = int(np.argmin(np.abs(ts - 0.5)))
     assert mus[i] == pytest.approx(0.75, abs=1e-14)
     assert np.all(np.diff(mus) >= 0.0)
+
+
+def _pair_oscillation(xs, fs):
+    """Every sample pair sorted by separation, the running max of |f(x)-f(y)|
+    kept at the last of each run of equal separations: O(n^2) memory."""
+    order = np.argsort(xs)
+    xs, fs = xs[order], fs[order]
+    i, j = np.triu_indices(xs.shape[0], k=1)
+    sep = xs[j] - xs[i]
+    dif = np.abs(fs[j] - fs[i])
+    rank = np.argsort(sep, kind="stable")
+    sep, dif = sep[rank], dif[rank]
+    running = np.maximum.accumulate(dif)
+    keep = np.append(np.abs(np.diff(sep)) > 1e-15, True)
+    return sep[keep], running[keep]
+
+
+@pytest.mark.parametrize("n,hi", [(101, 1.0), (161, 4.0), (2001, 1.0)])
+def test_oscillation_matches_the_pair_oracle_bitwise(n, hi):
+    rng = np.random.default_rng(n)
+    xs = np.linspace(0.0, hi, n)
+    for fs in (xs ** 2, np.cumsum(np.abs(rng.normal(0.0, 0.1, n))),
+               np.sin(7.0 * xs) + rng.normal(0.0, 1e-3, n)):
+        ts, mus = oscillation_modulus(xs, fs)
+        want_ts, want_mus = _pair_oscillation(xs, fs)
+        assert ts.shape == (n - 1,)
+        assert np.array_equal(ts, want_ts)
+        assert np.array_equal(mus, want_mus)
+
+
+def test_oscillation_refuses_a_nonuniform_grid():
+    xs = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(PreconditionError, match="uniform sample grid"):
+        oscillation_modulus(xs ** 2, xs)
+    with pytest.raises(PreconditionError, match="uniform sample grid"):
+        oscillation_modulus(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="at least two samples"):
+        oscillation_modulus(xs[:1], xs[:1])
 
 
 def test_oscillation_of_constant_is_zero():

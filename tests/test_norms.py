@@ -2,23 +2,19 @@
 
 Closed-form bumps give exact expected values for the sup entries; every
 inequality verifier must come back with nonnegative slack on random
-small maps, and the fitted composition constant must not move when the
-sampling grid is refined.
+small maps.
 """
 
 import numpy as np
 import pytest
 
-from diffeolab import norms
 from diffeolab import (
     PreconditionError,
     holder,
     holder_norm,
     identity,
-    metric,
     norm_report,
     translate_conjugate,
-    verify_composition_bound,
     verify_derivation,
     verify_domination,
     verify_lip_met,
@@ -76,22 +72,6 @@ def test_translation_conjugation_preserves_derivative_entries():
     np.testing.assert_allclose(rf.holder_dev, rg.holder_dev, rtol=1e-12)
 
 
-# -- metrics -------------------------------------------------------------------
-
-def test_metric_axioms_on_random_bumps():
-    rng = np.random.default_rng(21)
-    maps = [small_bump(rng.uniform(1e-4, 2e-3), center=rng.uniform(-0.3, 0.3))
-            for _ in range(3)]
-    f, g, h = maps
-    for kind in ("C0", "Ck", "CkAlpha"):
-        alpha = ALPHA if kind == "CkAlpha" else None
-        d = lambda a, b: metric(a, b, kind, alpha)
-        assert d(f, f) == 0.0
-        assert d(f, g) == d(g, f)
-        assert d(f, h) <= d(f, g) + d(g, h) + 1e-12
-        assert d(f, g) > 0.0
-
-
 # -- inequality verifiers --------------------------------------------------------
 
 def test_domination_constant_for_unit_window():
@@ -118,35 +98,6 @@ def test_derivation_inequalities_on_random_pairs():
         g = small_bump(rng.uniform(1e-4, 1e-3), center=rng.uniform(-0.2, 0.2))
         rep = verify_derivation(f, g, ALPHA)
         assert rep.ok, rep.to_dict()
-
-
-def test_composition_norm_bound_and_fitted_constant(monkeypatch):
-    rng = np.random.default_rng(5)
-    fits = {8: [], 16: []}
-    for _ in range(100):
-        f = small_bump(rng.uniform(1e-4, 2e-3), center=rng.uniform(-0.3, 0.3),
-                       radius=rng.uniform(0.6, 1.4), n=257)
-        g = small_bump(rng.uniform(1e-4, 2e-3), center=rng.uniform(-0.3, 0.3),
-                       radius=rng.uniform(0.6, 1.4), n=257)
-        for density in (8, 16):
-            monkeypatch.setattr(norms, "EVAL_DENSITY", density)
-            r = verify_composition_bound(f, g, ALPHA)
-            assert r["norm_fg"] <= (r["norm_f"] + r["norm_g"]
-                                    + r["fitted_C"] * r["norm_f"]
-                                    * r["norm_g"] + 1e-15)
-            fits[density].append(r["fitted_C"])
-    c_coarse = max(fits[8])
-    c_fine = max(fits[16])
-    assert c_coarse > 0.0  # the batch genuinely exercises the quadratic term
-    # the batch constant is a property of the maps, not of the sampling
-    assert 0.8 <= c_fine / c_coarse <= 1.25
-
-
-def test_composition_bound_rejects_exceeded_budget():
-    f = small_bump(1e-3)
-    g = small_bump(1e-3)
-    with pytest.raises(PreconditionError):
-        verify_composition_bound(f, g, ALPHA, eps=1e-12)
 
 
 def test_subadditivity_of_the_norm():

@@ -17,7 +17,6 @@ from diffeolab import (
     compose_all,
     conjugator,
     holder,
-    holder_norm,
     identity,
     inverse,
     isotopy_step,
@@ -40,11 +39,8 @@ from diffeolab.diffeo import _build_adaptive
 from diffeolab.jets import compose_derivs
 from diffeolab.reduction import (
     _apply_letter,
-    blend_excess,
-    disjoint_product_check,
     roll_word,
     spreading_smallness,
-    zeta_profile,
 )
 from _helpers import small_bump, small_periodic
 
@@ -54,7 +50,7 @@ ALPHA = holder(0.5)
 # -- the periodic cutoff and the configuration ---------------------------------
 
 def test_cutoff_profile_plateaus():
-    z = zeta_profile()
+    z = reduction.PlateauBump()
     near_ints = np.array([-1.05, 0.0, 0.08, 1.0, 2.95])
     np.testing.assert_array_equal(z(near_ints), np.ones(5))
     near_halves = np.array([-0.5, 0.45, 0.55, 1.5])
@@ -406,43 +402,6 @@ def test_conjugator_rejects_misplaced_supports():
     far = small_bump(1e-4, center=3.0, radius=0.5)  # outside [-2A, 2A]
     with pytest.raises(PreconditionError):
         conjugator(far, far, cfg)
-
-
-# -- auxiliary inequalities ---------------------------------------------------------------
-
-def test_disjoint_product_norm_bound():
-    f = small_bump(1e-3, center=-1.5, radius=0.5)
-    g = small_bump(1e-3, center=1.5, radius=0.5)
-    rep = disjoint_product_check([f, g], ALPHA)
-    assert rep.ok, rep.to_dict()
-    overlapping = small_bump(1e-3, center=-1.2, radius=0.5)
-    with pytest.raises(PreconditionError):
-        disjoint_product_check([f, overlapping], ALPHA)
-
-
-def test_blend_excess_is_quadratic_in_the_norm():
-    fits = []
-    for scale in (1.0, 2.0):
-        rng = np.random.default_rng(14)
-        c = 0.0
-        for _ in range(8):
-            u = small_periodic(rng, eps=1e-3 * scale)
-            for t in (0.25, 0.5, 0.75, 1.0):
-                d = blend_excess(u, t, ALPHA)
-                c = max(c, abs(d["excess"]) / d["norm_u"] ** 2)
-        fits.append(c)
-    assert fits[0] > 0.0
-    # doubling the amplitude must leave the quadratic constant in place
-    assert 0.7 <= fits[1] / fits[0] <= 1.3
-
-
-def test_blend_excess_vanishes_at_the_ends():
-    rng = np.random.default_rng(36)
-    u = small_periodic(rng, eps=1e-3)
-    # u o blend(1)^{-1} = u o u^{-1}: only interpolation residue remains
-    assert abs(blend_excess(u, 1.0, ALPHA)["excess"]) <= 1e-8
-    d0 = blend_excess(u, 0.0, ALPHA)
-    assert d0["norm_blend"] == pytest.approx(d0["norm_u"], rel=1e-9)
 
 
 def test_conjugator_refuses_a_pair_not_separated_by_a_translation():
