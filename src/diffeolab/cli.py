@@ -612,6 +612,22 @@ def _cmd_emit_plots(args) -> int:
         raise ValueError(f"unknown tables {sorted(unknown)}")
     written = []
 
+    # first, so that a refused search leaves no table behind
+    if "traces" in tables:
+        alpha = parse_alpha(cfg.alpha_spec)
+        mcfg = reduction.make_config(cfg.k, alpha, cfg.A)
+        f = fixpoint.calibrated_bump(args.fix_norm, alpha, k=cfg.k, tol=tol)
+        res = fixpoint.fixed_point_search(f, mcfg, tol=tol)
+        rows = [[t["iteration"], t["residual"], t["norm_composed"],
+                 t["norm_conjugated"], t["norm_reduced"],
+                 t["rolled_slope"]] for t in res.trace]
+        path = _out_path(cfg, "residual_traces.csv")
+        _write_csv(path, cfg,
+                   ["iteration", "residual", "norm_composed",
+                    "norm_conjugated", "norm_reduced", "rolled_slope"],
+                   rows)
+        written.append(path)
+
     if "sweep" in tables:
         written.append(_sweep_csv(cfg, parse_alpha(cfg.alpha_spec),
                                   args.sweep, "norm_reduction_sweep.csv")[0])
@@ -640,21 +656,6 @@ def _cmd_emit_plots(args) -> int:
                 for t, m, v in zip(ts, mus, vals)]
         path = _out_path(cfg, "lcm_sandwich.csv")
         _write_csv(path, cfg, ["t", "mu", "beta0", "two_mu"], rows)
-        written.append(path)
-
-    if "traces" in tables:
-        alpha = parse_alpha(cfg.alpha_spec)
-        mcfg = reduction.make_config(cfg.k, alpha, cfg.A)
-        f = fixpoint.calibrated_bump(args.fix_norm, alpha, k=cfg.k, tol=tol)
-        res = fixpoint.fixed_point_search(f, mcfg, tol=tol)
-        rows = [[t["iteration"], t["residual"], t["norm_composed"],
-                 t["norm_conjugated"], t["norm_reduced"],
-                 t["rolled_slope"]] for t in res.trace]
-        path = _out_path(cfg, "residual_traces.csv")
-        _write_csv(path, cfg,
-                   ["iteration", "residual", "norm_composed",
-                    "norm_conjugated", "norm_reduced", "rolled_slope"],
-                   rows)
         written.append(path)
 
     for p in written:
@@ -741,7 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit-plots", parents=common,
                        help="write the standard data tables")
-    p.add_argument("--tables", default="sweep,tameness,lcm,traces")
+    p.add_argument("--tables", default="sweep,tameness,lcm",
+                   help="comma-separated: sweep, tameness, lcm, traces "
+                        "(traces needs --A 2 or more)")
     p.add_argument("--sweep", default="1,2,4,8")
     p.add_argument("--fix-norm", type=float, default=1e-3)
     p.set_defaults(fn=_cmd_emit_plots, op=None)

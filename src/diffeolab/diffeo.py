@@ -18,6 +18,7 @@ which are only evaluated.
 
 from __future__ import annotations
 
+import base64
 import math
 
 import numpy as np
@@ -601,29 +602,60 @@ def from_preset(name: str, params: dict | None = None,
 # -- serialization ----------------------------------------------------------
 
 def to_dict(f: Diffeo1) -> dict:
+    """The map as JSON-ready data.  `jets` is one ASCII string: the padded
+    base64 (RFC 4648) of the (n, k+1) jet array as little-endian float64 in
+    row-major order, so every node jet round-trips bit for bit."""
+    raw = f.jets.astype("<f8").tobytes()
     return {
         "class": f.tail,
         "grid": {"a": f.a, "b": f.b, "n": f.n},
         "k": f.k,
-        "jets": f.jets.tolist(),
+        "jets": base64.b64encode(raw).decode("ascii"),
     }
 
 
+def _decode_jets(text, n: int, k: int) -> np.ndarray:
+    """The (n, k+1) jet array held by a to_dict `jets` string."""
+    if not isinstance(text, str):
+        raise ValueError(f"malformed map: jets must be a base64 string, "
+                         f"found {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as e:
+        raise ValueError(f"malformed map: jets are not base64 ({e})") from e
+    if n < 0 or k < 0 or len(raw) != 8 * n * (k + 1):
+        raise ValueError(f"malformed map: jets hold {len(raw)} bytes, not "
+                         f"the 8*n*(k+1) of n = {n} nodes at order k = {k}")
+    return np.frombuffer(raw, "<f8").reshape(n, k + 1)
+
+
 def from_dict(d: dict, tol: Tolerances | None = None) -> Diffeo1:
-    """Rebuild a map from to_dict output, or from {"preset", "params"}.  A
-    missing key or a value of the wrong type is a ValueError."""
+    """Rebuild a map from to_dict output, or from {"preset", "params"}.
+
+    A missing key, a value of the wrong type, jets that are not the base64
+    of exactly n*(k+1) float64, or data the Diffeo1 constructor refuses
+    (non-finite jets, say) is a ValueError starting "malformed map"; a
+    PreconditionError of the constructor passes through.  So does one of
+    a preset, whose other refusals read "malformed map" too.
+    """
     try:
         if "preset" in d:
             return from_preset(d["preset"], d.get("params", {}), tol)
         grid = d["grid"]
-        jets = np.asarray(d["jets"], dtype=float)
         n, k = int(grid["n"]), int(d["k"])
         a, b = float(grid["a"]), float(grid["b"])
         tail = d["class"]
+        jets = d["jets"]
     except KeyError as e:
         raise ValueError(f"malformed map: missing key {e}") from e
-    except (TypeError, AttributeError) as e:
+    except PreconditionError:
+        raise
+    except (TypeError, AttributeError, ValueError) as e:
         raise ValueError(f"malformed map: {e}") from e
-    if jets.shape != (n, k + 1):
-        raise ValueError("jet array shape disagrees with grid/order fields")
-    return Diffeo1(tail, a, b, k, jets, tol=tol)
+    jets = _decode_jets(jets, n, k)
+    try:
+        return Diffeo1(tail, a, b, k, jets, tol=tol)
+    except PreconditionError:
+        raise
+    except ValueError as e:
+        raise ValueError(f"malformed map: {e}") from e

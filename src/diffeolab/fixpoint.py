@@ -318,7 +318,7 @@ def calibrated_bump(target: float, alpha, k: int = 2, center: float = 0.0,
 
 
 CHAIN_FORMAT = "homology-certificate-chain"
-CHAIN_VERSION = 2
+CHAIN_VERSION = 3
 _CHAIN_MAPS = ("f", "u0", "conjugated", "reduced", "witness",
                "flow_time_one")
 
@@ -409,6 +409,19 @@ def _assemble_chain(f: Diffeo1, u0: Diffeo1,
     }
 
 
+def _replay_own_chain(chain: dict, tol: Tolerances) -> None:
+    """Refuse, at the certificate stage, a chain whose replay fails."""
+    try:
+        report = verify_certificate(chain, tol)
+    except ValueError as e:
+        raise ConstructionError(
+            f"certificate stage: replay failed: {e}") from e
+    failed = [item["name"] for item in report["items"] if not item["ok"]]
+    if failed:
+        raise ConstructionError(
+            f"certificate stage: replay failed on {', '.join(failed)}")
+
+
 def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
                        tol: Tolerances | None = None) -> FixedPointResult:
     """Iterate the renormalized reduction from the identity until the step
@@ -419,7 +432,9 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
     A=1 neither the rescaling nor the norm scaling shrinks anything, so
     the search refuses before it builds a map.
     Non-convergence is a reported outcome, not an exception: u0 is None
-    and the trace records every residual.
+    and the trace records every residual.  A converged run replays its
+    own chain with verify_certificate and refuses with "certificate
+    stage: replay failed ..." unless every item passes.
     """
     tol = tol or DEFAULT_TOL
     if cfg.A == 1:
@@ -466,6 +481,7 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
                 raise type(e)(f"certificate stage: {e}") from e
             chain = _assemble_chain(f, u, params, step, cert,
                                     float(residual), cfg, tol, it, trace)
+            _replay_own_chain(chain, tol)
             return FixedPointResult(u0=u, iterations=it,
                                     residual=float(residual), trace=trace,
                                     certificates=[cert], chain=chain)
@@ -524,7 +540,7 @@ def _gap(key: str, stored, want) -> float:
 
 
 def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
-    """Replay a version-2 certificate chain, trusting no stored number.
+    """Replay a version-3 certificate chain, trusting no stored number.
 
     The geometry (D, E and the rescaler parameters) is recomputed from the
     stored k and A with the search's own rules, and the `config` item
@@ -534,8 +550,9 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
     recomputed residual is at most cert_tol, and the stored residuals are
     reported for information only.  The support items check f, u0,
     conjugated, reduced and the witness against their intervals.  A chain
-    of another format or version, one that cannot be read, or one with a
-    map whose class is not "compact" is a ValueError.
+    of another format or version (versions 1 and 2 included), one that
+    cannot be read, or one with a map whose class is not "compact" is a
+    ValueError.
     """
     tol = tol or DEFAULT_TOL
     if not isinstance(chain, dict):

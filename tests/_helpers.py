@@ -5,6 +5,8 @@ numpy's polynomial routines, so they share no code path with the
 Faa di Bruno machinery they are used to check.
 """
 
+import base64
+
 import numpy as np
 from numpy.polynomial import polynomial as P
 
@@ -102,3 +104,17 @@ def count_solve_steps(monkeypatch):
     monkeypatch.setattr(diffeo, "_solve_increasing", counted)
     monkeypatch.setattr(flow, "_solve_increasing", counted)
     return steps
+
+
+def map_jets(m):
+    """The (n, k+1) jet array of a serialized map (the `to_dict` form, as
+    stored in a chain), decoded from its base64 float64 text as a writable
+    copy."""
+    raw = base64.b64decode(m["jets"], validate=True)
+    return np.frombuffer(raw, "<f8").reshape(m["grid"]["n"], m["k"] + 1).copy()
+
+
+def put_map_jets(m, jets):
+    """Store the jet array `jets` back into the serialized map m."""
+    m["jets"] = base64.b64encode(
+        np.asarray(jets, dtype="<f8").tobytes()).decode("ascii")

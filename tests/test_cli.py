@@ -18,6 +18,7 @@ import diffeolab
 from diffeolab import Tolerances, calibrated_bump, holder, to_dict
 from diffeolab.cli import (EXIT_OK, EXIT_REFUSED, EXIT_USAGE, EXIT_VERIFY,
                            build_parser, main)
+from _helpers import map_jets, put_map_jets
 
 
 def run(*argv):
@@ -214,7 +215,9 @@ def test_fixpoint_round_trip_and_tamper(tmp_path):
     assert read_json(tmp_path / "vr.json")["ok"] is True
 
     chain = read_json(chain_path)
-    chain["maps"]["witness"]["jets"][40][0] += 1e-3
+    jets = map_jets(chain["maps"]["witness"])
+    jets[40][0] += 1e-3
+    put_map_jets(chain["maps"]["witness"], jets)
     bad_path = tmp_path / "tampered.json"
     bad_path.write_text(json.dumps(chain))
     assert run("perfect", "verify", str(bad_path), "--out", out) == EXIT_VERIFY
@@ -292,6 +295,23 @@ def test_emit_plots_traces_refuse_at_the_default_width(tmp_path, capsys):
                "--out", str(tmp_path)) == EXIT_REFUSED
     assert "configuration stage" in capsys.readouterr().err
     assert not (tmp_path / "residual_traces.csv").exists()
+
+
+def test_emit_plots_defaults_succeed_and_traces_refuse_first(tmp_path,
+                                                             capsys):
+    # with no --tables the three tables that need no search are written
+    plain = tmp_path / "plain"
+    assert run("emit-plots", "--out", str(plain)) == EXIT_OK
+    assert sorted(p.name for p in plain.iterdir()) == [
+        "lcm_sandwich.csv", "norm_reduction_sweep.csv",
+        "tameness_functionals.csv"]
+    # asking for traces at the default A=1 refuses before writing any table
+    capsys.readouterr()
+    asked = tmp_path / "asked"
+    assert run("emit-plots", "--tables", "sweep,tameness,lcm,traces",
+               "--out", str(asked)) == EXIT_REFUSED
+    assert "configuration stage" in capsys.readouterr().err
+    assert not asked.exists() or list(asked.iterdir()) == []
 
 
 def test_emit_plots_rejects_unknown_table(tmp_path):

@@ -4,6 +4,8 @@ Finite differences and closed-form presets supply the ground truth; the
 group laws are exercised on random small bumps and periodic wiggles.
 """
 
+import base64
+
 import numpy as np
 import pytest
 
@@ -355,10 +357,71 @@ def test_from_dict_accepts_preset_form():
                                       params).jets)
 
 
+def _extreme_map(tail, k):
+    """A map of the given tail class on 9 nodes whose node jets hold
+    +-1e300, -0.0 and the least subnormal at nodes 1 and 2, away from the
+    boundary rows and from the ep fold at node 4."""
+    a, b = (0.0, 1.0) if tail == "periodic" else (-1.0, 1.0)
+    jets = 1e-3 * np.random.default_rng(k).standard_normal((9, k + 1))
+    jets[1, :2] = 1e300, 5e-324
+    jets[2, :2] = -1e300, -0.0
+    if tail == "compact":
+        jets[[0, -1]] = 0.0
+    elif tail == "periodic":
+        jets[-1] = jets[0]
+    else:
+        jets[0] = 0.0
+        jets[4] = jets[-1]  # node b - 1 starts the repeating profile
+    return Diffeo1(tail, a, b, k, jets)
+
+
+@pytest.mark.parametrize("tail", TAILS)
+@pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+def test_dict_round_trip_keeps_every_bit(tail, k):
+    # the ep constructor evaluates its fold, whose high-order Hermite
+    # coefficients overflow on these payloads; only the bytes matter here
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _extreme_map(tail, k)
+        d = to_dict(f)
+        back = from_dict(d)
+    assert isinstance(d["jets"], str) and d["jets"].isascii()
+    assert (back.tail, back.a, back.b, back.k) == (f.tail, f.a, f.b, f.k)
+    assert back.jets.tobytes() == f.jets.tobytes()
+    assert np.signbit(back.jets[2, 1]) and back.jets[1, 1] == 5e-324
+
+
+def _bump_dict():
+    return to_dict(small_bump(2e-3, center=0.1, radius=0.9))
+
+
+def _with_jets(jets):
+    d = _bump_dict()
+    d["jets"] = jets
+    return d
+
+
+@pytest.mark.parametrize("name,d", [
+    ("not base64", _with_jets("not base64!")),
+    ("one byte short",
+     _with_jets(base64.b64encode(
+         base64.b64decode(_bump_dict()["jets"])[:-1]).decode("ascii"))),
+    ("a list", _with_jets(small_bump(2e-3).jets.tolist())),
+    ("NaN", _with_jets(base64.b64encode(np.full(
+        (513, 3), np.nan).astype("<f8").tobytes()).decode("ascii"))),
+    ("no jets", {key: v for key, v in _bump_dict().items() if key != "jets"}),
+    ("a text node count",
+     {**_bump_dict(), "grid": {"a": -1.0, "b": 1.0, "n": "many"}}),
+])
+def test_from_dict_refuses_malformed_maps(name, d):
+    with pytest.raises(ValueError, match="^malformed map"):
+        from_dict(d)
+
+
 def test_from_dict_rejects_unknown_class():
-    with pytest.raises(ValueError):
+    jets = base64.b64encode(np.zeros((2, 2)).tobytes()).decode("ascii")
+    with pytest.raises(ValueError, match="unknown tail class 'nope'"):
         from_dict({"class": "nope", "grid": {"a": 0.0, "b": 1.0, "n": 2},
-                   "k": 1, "jets": [[0.0, 0.0], [0.0, 0.0]]})
+                   "k": 1, "jets": jets})
 
 
 if HAVE_HYPOTHESIS:

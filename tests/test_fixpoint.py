@@ -43,7 +43,7 @@ from diffeolab import (
 from diffeolab import diffeo, fixpoint
 from diffeolab.cli import EXIT_USAGE, main
 from diffeolab.fixpoint import _BlendProfile, _renorm_full
-from _helpers import small_bump
+from _helpers import map_jets, put_map_jets, small_bump
 
 ALPHA = holder(0.5)
 
@@ -300,6 +300,24 @@ def test_search_names_the_certificate_stage(preset_f, cfg):
         fixed_point_search(preset_f, cfg, tol=tol)
 
 
+def test_search_refuses_a_chain_its_replay_fails(preset_f, cfg, monkeypatch):
+    # the search replays its own chain: a failing item is a refusal
+    monkeypatch.setattr(fixpoint, "_rescale_residual", lambda *a: 1.0)
+    with pytest.raises(ConstructionError, match=(
+            "^certificate stage: replay failed on rescale-conjugation$")):
+        fixed_point_search(preset_f, cfg)
+
+
+def test_search_types_a_replay_that_cannot_read_its_chain(preset_f, cfg,
+                                                          monkeypatch):
+    def unreadable(chain, tol):
+        raise ValueError("malformed certificate chain: test")
+    monkeypatch.setattr(fixpoint, "verify_certificate", unreadable)
+    with pytest.raises(ConstructionError, match=(
+            "^certificate stage: replay failed: malformed certificate")):
+        fixed_point_search(preset_f, cfg)
+
+
 def test_search_refuses_width_one_before_building(monkeypatch):
     # at A=1 the scaling ratio and the rescale factor are both 1
     def no_build(*args):
@@ -346,7 +364,9 @@ def test_the_replay_builds_no_map(converged, monkeypatch):
 
 def test_tampered_witness_fails_exactly_one_item(converged):
     chain = json.loads(dump_chain(converged.chain))
-    chain["maps"]["witness"]["jets"][40][0] += 1e-3
+    jets = map_jets(chain["maps"]["witness"])
+    jets[40][0] += 1e-3
+    put_map_jets(chain["maps"]["witness"], jets)
     report = verify_certificate(chain)
     assert not report["ok"]
     bad = [item["name"] for item in report["items"] if not item["ok"]]
@@ -365,12 +385,12 @@ def _failed(report):
 def test_the_chain_stores_rescaler_parameters_not_a_map(converged, cfg):
     chain = converged.chain
     assert (chain["format"], chain["version"]) == (
-        "homology-certificate-chain", 2)
+        "homology-certificate-chain", 3)
     assert set(chain["maps"]) == {"f", "u0", "conjugated", "reduced",
                                   "witness", "flow_time_one"}
     assert chain["rescaler"] == dict(zip(("ratio", "zi", "zo", "k"),
                                          rescaler_params(cfg)))
-    assert len(dump_chain(chain)) <= 0.6e6
+    assert len(dump_chain(chain)) <= 0.4e6
 
 
 @pytest.mark.parametrize("name,x0,identity", [
@@ -385,7 +405,9 @@ def test_tampering_any_map_fails_its_identity(converged, name, x0, identity):
     chain = _copy(converged)
     m = chain["maps"][name]
     a, b, n = m["grid"]["a"], m["grid"]["b"], m["grid"]["n"]
-    m["jets"][round((x0 - a) / (b - a) * (n - 1))][0] += 1e-3
+    jets = map_jets(m)
+    jets[round((x0 - a) / (b - a) * (n - 1))][0] += 1e-3
+    put_map_jets(m, jets)
     report = verify_certificate(chain)
     assert not report["ok"]
     assert _failed(report)[identity] > DEFAULT_TOL.cert_tol
@@ -440,7 +462,7 @@ def test_a_small_stored_residual_is_no_licence(converged):
     # one claims to be
     chain = _copy(converged)
     w = chain["maps"]["witness"]
-    w["jets"] = (np.asarray(w["jets"]) * 1.5).tolist()
+    put_map_jets(w, map_jets(w) * 1.5)
     chain["identities"]["flow_conjugacy"]["residual"] = 1.0
     report = verify_certificate(chain)
     assert not report["ok"]
@@ -463,7 +485,7 @@ def test_an_input_reaching_past_the_target_is_caught(converged):
 
 @pytest.mark.parametrize("fmt,version", [("junk", 99),
                                          ("homology-certificate-chain", 1),
-                                         ("homology-certificate-chain", 3),
+                                         ("homology-certificate-chain", 2),
                                          (None, 2)])
 def test_other_formats_and_versions_are_refused(converged, fmt, version):
     chain = _copy(converged)
@@ -475,7 +497,9 @@ def test_other_formats_and_versions_are_refused(converged, fmt, version):
 
 def test_tampered_iterate_fails(converged):
     chain = json.loads(dump_chain(converged.chain))
-    chain["maps"]["u0"]["jets"][64][0] += 1e-4
+    jets = map_jets(chain["maps"]["u0"])
+    jets[64][0] += 1e-4
+    put_map_jets(chain["maps"]["u0"], jets)
     assert not verify_certificate(chain)["ok"]
 
 
