@@ -103,26 +103,28 @@ def _grid_cells(xf: np.ndarray, lo: float, h: float,
 
 
 def _hermite_eval(dc: list[np.ndarray], xf: np.ndarray, lo: float, h: float,
-                  order: int) -> np.ndarray:
-    """Derivatives 0..order of the interpolant on the grid lo + h*i at
-    points xf already folded into the grid."""
+                  order: int, lowest: int = 0) -> np.ndarray:
+    """Derivatives lowest..order of the interpolant on the grid lo + h*i
+    at points xf already folded into the grid."""
     idx, t = _grid_cells(xf, lo, h, dc[0].shape[1])
-    return _horner(dc, idx, t, h, order)
+    return _horner(dc, idx, t, h, order, lowest)
 
 
 def _horner(dc: list[np.ndarray], idx: np.ndarray, t: np.ndarray, h: float,
-            order: int) -> np.ndarray:
-    """Derivatives 0..order of the interpolant at local coordinates t in
-    cells idx, by Horner's rule on the coefficient rows gathered at each
-    cell, in the dtype of the tables (t should carry the same precision)."""
-    out = np.empty(t.shape + (order + 1,), dtype=dc[0].dtype)
-    for j in range(order + 1):
+            order: int, lowest: int = 0) -> np.ndarray:
+    """Derivatives lowest..order of the interpolant at local coordinates t
+    in cells idx, by Horner's rule on the coefficient rows gathered at each
+    cell, in the dtype of the tables (t should carry the same precision).
+    Each order is its own pass, so an order's values do not depend on
+    which other orders are asked for."""
+    out = np.empty(t.shape + (order - lowest + 1,), dtype=dc[0].dtype)
+    for j in range(lowest, order + 1):
         rows = dc[j]
         acc = rows[-1].take(idx)
         for i in range(rows.shape[0] - 2, -1, -1):
             acc *= t
             acc += rows[i].take(idx)
-        out[..., j] = acc / h ** j
+        out[..., j - lowest] = acc / h ** j
     return out
 
 
@@ -272,19 +274,23 @@ class Diffeo1:
             xf = np.minimum(np.maximum(xf, self.a), self.b)
         return xf, ident
 
-    def displacement_jets(self, x, order: int | None = None) -> np.ndarray:
-        """Derivatives 0..order of the displacement, vectorized over x."""
+    def displacement_jets(self, x, order: int | None = None,
+                          lowest: int = 0) -> np.ndarray:
+        """Derivatives lowest..order of the displacement, vectorized over
+        x; each is bitwise the same whichever other orders are asked for."""
         if order is None:
             order = self.k
         if order > self.k:
             raise ValueError("requested order exceeds the model order")
+        if not 0 <= lowest <= order:
+            raise ValueError("lowest order must lie in 0..order")
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         xf, ident = self._fold(x)
         if self._dc is None:
             self._dc = _hermite_tables(self.jets, self.h)
-        out = _hermite_eval(self._dc, xf, self.a, self.h, order)
+        out = _hermite_eval(self._dc, xf, self.a, self.h, order, lowest)
         out[ident] = 0.0
         if scalar:
             return out[0]
@@ -304,7 +310,7 @@ class Diffeo1:
         return self.jet_at(x, 0)[..., 0]
 
     def deriv(self, x, j: int) -> np.ndarray:
-        out = self.displacement_jets(x, j)[..., j]
+        out = self.displacement_jets(x, j, j)[..., 0]
         if j == 0:
             out = out + np.asarray(x, dtype=float)
         elif j == 1:
@@ -392,16 +398,20 @@ def refined_grid(f: Diffeo1, density: int) -> np.ndarray:
     return np.linspace(f.a, f.b, m)
 
 
-def _displacement_fn_compose(f: Diffeo1, g: Diffeo1):
-    k = f.k
+def _minus_identity(jets: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Displacement jets from full-map jets (orders 0..m, any m) at xs, in
+    place: x is taken from order 0 and 1 from order 1, if present."""
+    jets[..., 0] -= xs
+    if jets.shape[-1] > 1:
+        jets[..., 1] -= 1.0
+    return jets
 
-    def fn(xs: np.ndarray) -> np.ndarray:
-        gj = g.jet_at(xs, k)
-        fj = f.jet_at(gj[..., 0], k)
-        out = compose_derivs(fj, gj)
-        out[..., 0] -= xs
-        out[..., 1] -= 1.0
-        return out
+
+def _displacement_fn_compose(f: Diffeo1, g: Diffeo1):
+    def fn(xs: np.ndarray, order: int) -> np.ndarray:
+        gj = g.jet_at(xs, order)
+        fj = f.jet_at(gj[..., 0], order)
+        return _minus_identity(compose_derivs(fj, gj), xs)
 
     return fn
 
@@ -411,12 +421,18 @@ def _build_adaptive(tail: str, lo: float, hi: float, k: int, fn,
     """Sample displacement jets from fn on ever finer grids until the
     midpoint residual of the interpolant is below tolerance.  Sampled jets
     the constructor rejects, such as a broken tail law, are a failed
-    construction, not bad input."""
+    construction, not bad input.
+
+    The sampler is called as fn(xs, order) and returns the displacement
+    jets of orders 0..order at the points xs, shape xs.shape + (order+1,),
+    with each order's values the same whatever order is asked for.  Nodes
+    are sampled at order k; the midpoint check compares order 0 alone, so
+    midpoints are sampled at order 0."""
     n = max(int(n0), 2)
     n = min(n, tol.max_nodes)
     while True:
         xs = np.linspace(lo, hi, n)
-        jets = fn(xs)
+        jets = fn(xs, k)
         try:
             obj = Diffeo1(tail, lo, hi, k, jets, tol=tol)
         except PreconditionError:
@@ -424,7 +440,7 @@ def _build_adaptive(tail: str, lo: float, hi: float, k: int, fn,
         except ValueError as e:
             raise ConstructionError(str(e)) from e
         mids = 0.5 * (xs[:-1] + xs[1:])
-        direct = fn(mids)[..., 0]
+        direct = fn(mids, 0)[..., 0]
         resid = float(np.max(np.abs(obj.displacement_jets(mids, 0)[..., 0]
                                     - direct)))
         if resid <= tol.interp_residual or 2 * n - 1 > tol.max_nodes:
@@ -473,13 +489,12 @@ def inverse(f: Diffeo1, tol: Tolerances | None = None) -> Diffeo1:
     else:
         raise ValueError(f"no inverse is built for a map of class {f.tail!r}")
 
-    def fn(ys: np.ndarray) -> np.ndarray:
+    def fn(ys: np.ndarray, order: int) -> np.ndarray:
+        # f' is read at every order, so the positive-slope refusal of
+        # invert_derivs covers every sampled point
         xs = f.inverse_values(ys, tol.invert_abscissa)
-        fj = f.jet_at(xs, f.k)
-        out = invert_derivs(fj, xs)
-        out[..., 0] -= ys
-        out[..., 1] -= 1.0
-        return out
+        fj = f.jet_at(xs, max(order, 1))
+        return _minus_identity(invert_derivs(fj, xs)[..., :order + 1], ys)
 
     return _build_adaptive(f.tail, lo, hi, f.k, fn, f.n, tol)
 

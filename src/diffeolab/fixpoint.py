@@ -38,8 +38,8 @@ from numpy.polynomial import polynomial as npp
 from ._taylor import poly_jets
 from .config import EVAL_DENSITY, Tolerances, DEFAULT_TOL
 from .errors import PreconditionError, ConstructionError
-from .diffeo import (Diffeo1, _build_adaptive, compose, from_preset,
-                     identity, refined_grid, rescale_displacement,
+from .diffeo import (Diffeo1, _build_adaptive, _minus_identity, compose,
+                     from_preset, identity, refined_grid, rescale_displacement,
                      support_interval, support_within, to_dict as map_to_dict,
                      from_dict as map_from_dict)
 from .norms import holder_norm
@@ -76,7 +76,6 @@ class _BlendProfile:
         self.ratio = ratio
         self.zi = zi
         self.zo = zo
-        self.k = k
         self.span = zo - zi
         self.mean = (zo - ratio * zi) / self.span
         self.c = _step_poly(k)
@@ -97,36 +96,40 @@ class _BlendProfile:
     def feasible(self) -> bool:
         return self.mean > 0.0 and self.min_slope > 1e-3
 
-    def jets(self, t: np.ndarray) -> np.ndarray:
-        """Rows [integral, slope, slope', ...] of the profile at t."""
-        k = self.k
+    def jets(self, t: np.ndarray, order: int) -> np.ndarray:
+        """Rows [integral, slope, slope', ...] of the profile at t, up to
+        the given order (at most k); the step polynomial's jets are
+        evaluated only for the slope rows."""
         w, ell, ratio = self.w, self.ell, self.ratio
-        out = np.zeros(t.shape + (k + 1,))
+        out = np.zeros(t.shape + (order + 1,))
         fall = t <= w
         rise = t >= 1.0 - w
         flat = ~(fall | rise)
         base = ell * w + (ratio - ell) * w * (1.0 - self.ivalue)
         if fall.any():
             a = t[fall] / w
-            sj = poly_jets(self.c, a, max(k - 1, 0))
             anti = npp.polyval(a, self.ci)
             out[fall, 0] = (ell * t[fall]
                             + (ratio - ell) * (t[fall] - w * anti))
-            out[fall, 1] = ell + (ratio - ell) * (1.0 - sj[..., 0])
-            for j in range(2, k + 1):
+            if order >= 1:
+                sj = poly_jets(self.c, a, order - 1)
+                out[fall, 1] = ell + (ratio - ell) * (1.0 - sj[..., 0])
+            for j in range(2, order + 1):
                 out[fall, j] = -(ratio - ell) * sj[..., j - 1] / w ** (j - 1)
         if flat.any():
             out[flat, 0] = base + ell * (t[flat] - w)
-            out[flat, 1] = ell
+            if order >= 1:
+                out[flat, 1] = ell
         if rise.any():
             a = (t[rise] - (1.0 - w)) / w
-            sj = poly_jets(self.c, a, max(k - 1, 0))
             anti = npp.polyval(a, self.ci)
             start = base + ell * (1.0 - 2.0 * w)
             out[rise, 0] = (start + ell * (t[rise] - 1.0 + w)
                             + (1.0 - ell) * w * anti)
-            out[rise, 1] = ell + (1.0 - ell) * sj[..., 0]
-            for j in range(2, k + 1):
+            if order >= 1:
+                sj = poly_jets(self.c, a, order - 1)
+                out[rise, 1] = ell + (1.0 - ell) * sj[..., 0]
+            for j in range(2, order + 1):
                 out[rise, j] = (1.0 - ell) * sj[..., j - 1] / w ** (j - 1)
         return out
 
@@ -137,30 +140,27 @@ def _rescaler_fn(ratio: float, zi: float, zo: float, k: int):
     span = zo - zi
     prof = _BlendProfile(ratio, zi, zo, k)
 
-    def fn(xs: np.ndarray) -> np.ndarray:
+    def fn(xs: np.ndarray, order: int) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape + (k + 1,))
+        out = np.zeros(xs.shape + (order + 1,))
         ax = np.abs(xs)
         inner = ax <= zi
         outer = ax >= zo
         mid = ~(inner | outer)
         out[inner, 0] = (ratio - 1.0) * xs[inner]
-        if k >= 1:
+        if order >= 1:
             out[inner, 1] = ratio - 1.0
         if mid.any():
             t = (ax[mid] - zi) / span
-            pj = prof.jets(t)
+            pj = prof.jets(t, order)
             q = np.zeros(pj.shape)
             q[:, 0] = ratio * zi + span * pj[:, 0]
-            for j in range(1, k + 1):
+            for j in range(1, order + 1):
                 q[:, j] = pj[:, j] / span ** (j - 1)
             sg = np.where(xs[mid] < 0.0, -1.0, 1.0)
-            for j in range(k + 1):
+            for j in range(order + 1):
                 q[:, j] *= sg ** (j + 1)
-            q[:, 0] -= xs[mid]
-            if k >= 1:
-                q[:, 1] -= 1.0
-            out[mid] = q
+            out[mid] = _minus_identity(q, xs[mid])
         return out
 
     return fn
@@ -347,7 +347,7 @@ def _rescale_residual(g: Diffeo1, f: Diffeo1, u: Diffeo1,
     disp = _rescaler_fn(*params)
 
     def q(ys: np.ndarray) -> np.ndarray:
-        return ys + disp(ys)[..., 0]
+        return ys + disp(ys, 0)[..., 0]
 
     return float(np.max(np.abs(g(q(xs)) - q(f(u(xs))))))
 

@@ -76,7 +76,7 @@ def holder_norm(f: Diffeo1, alpha, k: int | None = None) -> float:
     """The seminorm [f^{(k)}]_alpha, estimated on a dense grid."""
     k = f.k if k is None else k
     xs = sample_grid(f)
-    vals = f.displacement_jets(xs, k)[:, k]
+    vals = f.displacement_jets(xs, k, k)[:, 0]
     return holder_seminorm_samples(vals, xs[1] - xs[0], alpha)
 
 

@@ -27,9 +27,9 @@ import numpy as np
 from ._taylor import compose_affine, coeffs_to_derivs, smoothstep_series
 from .config import (DEFAULT_TOL, ESTIMATOR_SLACK, EVAL_DENSITY, Tolerances,
                      smallness_threshold)
-from .diffeo import (Diffeo1, _build_adaptive, compose, compose_all, inverse,
-                     post_translate, refined_grid, support_interval,
-                     support_within, translate_conjugate)
+from .diffeo import (Diffeo1, _build_adaptive, _minus_identity, compose,
+                     compose_all, inverse, post_translate, refined_grid,
+                     support_interval, support_within, translate_conjugate)
 from .errors import ConstructionError, PreconditionError
 from .flow import OVERLAP_REACH, PlateauField, time_t_map, trajectory_chart
 from .jets import compose_derivs, invert_derivs
@@ -192,7 +192,8 @@ def roll_word(g: Diffeo1, x, r, s: int, order: int | None = None) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     Y = np.zeros((x.size, order + 1))
     Y[:, 0] = (x - r).ravel()
-    Y[:, 1] = 1.0
+    if order >= 1:
+        Y[:, 1] = 1.0
     for _ in range(int(s)):
         _apply_letter(g, Y, order)
         Y[:, 0] += 1.0
@@ -226,16 +227,12 @@ def roll_up(g: Diffeo1, tol: Tolerances | None = None) -> Diffeo1:
     inf_supp, _, _, s = roll_params(g)
     if s > tol.word_cap:
         raise ConstructionError(f"word length {s} exceeds the cap")
-    k = g.k
 
-    def fn(xs: np.ndarray) -> np.ndarray:
+    def fn(xs: np.ndarray, order: int) -> np.ndarray:
         r = np.ceil(xs - inf_supp)
-        out = roll_word(g, xs, r, s, k)
-        out[..., 0] -= xs
-        out[..., 1] -= 1.0
-        return out
+        return _minus_identity(roll_word(g, xs, r, s, order), xs)
 
-    return _build_adaptive("periodic", 0.0, 1.0, k, fn,
+    return _build_adaptive("periodic", 0.0, 1.0, g.k, fn,
                            max(129, min(g.n, 4097)), tol)
 
 
@@ -322,11 +319,11 @@ def spread_once(g: Diffeo1, cfg: MatherConfig,
 
     binom = [[math.comb(j, i) for i in range(j + 1)] for j in range(k + 1)]
 
-    def damped_fn(xs: np.ndarray) -> np.ndarray:
-        zj = _ZETA.jets(xs, k)
-        uj = h.displacement_jets(xs, k)
+    def damped_fn(xs: np.ndarray, order: int) -> np.ndarray:
+        zj = _ZETA.jets(xs, order)
+        uj = h.displacement_jets(xs, order)
         out = np.zeros_like(uj)
-        for j in range(k + 1):
+        for j in range(order + 1):
             for i in range(j + 1):
                 out[..., j] += binom[j][i] * zj[..., i] * uj[..., j - i]
         return out
@@ -579,19 +576,18 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     b = float(np.mean(tvals))
     dev = float(np.max(np.abs(tvals - b)))
 
-    def fn(xs: np.ndarray) -> np.ndarray:
-        Y = np.zeros((xs.size, k + 1))
+    def fn(xs: np.ndarray, order: int) -> np.ndarray:
+        Y = np.zeros((xs.size, order + 1))
         Y[:, 0] = xs
-        Y[:, 1] = 1.0
+        if order >= 1:
+            Y[:, 1] = 1.0
         for _ in range(s):
             Y[:, 0] -= 1.0
-            _apply_letter(u_inv, Y, k)
+            _apply_letter(u_inv, Y, order)
         for _ in range(s):
-            _apply_letter(v, Y, k)
+            _apply_letter(v, Y, order)
             Y[:, 0] += 1.0
-        Y[:, 0] -= xs
-        Y[:, 1] -= 1.0
-        return Y
+        return _minus_identity(Y, xs)
 
     n0 = max(257, int(round(256.0 * (hi - lo))) + 1)
     lam = _build_adaptive("ep", lo, hi, k, fn, n0, tol)
@@ -626,15 +622,6 @@ class ConjugacyCertificate:
     translation_dev: float          # deviation of the rolled quotient from T_b
     config: dict
 
-    def to_dict(self) -> dict:
-        from .diffeo import to_dict as map_dict
-        return {"b": self.b, "residual": self.residual,
-                "overlaps": dict(self.overlaps),
-                "word_length": self.word_length,
-                "translation_dev": self.translation_dev,
-                "tau": map_dict(self.tau), "lam": map_dict(self.lam),
-                "config": dict(self.config)}
-
 
 def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
                tol: Tolerances | None = None) -> ConjugacyCertificate:
@@ -661,27 +648,28 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     tau_b = time_t_map(field, b, k, tol=tol)
     cut = 2.0 * A + 0.75
 
-    def chart_side(xs: np.ndarray) -> np.ndarray:
+    def chart_side(xs: np.ndarray, order: int) -> np.ndarray:
+        # the chart's slope is read at every order, as in inverse(), so
+        # invert_derivs' positive-slope refusal covers every sampled point
         ys = chart.inverse_value(xs)
-        Ji = invert_derivs(chart.jet_at(ys, k), ys)
-        J2 = compose_derivs(Lam.jet_at(Ji[..., 0], k), Ji)
-        return compose_derivs(chart.jet_at(J2[..., 0], k), J2)
+        Ji = invert_derivs(chart.jet_at(ys, max(order, 1)),
+                           ys)[..., :order + 1]
+        J2 = compose_derivs(Lam.jet_at(Ji[..., 0], order), Ji)
+        return compose_derivs(chart.jet_at(J2[..., 0], order), J2)
 
-    def fn(xs: np.ndarray) -> np.ndarray:
-        out = np.empty(xs.shape + (k + 1,))
+    def fn(xs: np.ndarray, order: int) -> np.ndarray:
+        out = np.empty(xs.shape + (order + 1,))
         mid = xs <= cut
         if mid.any():
-            out[mid] = chart_side(xs[mid])
+            out[mid] = chart_side(xs[mid], order)
         if (~mid).any():
-            out[~mid] = tau_b.jet_at(xs[~mid], k)
-        out[..., 0] -= xs
-        out[..., 1] -= 1.0
-        return out
+            out[~mid] = tau_b.jet_at(xs[~mid], order)
+        return _minus_identity(out, xs)
 
     xs_r = np.linspace(2.0 * A + 0.55, 2.0 * A + OVERLAP_REACH, 101)
-    right = float(np.max(np.abs(chart_side(xs_r)[..., 0] - tau_b(xs_r))))
+    right = float(np.max(np.abs(chart_side(xs_r, 0)[..., 0] - tau_b(xs_r))))
     xs_l = np.linspace(-2.0 * A - OVERLAP_REACH, -2.0 * A, 101)
-    left = float(np.max(np.abs(chart_side(xs_l)[..., 0] - xs_l)))
+    left = float(np.max(np.abs(chart_side(xs_l, 0)[..., 0] - xs_l)))
     if max(left, right) > tol.overlap:
         raise ConstructionError(
             f"piecewise overlap residual {max(left, right):.3e} exceeds "

@@ -153,6 +153,13 @@ def test_displacement_jets_matches_per_cell_polyval_bitwise(tail):
                                       want.reshape(3, 3, k + 1))
         for x, w in zip(xs, want):
             np.testing.assert_array_equal(f.displacement_jets(float(x)), w)
+        # a one-order request is that column of the full request, bitwise
+        full = f.displacement_jets(xs)
+        for j in range(k + 1):
+            one = f.displacement_jets(xs, j, j)
+            assert one.shape == xs.shape + (1,)
+            assert np.array_equal(one.view(np.uint64),
+                                  full[:, j:j + 1].copy().view(np.uint64))
 
 
 @pytest.mark.parametrize("tail", TAILS)
@@ -316,12 +323,12 @@ def test_post_translate_shifts_values():
 
 
 def test_adaptive_build_breaking_a_tail_law_is_a_construction_error():
-    def fn(xs):  # a compact build whose end jets do not vanish
+    def fn(xs, order):  # a compact build whose end jets do not vanish
         out = np.zeros(xs.shape + (3,))
         out[:, 0] = 1e-3 * np.cos(xs)
         out[:, 1] = -1e-3 * np.sin(xs)
         out[:, 2] = -1e-3 * np.cos(xs)
-        return out
+        return out[:, :order + 1]
 
     with pytest.raises(ConstructionError, match="^compact tail: "):
         _build_adaptive("compact", -1.0, 1.0, 2, fn, 33, DEFAULT_TOL)
@@ -331,8 +338,9 @@ def test_adaptive_build_passes_precondition_errors_through():
     u = -2.0 * np.polynomial.Polynomial([0.0, 1.0]) * \
         np.polynomial.Polynomial([1.0, 0.0, -1.0]) ** 4
 
-    def fn(xs):  # flat ends, but the slope 1 + u' reaches -1 at 0
-        return np.stack([u(xs), u.deriv(1)(xs), u.deriv(2)(xs)], axis=-1)
+    def fn(xs, order):  # flat ends, but the slope 1 + u' reaches -1 at 0
+        jets = np.stack([u(xs), u.deriv(1)(xs), u.deriv(2)(xs)], axis=-1)
+        return jets[..., :order + 1]
 
     with pytest.raises(PreconditionError, match="orientation lost"):
         _build_adaptive("compact", -1.0, 1.0, 2, fn, 33, DEFAULT_TOL)
