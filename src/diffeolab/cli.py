@@ -112,11 +112,14 @@ def _make_run_config(args) -> RunConfig:
         if v is not None:
             tol_kw[name] = v
     tol = Tolerances(**tol_kw)
+    A = pick(getattr(args, "A", None), "A", 1)
+    if A < 1:
+        raise ValueError(f"A must be at least 1, got {A}")
 
     return RunConfig(
         k=pick(getattr(args, "k", None), "k", 2),
         alpha_spec=pick(getattr(args, "alpha", None), "alpha", "holder:0.5"),
-        A=pick(getattr(args, "A", None), "A", 1),
+        A=A,
         seed=pick(getattr(args, "seed", None), "seed", 0),
         out_dir=pick(getattr(args, "out", None), "out", "."),
         tol=tol,
@@ -259,8 +262,7 @@ def _flow_checks(A: int, k: int, b: float, samples: int, tol) -> dict:
 def _cmd_flow(args) -> int:
     cfg = _make_run_config(args)
     _echo_config(cfg)
-    checks = _flow_checks(max(cfg.A, 1), cfg.k, args.b, args.samples,
-                          cfg.tol)
+    checks = _flow_checks(cfg.A, cfg.k, args.b, args.samples, cfg.tol)
     payload = {
         "run_config": cfg.to_dict(),
         "b": args.b,
@@ -340,7 +342,7 @@ def _cmd_mather(args) -> int:
         print(f"mather psi: {n_rows} rows -> {path}")
         return EXIT_OK
 
-    mcfg = reduction.make_config(k, alpha, max(cfg.A, 1))
+    mcfg = reduction.make_config(k, alpha, cfg.A)
 
     if args.op == "gamma":
         check, equi = _roll_checks(args.eps, mcfg, 0.37, tol)

@@ -8,7 +8,8 @@ module constants below are fixed: every caller uses the one value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+import math
+from dataclasses import dataclass, field, fields, asdict, replace
 
 # norm grids: sample points per grid cell of the map
 EVAL_DENSITY = 8
@@ -49,6 +50,19 @@ class Tolerances:
     fix_tol: float = 1e-6
     fix_max_iter: int = 200
     cert_tol: float = 1e-5
+
+    def __post_init__(self):
+        # a NaN threshold never passes or never fails its comparison, and
+        # it would also make the instance unequal to itself as a cache key
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, int):
+                if value < 1:
+                    raise ValueError(
+                        f"tolerance {f.name} must be at least 1, got {value!r}")
+            elif not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"tolerance {f.name} must be finite and "
+                                 f"non-negative, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -16,7 +16,9 @@ expansion gives Phi_t^(m+1) from the lower orders through the chain-rule
 table.  Next to the edge D is so small that x + D rounds to x; there
 rho(x+D) - rho(x) comes from a Taylor shift in D from the jets of rho at
 x, since a difference of two values would collapse every jet of such a
-node to zero.
+node to zero.  The unit-time map depends only on (A, k, tolerances), so
+the process builds it once per key (`_unit_time_map`) and every
+certificate shares that read-only map.
 
 The chart phi(x) is the trajectory of 0 evaluated at time x.  It is x
 exactly on the plateau [-2A, 2A], and it is odd since rho is even.  Right
@@ -189,6 +191,8 @@ def _rho_shift(field: PlateauField, x: np.ndarray, d: np.ndarray,
 def time_t_map(field: PlateauField, t: float, k: int,
                tol: Tolerances | None = None) -> Diffeo1:
     """The time-t map of the field as a compactly supported diffeomorphism."""
+    if not math.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t!r}")
     tol = tol or DEFAULT_TOL
     lo, hi = -field.edge, field.edge
     n = _auto_nodes(hi - lo)
@@ -219,6 +223,15 @@ def time_t_map(field: PlateauField, t: float, k: int,
     jets[ramp, 1] = drho[:, 0] / rj[:, 0]
     jets[ramp, 2:] = phi[:, 2:]
     return Diffeo1("compact", lo, hi, k, jets, tol=tol)
+
+
+# bounded: the key holds every tolerance, so a caller sweeping tolerances
+# would otherwise keep one map per setting for the life of the process
+@functools.lru_cache(maxsize=16)
+def _unit_time_map(field: PlateauField, k: int, tol: Tolerances) -> Diffeo1:
+    """time_t_map(field, 1.0, k, tol=tol), built once per key: a Diffeo1's
+    jets are read-only, so one map serves every caller."""
+    return time_t_map(field, 1.0, k, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,8 @@ from .diffeo import (Diffeo1, _build_adaptive, _minus_identity, compose,
                      compose_all, inverse, post_translate, refined_grid,
                      support_interval, support_within, translate_conjugate)
 from .errors import ConstructionError, PreconditionError
-from .flow import OVERLAP_REACH, PlateauField, time_t_map, trajectory_chart
+from .flow import (OVERLAP_REACH, PlateauField, _unit_time_map, time_t_map,
+                   trajectory_chart)
 from .jets import compose_derivs, invert_derivs
 from .norms import SlackReport, holder_norm
 
@@ -644,7 +645,7 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
 
     field = PlateauField(A)
     chart = trajectory_chart(field, k, tol=tol)
-    tau = time_t_map(field, 1.0, k, tol=tol)
+    tau = _unit_time_map(field, k, tol)
     tau_b = time_t_map(field, b, k, tol=tol)
     cut = 2.0 * A + 0.75
 

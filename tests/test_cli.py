@@ -355,6 +355,55 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("b", ["nan", "inf"])
+def test_flow_chart_refuses_a_non_finite_time(tmp_path, capsys, b):
+    # a NaN time used to spin inside the ODE solver forever
+    assert run("flow", "chart", "--b", b, "--out", str(tmp_path)) == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "flow_chart.json").exists()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("ode_tol", float("nan")), ("interp_residual", float("nan")),
+    ("overlap", float("inf")), ("fix_tol", -1e-6), ("max_nodes", 0),
+    ("word_cap", -3), ("fix_max_iter", 0)])
+def test_tolerances_refuse_unusable_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        Tolerances(**{name: value})
+
+
+def test_tolerances_accept_zero_thresholds():
+    assert Tolerances(fix_tol=0.0, max_nodes=1).fix_tol == 0.0
+
+
+def test_unusable_tolerances_are_usage_errors(tmp_path, capsys):
+    out = str(tmp_path)
+    # --tol-interp-residual nan used to double every build up to max_nodes
+    for flag in ("--tol-ode-tol", "--tol-interp-residual"):
+        assert run("flow", "chart", flag, "nan", "--out", out) == EXIT_USAGE
+        assert flag[6:].replace("-", "_") in capsys.readouterr().err
+    cfg_path = tmp_path / "run.json"
+    for bad in ({"ode_tol": -1e-12}, {"interp_residual": float("nan")},
+                {"word_cap": 0}):
+        cfg_path.write_text(json.dumps({"tol": bad}))
+        assert run("flow", "chart", "--config", str(cfg_path),
+                   "--out", out) == EXIT_USAGE
+        assert next(iter(bad)) in capsys.readouterr().err
+    assert not (tmp_path / "flow_chart.json").exists()
+
+
+def test_widths_below_one_are_usage_errors(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run("flow", "chart", "--A", "-2", "--out", out) == EXIT_USAGE
+    assert run("mather", "lambda", "--A", "-1", "--out", out) == EXIT_USAGE
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"A": 0}))
+    assert run("flow", "chart", "--config", str(cfg_path),
+               "--out", out) == EXIT_USAGE
+    assert "A must be at least 1" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_config_file_must_be_an_object(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps([{"A": 2}]))

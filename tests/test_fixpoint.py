@@ -30,17 +30,19 @@ from diffeolab import (
     log_refined_holder,
     make_config,
     make_rescaler,
+    make_rho,
     rescale_displacement,
     rescaler_params,
     rescale_factor,
     scaling_ratio,
     support_interval,
+    time_t_map,
     to_dict,
     verify_certificate,
     witness_window,
     write_chain,
 )
-from diffeolab import diffeo, fixpoint
+from diffeolab import diffeo, fixpoint, flow
 from diffeolab.cli import EXIT_USAGE, main
 from diffeolab.fixpoint import _BlendProfile, _renorm_full
 from _helpers import map_jets, put_map_jets, small_bump
@@ -349,6 +351,26 @@ def test_emitted_certificate_verifies(converged):
                      "support-conjugated", "support-reduced",
                      "support-witness"]
     assert all(item["ok"] for item in report["items"])
+
+
+def test_the_certificate_flow_map_is_the_direct_integration(converged):
+    tau = converged.certificates[0].tau
+    fresh = time_t_map(make_rho(4), 1.0, 2)
+    assert (tau.a, tau.b, tau.n) == (fresh.a, fresh.b, fresh.n)
+    assert np.array_equal(tau.jets, fresh.jets)
+    assert converged.chain["maps"]["flow_time_one"] == to_dict(fresh)
+    # one map serves every search, so no caller may change it
+    assert not tau.jets.flags.writeable
+
+
+def test_searches_share_one_unit_time_map(preset_f, cfg):
+    flow._unit_time_map.cache_clear()
+    first = fixed_point_search(identity(2, -1.0, 1.0), cfg).certificates[0]
+    second = fixed_point_search(preset_f, cfg).certificates[0]
+    assert first.b != second.b
+    # the time-b map is built per search and never cached
+    assert flow._unit_time_map.cache_info().currsize == 1
+    assert second.tau is first.tau
 
 
 def test_the_replay_builds_no_map(converged, monkeypatch):

@@ -77,6 +77,12 @@ def test_time_zero_map_is_identity():
     assert np.all(f.jets == 0.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_time_t_map_refuses_a_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        time_t_map(make_rho(1), t, 2)
+
+
 def test_flow_moves_at_unit_speed_on_the_plateau():
     field = make_rho(1)
     for t in (0.25, 0.7, -0.5):
