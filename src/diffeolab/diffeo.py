@@ -19,6 +19,7 @@ which are only evaluated.
 from __future__ import annotations
 
 import base64
+import functools
 import math
 
 import numpy as np
@@ -35,6 +36,37 @@ TAILS = ("compact", "periodic", "ep")
 _FOLD_SLACK = 10.0
 
 
+@functools.lru_cache(maxsize=None)
+def _hermite_plan(k: int) -> tuple[np.ndarray, ...]:
+    """The scalar constants of _hermite_coeffs at order k, each an integer
+    held exactly as a float64, laid out to broadcast over the cell axis:
+
+    - fact[j] = j!, shape (k+1, 1);
+    - falling[i, j] = i!/(i-j)! for j <= i, the j-th derivative of t^i
+      at t = 1;
+    - weights[m, j] for m < j, the coefficient of q_m in the j-th
+      derivative at t = 1 of the correction sum_m q_m t^{k+1} (t-1)^m;
+    - signed[m, s] = C(m, s) (-1)^(m-s), the coefficient of t^s in
+      (t-1)^m.
+
+    The arrays are read-only: every call at order k shares them."""
+    fact = _taylor.factorials(k)[:, None]
+    falling = np.zeros((k + 1, k + 1))
+    weights = np.zeros((k + 1, k + 1))
+    signed = np.zeros((k + 1, k + 1))
+    for i in range(k + 1):
+        for j in range(i + 1):
+            falling[i, j] = math.factorial(i) / math.factorial(i - j)
+            signed[i, j] = math.comb(i, j) * (-1.0) ** (i - j)
+    for j in range(k + 1):
+        for m in range(j):
+            weights[m, j] = math.comb(j, m) * math.factorial(m) \
+                * math.factorial(k + 1) // math.factorial(k + 1 - (j - m))
+    for arr in (fact, falling, weights, signed):
+        arr.setflags(write=False)
+    return fact, falling, weights, signed
+
+
 def _hermite_coeffs(j0: np.ndarray, j1: np.ndarray, h: float) -> np.ndarray:
     """Monomial coefficients, per cell, of the order-2k+1 interpolant.
 
@@ -43,41 +75,41 @@ def _hermite_coeffs(j0: np.ndarray, j1: np.ndarray, h: float) -> np.ndarray:
     the result has shape (2k+2, cells), in their dtype, laid out
     (coefficients, cells): row i holds the coefficient of t^i in every
     cell, where t is the local coordinate (x - x_left)/h.
-    """
+
+    Rows 0..k are the left Taylor part d0_i / i!, with d0_i = h^i j0_i.
+    Rows k+1.. are the correction sum_m q_m t^{k+1} (t-1)^m that matches
+    the right jets: q solves a triangular system at t = 1.  The scalar
+    constants come from _hermite_plan; the arithmetic runs on whole
+    (orders, cells) blocks in place, one ufunc per order.  Each element
+    takes the same IEEE operations in the same order as the loop over
+    single orders kept as the oracle of tests/test_hermite_tables.py:
+    every sum starts from zero, as there (0.0 + -0.0 is +0.0), and a
+    product by a signed binomial equals the loop's product by the
+    binomial and then by -1, since rounding is symmetric in sign."""
     cells, kp1 = j0.shape
     k = kp1 - 1
-    fact = _taylor.factorials(k)[:, None]
-    hp = h ** np.arange(k + 1)
-    d0 = (j0 * hp).T
-    d1 = (j1 * hp).T
-    c = np.zeros((2 * k + 2, cells), dtype=j0.dtype)
-    c[: k + 1] = d0 / fact
-
-    # derivatives at t=1 of the left Taylor part
-    falling = np.zeros((2 * k + 2, k + 1))
-    for i in range(2 * k + 2):
-        for j in range(min(i, k) + 1):
-            falling[i, j] = math.factorial(i) / math.factorial(i - j)
-    taylor_end = np.zeros((k + 1, cells), dtype=j0.dtype)
-    for j in range(k + 1):
-        acc = np.zeros(cells, dtype=j0.dtype)
-        for i in range(j, k + 1):
-            acc += c[i] * falling[i, j]
-        taylor_end[j] = acc
-
-    need = d1 - taylor_end
-    # correction sum_m q_m t^{k+1} (t-1)^m, solved triangularly at t=1
-    q = np.zeros((k + 1, cells), dtype=j0.dtype)
-    for j in range(k + 1):
-        acc = need[j].copy()
-        for m in range(j):
-            w = math.comb(j, m) * math.factorial(m) \
-                * math.factorial(k + 1) // math.factorial(k + 1 - (j - m))
-            acc -= w * q[m]
-        q[j] = acc / math.factorial(j)
-    for m in range(k + 1):
-        for s in range(m + 1):
-            c[k + 1 + s] += q[m] * math.comb(m, s) * (-1.0) ** (m - s)
+    fact, falling, weights, signed = _hermite_plan(k)
+    hp = (h ** np.arange(kp1))[:, None]
+    c = np.zeros((2 * kp1, cells), dtype=j0.dtype)
+    low, high = c[:kp1], c[kp1:]
+    np.multiply(j0.T, hp, out=low)
+    np.divide(low, fact, out=low)
+    # q first holds the derivatives at t=1 of the left Taylor part ...
+    q = np.zeros((kp1, cells), dtype=j0.dtype)
+    tmp = np.empty((kp1, cells), dtype=j0.dtype)
+    for i in range(kp1):
+        np.multiply(low[i], falling[i, :i + 1, None], out=tmp[:i + 1])
+        np.add(q[:i + 1], tmp[:i + 1], out=q[:i + 1])
+    # ... then what the correction must add to reach h^j j1_j there ...
+    np.multiply(j1.T, hp, out=tmp)
+    np.subtract(tmp, q, out=q)
+    # ... and, row by row, the correction's own coefficients q_m
+    for m in range(kp1):
+        np.divide(q[m], fact[m], out=q[m])
+        np.multiply(q[m], weights[m, m + 1:, None], out=tmp[:k - m])
+        np.subtract(q[m + 1:], tmp[:k - m], out=q[m + 1:])
+        np.multiply(q[m], signed[m, :m + 1, None], out=tmp[:m + 1])
+        np.add(high[:m + 1], tmp[:m + 1], out=high[:m + 1])
     return c
 
 
@@ -241,6 +273,7 @@ class Diffeo1:
         self.n = n
         self.h = (b - a) / (n - 1)
         self._dc: list[np.ndarray] | None = None
+        self._dcl: np.ndarray | None = None     # long double, order 0 only
 
         if tail == "ep":
             self._check_ep_fold(tol)
@@ -362,16 +395,31 @@ class Diffeo1:
                                y: np.ndarray) -> tuple[np.ndarray, float]:
         """One Newton step toward f(x) = y whose residual is evaluated in
         np.longdouble (80-bit where the platform has it, else an ordinary
-        step), and the largest residual |f(x) - y| before the step.  Only
-        the cells holding the points get long-double coefficients, built
-        for this call.  The residual is a few ulp at most, so the step
-        takes the slope of the cell's chord."""
+        step), and the largest residual |f(x) - y| before the step.  The
+        residual is a few ulp at most, so the step takes the slope of the
+        cell's chord.
+
+        The long-double coefficients come from the map's table of every
+        cell, built on the first call with at least one point per cell
+        (n - 1 points) and kept on the map, as the float64 tables are.
+        Until then each call gathers, for each point, the coefficients of
+        the cell holding it, so a sparse solve on a fine grid does not
+        build a table it would mostly not read.  A cell's coefficients are
+        bitwise the same either way."""
         xl = x.astype(np.longdouble)
         xf, ident = self._fold(xl)
         i, t = _grid_cells(xf, self.a, self.h, self.n - 1)
-        c = _hermite_coeffs(self.jets[i].astype(np.longdouble),
-                            self.jets[i + 1].astype(np.longdouble), self.h)
-        u = _horner([c], np.arange(i.size), t, self.h, 0)[:, 0]
+        if self._dcl is None and i.size >= self.n - 1:
+            jl = self.jets.astype(np.longdouble)
+            self._dcl = _hermite_coeffs(jl[:-1], jl[1:], self.h)
+        if self._dcl is None:
+            c = _hermite_coeffs(self.jets[i].astype(np.longdouble),
+                                self.jets[i + 1].astype(np.longdouble),
+                                self.h)
+            col = np.arange(i.size)
+        else:
+            c, col = self._dcl, i
+        u = _horner([c], col, t, self.h, 0)[:, 0]
         u[ident] = 0.0
         r = xl + u - y
         slope = 1.0 + (self.jets[i + 1, 0] - self.jets[i, 0]) / self.h

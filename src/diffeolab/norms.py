@@ -66,8 +66,11 @@ def holder_seminorm_samples(vals: np.ndarray, step: float, alpha) -> float:
     if strides[-1] != m - 1:
         strides.append(m - 1)
     best = 0.0
+    diff = np.empty(m - 1, dtype=vals.dtype)    # one buffer for every stride
     for s in strides:
-        gap = float(np.max(np.abs(vals[s:] - vals[:-s])))
+        d = diff[:m - s]
+        np.subtract(vals[s:], vals[:-s], out=d)
+        gap = float(np.max(np.abs(d, out=d)))
         best = max(best, gap / float(alpha(s * step)))
     return best
 

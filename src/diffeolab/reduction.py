@@ -154,13 +154,15 @@ def witness_window(cfg: MatherConfig) -> tuple[float, float]:
 
 # -- rolling up ---------------------------------------------------------------
 
-def _sup_norms(f: Diffeo1) -> tuple[float, float]:
-    """(sup |u|, sup |u'|) of the displacement on a dense grid."""
+def _sup_norms(f: Diffeo1, lowest: int = 0,
+               order: int = 1) -> tuple[float, ...]:
+    """(sup |u^(lowest)|, ..., sup |u^(order)|) of the displacement on a
+    dense grid.  Only the orders asked for are evaluated; each sup is the
+    same whichever others are asked for."""
     xs = refined_grid(f, EVAL_DENSITY)
-    uj = f.displacement_jets(xs, min(1, f.k))
-    s0 = float(np.max(np.abs(uj[:, 0])))
-    s1 = float(np.max(np.abs(uj[:, 1]))) if f.k >= 1 else 0.0
-    return s0, s1
+    uj = f.displacement_jets(xs, order, lowest)
+    return tuple(float(np.max(np.abs(uj[:, j])))
+                 for j in range(order - lowest + 1))
 
 
 def _apply_letter(g: Diffeo1, Y: np.ndarray, order: int) -> None:
@@ -211,7 +213,7 @@ def roll_params(g: Diffeo1):
     supp = support_interval(g)
     if supp is None:
         return float(g.a), 0.0, 0.0, 1
-    a, _ = _sup_norms(g)
+    (a,) = _sup_norms(g, order=0)
     if a >= 1.0:
         raise PreconditionError(
             f"displacement sup {a:.3f} reaches 1; the word does not advance")
@@ -308,7 +310,9 @@ def spread_once(g: Diffeo1, cfg: MatherConfig,
         raise PreconditionError("spreading applies to periodic maps")
     k = g.k
     g0 = float(g(np.array(0.0)))
-    h = post_translate(g, -g0)
+    # g(0) is u(0) + 0.0, which is never -0.0; when it is 0.0, as for every
+    # map spread recenters, the translation by -0.0 would copy g bit for bit
+    h = g if g0 == 0.0 else post_translate(g, -g0)
     sup0, sup1 = _sup_norms(h)
     if sup1 > cfg.eps0:
         raise PreconditionError(
@@ -364,7 +368,7 @@ def isotopy_step(h: Diffeo1, B: int, i: int,
         raise ValueError("factor index out of range")
     if abs(float(h(np.array(0.0)))) > tol.node_zero:
         raise PreconditionError("the isotopy needs a map fixing 0")
-    _, sup1 = _sup_norms(h)
+    (sup1,) = _sup_norms(h, lowest=1)
     if sup1 >= 1.0:
         raise PreconditionError("slope deviation reaches 1; blends may fold")
     gi = blend_toward_identity(h, i / B)
@@ -385,12 +389,18 @@ def spread(g: Diffeo1, cfg: MatherConfig,
     B = cfg.B
     g0 = float(g(np.array(0.0)))
     h = post_translate(g, -g0)
-    factors = []
-    for i in range(B, 0, -1):
-        hi = isotopy_step(h, B, i, tol)
-        wi = spread_once(hi, cfg, tol)
-        factors.append(translate_conjugate(wi, float(-2 * B - 2 + 4 * i)))
-    out = factors[0] if B == 1 else compose_all(factors, tol)
+    if B == 1:
+        # the one factor is h itself, planted at offset 0: isotopy_step
+        # and the translation would only copy it, and spread_once's slope
+        # gate is far stricter than isotopy_step's fold gate
+        out = spread_once(h, cfg, tol)
+    else:
+        factors = []
+        for i in range(B, 0, -1):
+            hi = isotopy_step(h, B, i, tol)
+            wi = spread_once(hi, cfg, tol)
+            factors.append(translate_conjugate(wi, float(-2 * B - 2 + 4 * i)))
+        out = compose_all(factors, tol)
     if not support_within(out, (-2.0 * B, 2.0 * B))[0]:
         raise ConstructionError("spread support leaked outside the target")
     return out
@@ -437,7 +447,7 @@ def reduce_norm(g: Diffeo1, cfg: MatherConfig,
             f"seminorm {norm_in:.3e} exceeds the ball radius "
             f"{cfg.delta0:.1e}")
     rolled = roll_up(g, tol)
-    _, rolled_slope = _sup_norms(rolled)
+    (rolled_slope,) = _sup_norms(rolled, lowest=1)
     out = spread(rolled, cfg, tol)
     norm_out = holder_norm(out, cfg.alpha, cfg.k)
     return PsiResult(map=out, norm_in=norm_in, norm_out=norm_out,
@@ -551,8 +561,8 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
                 f"the {name} map is supported outside [-2A, 2A]")
     if v.k != k:
         raise ValueError("operands carry different jet orders")
-    au, _ = _sup_norms(u)
-    av, _ = _sup_norms(v)
+    (au,) = _sup_norms(u, order=0)
+    (av,) = _sup_norms(v, order=0)
     a = max(au, av)
     if a >= 1.0:
         raise PreconditionError("displacement sup reaches 1")

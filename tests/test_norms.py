@@ -20,6 +20,7 @@ from diffeolab import (
     verify_lip_met,
     verify_subadditivity,
 )
+from diffeolab.norms import holder_seminorm_samples
 from _helpers import small_bump, small_periodic
 
 ALPHA = holder(0.5)
@@ -70,6 +71,34 @@ def test_translation_conjugation_preserves_derivative_entries():
     rg = norm_report(g, ALPHA)
     np.testing.assert_allclose(rf.sup_dev[1:], rg.sup_dev[1:], rtol=1e-12)
     np.testing.assert_allclose(rf.holder_dev, rg.holder_dev, rtol=1e-12)
+
+
+def _two_arrays_per_stride(vals, step, alpha):
+    """The estimator with a fresh difference and absolute value per stride."""
+    m = len(vals)
+    strides, s = [], 1
+    while s <= m - 1 and len(strides) < 23:
+        strides.append(s)
+        s *= 2
+    if strides[-1] != m - 1:
+        strides.append(m - 1)
+    best = 0.0
+    for s in strides:
+        gap = float(np.max(np.abs(vals[s:] - vals[:-s])))
+        best = max(best, gap / float(alpha(s * step)))
+    return best
+
+
+@pytest.mark.parametrize("m", [2, 3, 1000, 1 << 13, 9000])
+def test_one_buffer_estimator_matches_fresh_arrays(m):
+    rng = np.random.default_rng(m)
+    jets = rng.standard_normal((m, 3)) * np.array([1e-3, 1.0, 1e4])
+    for col in range(3):
+        vals = jets[:, col]                 # a strided column, as callers pass
+        for alpha in (ALPHA, holder(0.9)):
+            got = holder_seminorm_samples(vals, 1.0 / 512, alpha)
+            want = _two_arrays_per_stride(vals, 1.0 / 512, alpha)
+            assert got.hex() == want.hex()
 
 
 # -- inequality verifiers --------------------------------------------------------
