@@ -127,16 +127,20 @@ def compose_affine(c: np.ndarray, scale: float) -> np.ndarray:
 
 def poly_jets(c, x, order: int) -> np.ndarray:
     """Derivatives 0..order of the polynomial sum c_i x^i at the points x,
-    on a new last axis.  One Horner pass evaluates every order; each order
-    takes the same steps as numpy's polyval of the polyder coefficients."""
+    on a new last axis.  The coefficients sit on c's last axis; leading
+    axes of c hold a batch of polynomials that broadcasts against x.  One
+    Horner pass evaluates every order; each order takes the same steps as
+    numpy's polyval of the polyder coefficients."""
     c = np.asarray(c, dtype=float)
-    m = c.shape[0]
-    d = np.zeros((order + 1, m))
-    d[0] = c
+    m = c.shape[-1]
+    d = np.zeros(c.shape[:-1] + (order + 1, m))
+    d[..., 0, :] = c
     for j in range(1, min(order, m - 1) + 1):
-        d[j, :m - j] = d[j - 1, 1:m - j + 1] * np.arange(1, m - j + 1)
+        d[..., j, :m - j] = (d[..., j - 1, 1:m - j + 1]
+                             * np.arange(1, m - j + 1))
     x = np.asarray(x, dtype=float)[..., None]
-    acc = np.zeros(x.shape[:-1] + (order + 1,))
+    acc = np.zeros(np.broadcast_shapes(x.shape[:-1], c.shape[:-1])
+                   + (order + 1,))
     for i in range(m - 1, -1, -1):
-        acc = acc * x + d[:, i]
+        acc = acc * x + d[..., i]
     return acc

@@ -36,6 +36,13 @@ TAILS = ("compact", "periodic", "ep")
 _FOLD_SLACK = 10.0
 
 
+def _frac(y: np.ndarray) -> np.ndarray:
+    """np.mod(y, 1.0), bit for bit for finite y, several times faster:
+    y - floor(y) rounds the same exact value once, and gives +0.0 at
+    integers."""
+    return y - np.floor(y)
+
+
 @functools.lru_cache(maxsize=None)
 def _hermite_plan(k: int) -> tuple[np.ndarray, ...]:
     """The scalar constants of _hermite_coeffs at order k, each an integer
@@ -298,12 +305,11 @@ class Diffeo1:
             xf = np.minimum(np.maximum(x, self.a), self.b)
         elif self.tail == "periodic":
             ident = np.zeros(x.shape, dtype=bool)
-            xf = self.a + np.mod(x - self.a, 1.0)
+            xf = self.a + _frac(x - self.a)
         else:
             ident = x <= self.a
             xf = np.where(x > self.b,
-                          (self.b - 1.0) + np.mod(x - (self.b - 1.0), 1.0),
-                          x)
+                          (self.b - 1.0) + _frac(x - (self.b - 1.0)), x)
             xf = np.minimum(np.maximum(xf, self.a), self.b)
         return xf, ident
 

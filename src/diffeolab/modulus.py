@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import PreconditionError
@@ -228,6 +229,10 @@ def modulus_from_dict(d: dict) -> ConcaveModulus:
 # ---------------------------------------------------------------------------
 # oscillation and the least concave majorant
 
+# cells of one array pass in oscillation_modulus and _classify_side: bounds
+# the temporaries, and so the memory, of either
+_BLOCK_CELLS = 1 << 14
+
 
 def oscillation_modulus(xs, fs) -> tuple[np.ndarray, np.ndarray]:
     """mu(t) = sup{|f(x)-f(y)| : |x-y| <= t} over all pairs of a uniform
@@ -243,6 +248,8 @@ def oscillation_modulus(xs, fs) -> tuple[np.ndarray, np.ndarray]:
     fs = np.asarray(fs, dtype=float)
     if xs.ndim != 1 or xs.shape != fs.shape or xs.shape[0] < 2:
         raise ValueError("need at least two samples of a real map")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(fs))):
+        raise ValueError("samples must be finite")
     order = np.argsort(xs)
     xs, fs = xs[order], fs[order]
     steps = np.diff(xs)
@@ -251,11 +258,21 @@ def oscillation_modulus(xs, fs) -> tuple[np.ndarray, np.ndarray]:
             f"oscillation needs a uniform sample grid; steps range over "
             f"[{steps.min():.6g}, {steps.max():.6g}]")
     n = xs.shape[0]
+    # row s of a window view over the NaN-padded samples is the samples
+    # shifted by s; fmax skips the pads, and max and abs are exact, so each
+    # stride's max is the one its own slice gives
+    pad = np.full(n - 1, np.nan)
+    xw = sliding_window_view(np.concatenate((xs, pad)), n)
+    fw = sliding_window_view(np.concatenate((fs, pad)), n)
     ts = np.empty(n - 1)
     gaps = np.empty(n - 1)
-    for s in range(1, n):
-        ts[s - 1] = np.max(xs[s:] - xs[:-s])
-        gaps[s - 1] = np.max(np.abs(fs[s:] - fs[:-s]))
+    rows = max(1, _BLOCK_CELLS // n)
+    for lo in range(1, n, rows):
+        hi = min(lo + rows, n)
+        m = n - lo          # stride lo has the most pairs in this block
+        ts[lo - 1:hi - 1] = np.fmax.reduce(xw[lo:hi, :m] - xs[:m], axis=1)
+        d = fw[lo:hi, :m] - fs[:m]
+        gaps[lo - 1:hi - 1] = np.fmax.reduce(np.abs(d, out=d), axis=1)
     return ts, np.maximum.accumulate(gaps)
 
 
@@ -346,10 +363,11 @@ def default_t_grid(n: int = 48) -> np.ndarray:
     return np.geomspace(1e-6, 0.9, n)
 
 
-def tameness_functional(alpha: ConcaveModulus, t: float, x_grid, side: str) -> np.ndarray:
+def tameness_functional(alpha: ConcaveModulus, t, x_grid, side: str) -> np.ndarray:
     """Pointwise ratios whose sup over x defines the tameness functional.
 
     side "sup": t*alpha(x)/alpha(t*x); side "sub": alpha(t*x)/alpha(x).
+    t is a number, or a column of them for one row of ratios per t.
     """
     x = np.asarray(x_grid, dtype=float)
     ax = alpha(x)
@@ -361,32 +379,26 @@ def tameness_functional(alpha: ConcaveModulus, t: float, x_grid, side: str) -> n
     raise ValueError("side must be 'sup' or 'sub'")
 
 
-def _edge_attained(vals: np.ndarray) -> bool:
-    """True when the grid max sits at an end and the ratios are still
-    strictly climbing into it: the finite grid has not bracketed the sup,
-    so a Yes from this t would be unsound."""
-    n = vals.shape[0]
-    top = int(np.argmax(vals))
-    eps = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-    if top == 0 and vals[0] > vals[1] + eps:
-        return True
-    if top == n - 1 and vals[-1] > vals[-2] + eps:
-        return True
-    return False
-
-
 def _classify_side(
     alpha: ConcaveModulus, t_grid: np.ndarray, x_grid: np.ndarray, side: str, margin: float
 ) -> TamenessSide:
     best_t, best_margin = None, 0.0
-    for t in t_grid:
-        vals = tameness_functional(alpha, float(t), x_grid, side)
-        if not np.all(np.isfinite(vals)):
-            continue
-        sup = float(np.max(vals))
-        if sup <= 1.0 - margin and not _edge_attained(vals):
-            if 1.0 - sup > best_margin:
-                best_t, best_margin = float(t), 1.0 - sup
+    rows = max(1, _BLOCK_CELLS // x_grid.shape[0])
+    for ts in np.split(t_grid, range(rows, t_grid.shape[0], rows)):
+        vals = tameness_functional(alpha, ts[:, None], x_grid, side)
+        finite = np.all(np.isfinite(vals), axis=1)
+        sups = np.max(vals, axis=1)
+        # a row whose max sits at an end with the ratios still strictly
+        # climbing into it has not bracketed the sup, so a Yes from its t
+        # would be unsound
+        top = np.argmax(vals, axis=1)
+        eps = 1e-12 * np.maximum(1.0, np.max(np.abs(vals), axis=1))
+        edge = (((top == 0) & (vals[:, 0] > vals[:, 1] + eps))
+                | ((top == vals.shape[1] - 1)
+                   & (vals[:, -1] > vals[:, -2] + eps)))
+        for t, sup in zip(ts[finite & ~edge], sups[finite & ~edge]):
+            if sup <= 1.0 - margin and 1.0 - sup > best_margin:
+                best_t, best_margin = float(t), float(1.0 - sup)
     if best_t is None:
         return TamenessSide(yes=False)
     return TamenessSide(yes=True, t0=best_t, margin=best_margin)

@@ -27,7 +27,7 @@ import numpy as np
 from ._taylor import compose_affine, coeffs_to_derivs, smoothstep_series
 from .config import (DEFAULT_TOL, ESTIMATOR_SLACK, EVAL_DENSITY, Tolerances,
                      smallness_threshold)
-from .diffeo import (Diffeo1, _build_adaptive, _minus_identity, compose,
+from .diffeo import (Diffeo1, _build_adaptive, _frac, _minus_identity, compose,
                      compose_all, inverse, post_translate, refined_grid,
                      support_interval, support_within, translate_conjugate)
 from .errors import ConstructionError, PreconditionError
@@ -63,7 +63,7 @@ class PlateauBump:
 
     def jets(self, x, order: int) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        t = np.mod(x, 1.0)
+        t = _frac(x)
         out = np.zeros(x.shape + (order + 1,))
         ones = (t <= self.PLATEAU) | (t >= 1.0 - self.PLATEAU)
         out[ones, 0] = 1.0

@@ -11,6 +11,10 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from diffeolab import Diffeo1, diffeo, flow, from_preset
+from diffeolab._taylor import poly_jets
+from diffeolab.jets import compose_derivs, invert_derivs
+from diffeolab.modulus import (TamenessSide, default_abscissae,
+                               default_t_grid, tameness_functional)
 
 
 # Partition counts B_1..B_10, frozen from the classical recurrence
@@ -118,3 +122,74 @@ def put_map_jets(m, jets):
     """Store the jet array `jets` back into the serialized map m."""
     m["jets"] = base64.b64encode(
         np.asarray(jets, dtype="<f8").tobytes()).decode("ascii")
+
+
+# -- loop references for the vectorized verify battery ------------------------
+
+def oscillation_per_stride(xs, fs):
+    """oscillation_modulus one stride at a time, on sorted samples."""
+    order = np.argsort(xs)
+    xs, fs = xs[order], fs[order]
+    n = xs.shape[0]
+    ts, gaps = np.empty(n - 1), np.empty(n - 1)
+    for s in range(1, n):
+        ts[s - 1] = np.max(xs[s:] - xs[:-s])
+        gaps[s - 1] = np.max(np.abs(fs[s:] - fs[:-s]))
+    return ts, np.maximum.accumulate(gaps)
+
+
+def _edge_attained(vals):
+    n = vals.shape[0]
+    top = int(np.argmax(vals))
+    eps = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    if top == 0 and vals[0] > vals[1] + eps:
+        return True
+    if top == n - 1 and vals[-1] > vals[-2] + eps:
+        return True
+    return False
+
+
+def classify_side_per_t(alpha, t_grid, x_grid, side, margin):
+    """One side of the tameness classifier one t at a time: a fresh row of
+    ratios, its sup and its edge test for each t."""
+    best_t, best_margin = None, 0.0
+    for t in t_grid:
+        vals = tameness_functional(alpha, float(t), x_grid, side)
+        if not np.all(np.isfinite(vals)):
+            continue
+        sup = float(np.max(vals))
+        if sup <= 1.0 - margin and not _edge_attained(vals):
+            if 1.0 - sup > best_margin:
+                best_t, best_margin = float(t), 1.0 - sup
+    if best_t is None:
+        return TamenessSide(yes=False)
+    return TamenessSide(yes=True, t0=best_t, margin=best_margin)
+
+
+def suite_jets_per_trial(rng, tol):
+    """The verify battery's jets suite one trial at a time."""
+    worst = 0.0
+    for _ in range(60):
+        k = int(rng.integers(2, 7))
+        cf = rng.uniform(-1.0, 1.0, k + 1)
+        cg = rng.uniform(-1.0, 1.0, k + 1)
+        x0 = float(rng.uniform(-0.5, 0.5))
+        gx = float(P.polyval(x0, cg))
+        comp = compose_derivs(poly_jets(cf, gx, k), poly_jets(cg, x0, k))
+        cc = np.zeros(1)
+        for a in reversed(cf):
+            cc = P.polymul(cc, cg)
+            cc[0] += a
+        oracle = poly_jets(cc, x0, k)
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        worst = max(worst, float(np.max(np.abs(comp - oracle))) / scale)
+    for _ in range(60):
+        k = int(rng.integers(2, 7))
+        d = rng.uniform(-0.5, 0.5, k + 1)
+        d[1] = float(rng.uniform(0.8, 1.5))
+        di = invert_derivs(d, 0.0)
+        back = compose_derivs(di, d)
+        expected = np.zeros(k + 1)
+        expected[1] = 1.0
+        worst = max(worst, float(np.max(np.abs(back - expected))))
+    return {"ok": worst <= 1e-9, "worst_rel_error": worst}

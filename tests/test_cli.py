@@ -18,7 +18,9 @@ import diffeolab
 from diffeolab import Tolerances, calibrated_bump, holder, to_dict
 from diffeolab.cli import (EXIT_OK, EXIT_REFUSED, EXIT_USAGE, EXIT_VERIFY,
                            build_parser, main)
-from _helpers import map_jets, put_map_jets
+from diffeolab import cli, modulus
+from _helpers import (classify_side_per_t, map_jets, oscillation_per_stride,
+                      put_map_jets, suite_jets_per_trial)
 
 
 def run(*argv):
@@ -194,6 +196,47 @@ def test_verify_battery_is_deterministic(tmp_path):
     report = json.loads(first)
     assert report["ok"] is True
     assert all(s["ok"] for s in report["suites"].values())
+
+
+def test_jets_suite_is_the_per_trial_loop():
+    tol = Tolerances()
+    for seed in range(20):
+        got = cli._suite_jets(np.random.default_rng([seed, 0]), tol)
+        assert got == suite_jets_per_trial(np.random.default_rng([seed, 0]),
+                                           tol)
+
+
+def _battery_outputs(out):
+    """The bytes each battery command writes into out, with out itself
+    masked out of the recorded run configuration."""
+    beta0, _ = diffeolab.least_concave_majorant(
+        *cli._oscillation_profile(np.random.default_rng(5)))
+    spec = out / "beta0.json"
+    spec.write_text(json.dumps(beta0.to_dict()))
+    runs = [(["verify", "--seed", str(s)], ["verify_report.json"])
+            for s in (0, 7, 123)]
+    runs += [(["modulus", "analyze", "--alpha", a], ["modulus_verdict.json"])
+             for a in ("holder:0.5", "omegaz:0.5,0.3", f"file:{spec}")]
+    runs.append((["emit-plots", "--tables", "lcm,tameness", "--seed", "3"],
+                 ["lcm_sandwich.csv", "tameness_functionals.csv"]))
+    written = []
+    for argv, names in runs:
+        assert run(*argv, "--out", str(out)) == EXIT_OK
+        written += [(out / n).read_bytes().replace(str(out).encode(), b"OUT")
+                    for n in names]
+    return written
+
+
+def test_battery_outputs_are_those_of_the_loop_references(tmp_path,
+                                                          monkeypatch):
+    (tmp_path / "new").mkdir()
+    (tmp_path / "ref").mkdir()
+    got = _battery_outputs(tmp_path / "new")
+    monkeypatch.setitem(cli._SUITES, "jets", suite_jets_per_trial)
+    monkeypatch.setattr(modulus, "oscillation_modulus",
+                        oscillation_per_stride)
+    monkeypatch.setattr(modulus, "_classify_side", classify_side_per_t)
+    assert _battery_outputs(tmp_path / "ref") == got
 
 
 def test_verify_rejects_unknown_suite(tmp_path):

@@ -29,7 +29,8 @@ from diffeolab import (
     translate_conjugate,
     translation,
 )
-from diffeolab.diffeo import TAILS, _build_adaptive, _hermite_tables
+from diffeolab import diffeo
+from diffeolab.diffeo import TAILS, _build_adaptive, _frac, _hermite_tables
 from diffeolab.jets import MAX_ORDER
 from _helpers import c0_gap, count_solve_steps, small_bump, small_periodic
 
@@ -160,6 +161,32 @@ def test_displacement_jets_matches_per_cell_polyval_bitwise(tail):
             assert one.shape == xs.shape + (1,)
             assert np.array_equal(one.view(np.uint64),
                                   full[:, j:j + 1].copy().view(np.uint64))
+
+
+def test_frac_is_np_mod_bitwise():
+    rng = np.random.default_rng(29)
+    edge = 2.0 ** 53 - 1.0
+    special = [0.0, 1e-300, 5e-324, 1.0, 3.0, 0.5, np.nextafter(1.0, 0.0),
+               edge, edge - 0.5, 2.0 ** 52 + 0.5, 1e16]
+    ys = np.concatenate([special, np.negative(special),
+                         rng.uniform(-10.0, 10.0, 100_000),
+                         rng.normal(0.0, 1e-9, 100_000),
+                         rng.uniform(-1e16, 1e16, 100_000)])
+    # int64 views tell -0.0 from +0.0
+    assert np.array_equal(_frac(ys).view(np.int64),
+                          np.mod(ys, 1.0).view(np.int64))
+
+
+@pytest.mark.parametrize("tail", ["periodic", "ep"])
+def test_folded_jets_are_those_of_the_np_mod_fold(tail, monkeypatch):
+    rng = np.random.default_rng(31)
+    f = _random_map(tail, 3, rng)
+    xs = np.concatenate([rng.uniform(f.a - 40.0, f.b + 40.0, 4097),
+                         f.a + np.arange(-20.0, 21.0),
+                         [f.b + 1e-13, f.a - 1e-13, f.b + 1e9, f.a - 1e9]])
+    got = f.displacement_jets(xs)
+    monkeypatch.setattr(diffeo, "_frac", lambda y: np.mod(y, 1.0))
+    assert np.array_equal(f.displacement_jets(xs), got)
 
 
 @pytest.mark.parametrize("tail", TAILS)

@@ -5,10 +5,13 @@ power rule for scale functionals, and direct concavity/monotonicity
 checks on sampled grids.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diffeolab import (
+    DEFAULT_TOL,
     PreconditionError,
     check_modulus_laws,
     classify_tameness,
@@ -22,10 +25,12 @@ from diffeolab import (
 )
 from diffeolab.modulus import (
     ConstructionFailure,
+    TamenessVerdict,
     default_abscissae,
     default_t_grid,
     tameness_functional,
 )
+from _helpers import classify_side_per_t
 
 
 # -- basic scale families ------------------------------------------------------
@@ -102,6 +107,19 @@ def test_oscillation_matches_the_pair_oracle_bitwise(n, hi):
         assert np.array_equal(mus, want_mus)
 
 
+def test_oscillation_memory_stays_linear():
+    # every pair at once would hold n^2 = 16e6 floats, 128 MB
+    xs = np.linspace(0.0, 1.0, 4001)
+    fs = np.sin(9.0 * xs)
+    tracemalloc.start()
+    try:
+        oscillation_modulus(xs, fs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_oscillation_refuses_a_nonuniform_grid():
     xs = np.linspace(0.0, 1.0, 11)
     with pytest.raises(PreconditionError, match="uniform sample grid"):
@@ -110,6 +128,8 @@ def test_oscillation_refuses_a_nonuniform_grid():
         oscillation_modulus(np.array([0.0, 0.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError, match="at least two samples"):
         oscillation_modulus(xs[:1], xs[:1])
+    with pytest.raises(ValueError, match="finite"):
+        oscillation_modulus(xs, np.where(xs > 0.5, np.nan, xs))
 
 
 def test_oscillation_of_constant_is_zero():
@@ -173,6 +193,32 @@ def test_tameness_functional_power_rule():
             np.testing.assert_allclose(sup_vals, t ** (1.0 - s), atol=1e-10)
             sub_vals = tameness_functional(w, t, xs, "sub")
             np.testing.assert_allclose(sub_vals, t ** s, atol=1e-10)
+
+
+def classify_tameness_per_t(alpha, margin):
+    t_grid, x_grid = default_t_grid(), default_abscissae()
+    return TamenessVerdict(
+        sup_tame=classify_side_per_t(alpha, t_grid, x_grid, "sup", margin),
+        sub_tame=classify_side_per_t(alpha, t_grid, x_grid, "sub", margin))
+
+
+def _oracle_moduli():
+    xs = np.linspace(0.0, 4.0, 161)
+    fs = np.cumsum(np.abs(np.random.default_rng(3).normal(0.0, 0.1, 161)))
+    beta0, beta = least_concave_majorant(*oscillation_modulus(xs, fs))
+    return ([holder(s) for s in np.linspace(0.1, 1.0, 10)]
+            + [log_refined_holder(0.5, 0.3), log_refined_holder(0.3, 0.1),
+               modulus_from_dict(beta0.to_dict()), beta])
+
+
+def test_tameness_verdicts_are_those_of_the_per_t_loop():
+    margin = DEFAULT_TOL.tameness_margin
+    verdicts = set()
+    for alpha in _oracle_moduli():
+        got = classify_tameness(alpha)
+        assert got == classify_tameness_per_t(alpha, margin), alpha
+        verdicts.add((got.sup_tame.yes, got.sub_tame.yes))
+    assert len(verdicts) > 1
 
 
 def test_tameness_verdict_serializes():

@@ -60,6 +60,15 @@ def test_cutoff_profile_plateaus():
     np.testing.assert_allclose(z(xs), z(xs + 3.0), rtol=0, atol=1e-12)
 
 
+def test_cutoff_jets_are_those_of_the_np_mod_fold(monkeypatch):
+    z = reduction.PlateauBump()
+    xs = np.concatenate([np.random.default_rng(37).uniform(-50.0, 50.0, 4097),
+                         np.arange(-20.0, 21.0) + 0.1, [-1e-13, -1e9 - 0.45]])
+    got = z.jets(xs, 3)
+    monkeypatch.setattr(reduction, "_frac", lambda y: np.mod(y, 1.0))
+    assert np.array_equal(z.jets(xs, 3), got)
+
+
 def test_config_windows():
     cfg = make_config(2, ALPHA, 4)
     assert cfg.B == 1 and cfg.D == (-2.0, 2.0) and cfg.E == (-8.0, 8.0)

@@ -150,3 +150,19 @@ def test_poly_jets_matches_the_polyval_loop_bitwise():
                 assert np.array_equal(got[..., j], P.polyval(x, d))
                 d = P.polyder(d)
     assert poly_jets([1.0, 2.0, 3.0], 0.5, 2).shape == (3,)
+
+
+def test_batched_poly_jets_are_the_per_point_jets_bitwise():
+    rng = np.random.default_rng(13)
+    for k in range(1, 13):
+        c = rng.uniform(-1.0, 1.0, (9, k + 1))
+        x = rng.uniform(-1.5, 1.5, 9)
+        got = poly_jets(c, x, k)
+        assert got.shape == (9, k + 1)
+        for i in range(9):
+            assert np.array_equal(got[i], poly_jets(c[i], x[i], k))
+        # the batch broadcasts against a grid of points per polynomial
+        grid = rng.uniform(-1.5, 1.5, (4, 9))
+        got = poly_jets(c, grid, k)
+        for p in np.ndindex(grid.shape):
+            assert np.array_equal(got[p], poly_jets(c[p[1]], grid[p], k))
