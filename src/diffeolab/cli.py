@@ -498,6 +498,22 @@ def _oscillation_profile(rng) -> tuple[np.ndarray, np.ndarray]:
     return modulus.oscillation_modulus(xs, fs)
 
 
+def _tameness_rows() -> list[list[float]]:
+    """Rows (s, t, sup F, sup G) of the tameness functionals of holder(s),
+    one pass per (s, side) over the column of 33 t values."""
+    ts = np.geomspace(1e-4, 0.9, 33)
+    xg = modulus.default_abscissae()
+    rows = []
+    for s in (0.25, 0.5, 0.75):
+        a = modulus.holder(s)
+        sup, sub = (np.max(modulus.tameness_functional(a, ts[:, None], xg,
+                                                       side), axis=1)
+                    for side in ("sup", "sub"))
+        rows += [[s, float(t), float(f), float(g)]
+                 for t, f, g in zip(ts, sup, sub)]
+    return rows
+
+
 def _suite_modulus(rng, tol) -> dict:
     sandwich_min = np.inf
     for _ in range(8):
@@ -650,19 +666,8 @@ def _cmd_emit_plots(args) -> int:
                                   args.sweep, "norm_reduction_sweep.csv")[0])
 
     if "tameness" in tables:
-        ts = np.geomspace(1e-4, 0.9, 33)
-        xg = modulus.default_abscissae()
-        rows = []
-        for s in (0.25, 0.5, 0.75):
-            a = modulus.holder(s)
-            for t in ts:
-                sup = float(np.max(
-                    modulus.tameness_functional(a, float(t), xg, "sup")))
-                sub = float(np.max(
-                    modulus.tameness_functional(a, float(t), xg, "sub")))
-                rows.append([s, float(t), sup, sub])
         path = _out_path(cfg, "tameness_functionals.csv")
-        _write_csv(path, cfg, ["s", "t", "F_sup", "G_sub"], rows)
+        _write_csv(path, cfg, ["s", "t", "F_sup", "G_sub"], _tameness_rows())
         written.append(path)
 
     if "lcm" in tables:

@@ -10,7 +10,10 @@ the plateau moves by exactly t with all higher jets 0, and a node where
 rho(x) = 0 never moves.  One adaptive high-order Runge-Kutta solve
 integrates the displacements D = Phi_t(x) - x of the remaining ramp
 nodes only, a vector of scalar ODEs whose right-hand side is the
-closed-form field value.  The jets then follow from the identity:
+closed-form field value.  Both integrations here use the package's own
+DOP853 (`_dop853.integrate`), which reproduces SciPy's
+`solve_ivp(method="DOP853")` bit for bit without loading SciPy.  The jets
+then follow from the identity:
 Phi_t' - 1 = (rho(x+D) - rho(x)) / rho(x), and order m of its Leibniz
 expansion gives Phi_t^(m+1) from the lower orders through the chain-rule
 table.  Next to the edge D is so small that x + D rounds to x; there
@@ -43,16 +46,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import _taylor
+from . import _dop853, _taylor
 from .config import DEFAULT_TOL, Tolerances
 from .diffeo import (Diffeo1, _cell_bracket, _hermite_eval, _hermite_tables,
                      _solve_increasing, support_interval)
 from .errors import ConstructionError, PreconditionError
 from .jets import compose_derivs
-
-_ODE_METHOD = "DOP853"
 
 # tabulation density for flow objects; the Hermite residual scales like
 # (1/density)^(2k+2), so 256 keeps C^0 errors near 1e-12 for k = 2
@@ -208,13 +208,13 @@ def time_t_map(field: PlateauField, t: float, k: int,
     x = xs[ramp]
     # the displacements D = Phi_t(x) - x; atol = ode_tol^2 leaves ode_tol
     # a relative tolerance down to displacements of size ode_tol
-    sol = solve_ivp(lambda _s, d: field.values(x + d), (0.0, t),
-                    np.zeros(x.size), method=_ODE_METHOD,
-                    atol=tol.ode_tol ** 2, rtol=tol.ode_tol, t_eval=[t])
-    if not sol.success:
+    try:
+        d = _dop853.integrate(lambda _s, d: field.values(x + d), t,
+                              np.zeros(x.size), rtol=tol.ode_tol,
+                              atol=tol.ode_tol ** 2, t_eval=[t])[:, -1]
+    except _dop853.IntegrationError as exc:
         raise ConstructionError(
-            f"flow stage: flow integration failed: {sol.message}")
-    d = sol.y[:, -1]
+            f"flow stage: flow integration failed: {exc}") from exc
     rj = field.jets(x, k + _SHIFT_TERMS - 1)
     drho = _rho_shift(field, x, d, rj, k)
     phi = _identity_jets(x + d, rj[:, :k] + drho, rj[:, :k])
@@ -254,12 +254,13 @@ def _edge_profile(k: int, ode_tol: float) -> _EdgeProfile:
     ramp = PlateauField(0)
     n = int(PROFILE_SPAN * _NODES_PER_UNIT) + 1
     ss = np.linspace(0.0, PROFILE_SPAN, n)
-    sol = solve_ivp(lambda _s, p: ramp.values(p), (0.0, PROFILE_SPAN), [0.0],
-                    method=_ODE_METHOD, atol=ode_tol, rtol=ode_tol, t_eval=ss)
-    if not sol.success:
+    try:
+        vals = _dop853.integrate(lambda _s, p: ramp.values(p), PROFILE_SPAN,
+                                 [0.0], rtol=ode_tol, atol=ode_tol,
+                                 t_eval=ss)[0]
+    except _dop853.IntegrationError as exc:
         raise ConstructionError(
-            f"flow stage: chart integration failed: {sol.message}")
-    vals = sol.y[0]
+            f"flow stage: chart integration failed: {exc}") from exc
     if not vals[-1] > OVERLAP_REACH:
         raise ConstructionError(
             f"flow stage: the chart reaches 2A + {vals[-1]:.6f}, not past "

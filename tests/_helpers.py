@@ -14,7 +14,7 @@ from diffeolab import Diffeo1, diffeo, flow, from_preset
 from diffeolab._taylor import poly_jets
 from diffeolab.jets import compose_derivs, invert_derivs
 from diffeolab.modulus import (TamenessSide, default_abscissae,
-                               default_t_grid, tameness_functional)
+                               default_t_grid, holder, tameness_functional)
 
 
 # Partition counts B_1..B_10, frozen from the classical recurrence
@@ -164,6 +164,20 @@ def classify_side_per_t(alpha, t_grid, x_grid, side, margin):
     if best_t is None:
         return TamenessSide(yes=False)
     return TamenessSide(yes=True, t0=best_t, margin=best_margin)
+
+
+def tameness_rows_per_t():
+    """The emit-plots tameness table one (s, t, side) at a time."""
+    ts = np.geomspace(1e-4, 0.9, 33)
+    xg = default_abscissae()
+    rows = []
+    for s in (0.25, 0.5, 0.75):
+        a = holder(s)
+        for t in ts:
+            sup = float(np.max(tameness_functional(a, float(t), xg, "sup")))
+            sub = float(np.max(tameness_functional(a, float(t), xg, "sub")))
+            rows.append([s, float(t), sup, sub])
+    return rows
 
 
 def suite_jets_per_trial(rng, tol):

@@ -20,7 +20,7 @@ from diffeolab.cli import (EXIT_OK, EXIT_REFUSED, EXIT_USAGE, EXIT_VERIFY,
                            build_parser, main)
 from diffeolab import cli, modulus
 from _helpers import (classify_side_per_t, map_jets, oscillation_per_stride,
-                      put_map_jets, suite_jets_per_trial)
+                      put_map_jets, suite_jets_per_trial, tameness_rows_per_t)
 
 
 def run(*argv):
@@ -236,6 +236,7 @@ def test_battery_outputs_are_those_of_the_loop_references(tmp_path,
     monkeypatch.setattr(modulus, "oscillation_modulus",
                         oscillation_per_stride)
     monkeypatch.setattr(modulus, "_classify_side", classify_side_per_t)
+    monkeypatch.setattr(cli, "_tameness_rows", tameness_rows_per_t)
     assert _battery_outputs(tmp_path / "ref") == got
 
 

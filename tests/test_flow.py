@@ -213,13 +213,13 @@ def test_chart_matches_a_direct_trajectory_of_zero(A):
 
 def test_one_profile_serves_every_width(monkeypatch):
     calls = []
-    solve = flow.solve_ivp
+    solve = flow._dop853.integrate
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("rtol"))
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(flow, "solve_ivp", counted)
+    monkeypatch.setattr(flow._dop853, "integrate", counted)
     # tolerances no other test uses, so neither profile is cached yet
     tol = DEFAULT_TOL.with_overrides(ode_tol=2.5e-12)
     charts = [trajectory_chart(make_rho(A), 2, tol=tol) for A in (1, 2, 4, 8)]
