@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -34,6 +35,14 @@ EXIT_REFUSED = 3
 _FILE_KEYS = {"k": int, "alpha": str, "A": int, "seed": int, "out": str,
               "tol": dict}
 _TOL_TYPES = {f.name: type(f.default) for f in dataclasses.fields(Tolerances)}
+
+# every option that takes a float: argparse reads a following "-1e-3" or
+# "-inf" as an option string, not as the value, so main() joins such a pair
+# into one token "--b=-inf" (tests/test_cli.py checks the list is complete)
+_FLOAT_FLAGS = frozenset(
+    ["--b", "--eps", "--fix-norm", "--holder"]
+    + [f"--tol-{name.replace('_', '-')}" for name, kind in _TOL_TYPES.items()
+       if kind is float])
 
 
 def parse_alpha(spec: str):
@@ -143,6 +152,29 @@ def _common_parser() -> argparse.ArgumentParser:
                        dest=f"tol_{name}", type=kind, default=None,
                        help=argparse.SUPPRESS)
     return p
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """argv with every float option that is followed by a float, such as
+    "--b", "-inf", written as the one token "--b=-inf".  Tokens after "--"
+    are left alone."""
+    out: list[str] = []
+    for i, tok in enumerate(argv):
+        if tok == "--":
+            return out + argv[i:]
+        if out and out[-1] in _FLOAT_FLAGS and _reads_as_float(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _reads_as_float(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -379,7 +411,7 @@ def _cmd_mather(args) -> int:
     if args.op == "lambda":
         g = reduction.sweep_profile(mcfg.A, k, args.eps)
         res = reduction.reduce_norm(g, mcfg, tol)
-        cert = reduction.conjugator(g, res.map, mcfg, tol)
+        cert = reduction.conjugator(g, res.map, mcfg, tol, res.rolled)
         ok = cert.residual <= tol.cert_tol
         payload = {
             "run_config": cfg.to_dict(),
@@ -774,9 +806,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parsing leaves a parser as
+    it was, and one process may call main() many times."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(_join_float_values(argv))
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -2,7 +2,10 @@
 
 A map f is kept as its displacement u = f - Id, sampled with derivatives
 0..k on a uniform grid and interpolated between nodes by the two-point
-Hermite polynomial of order 2k+1, so the model is C^k globally.  Tail
+Hermite polynomial of order 2k+1, so the model is C^k globally.  A map
+keeps one table of the interpolant's monomial coefficients per cell,
+built on its first evaluation; the derivatives of every order are read
+off that table at evaluation time (_horner).  Tail
 classes fix the behaviour outside the grid: compactly supported maps are
 the identity there, periodic maps commute with the unit translation, and
 eventually-periodic ("ep") maps are the identity on the left and
@@ -92,7 +95,11 @@ def _hermite_coeffs(j0: np.ndarray, j1: np.ndarray, h: float) -> np.ndarray:
     single orders kept as the oracle of tests/test_hermite_tables.py:
     every sum starts from zero, as there (0.0 + -0.0 is +0.0), and a
     product by a signed binomial equals the loop's product by the
-    binomial and then by -1, since rounding is symmetric in sign."""
+    binomial and then by -1, since rounding is symmetric in sign.
+
+    This is the only table a map, or the chart's edge profile, keeps: the
+    coefficients of the derivatives in t are derived from its rows by
+    _horner at each evaluation."""
     cells, kp1 = j0.shape
     k = kp1 - 1
     fact, falling, weights, signed = _hermite_plan(k)
@@ -120,18 +127,6 @@ def _hermite_coeffs(j0: np.ndarray, j1: np.ndarray, h: float) -> np.ndarray:
     return c
 
 
-def _hermite_tables(jets: np.ndarray, h: float) -> list[np.ndarray]:
-    """Monomial coefficients of the interpolant of grid jets (n, k+1) and
-    of its derivatives 1..k in the local coordinate t, for _hermite_eval:
-    one (coefficients, cells) table per derivative order, as laid out by
-    _hermite_coeffs."""
-    dc = [_hermite_coeffs(jets[:-1], jets[1:], h)]
-    for _ in range(jets.shape[1] - 1):
-        prev = dc[-1]
-        dc.append(prev[1:] * np.arange(1, prev.shape[0])[:, None])
-    return dc
-
-
 def _grid_cells(xf: np.ndarray, lo: float, h: float,
                 cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell index and local coordinate t of points xf on the grid lo + h*i
@@ -141,28 +136,58 @@ def _grid_cells(xf: np.ndarray, lo: float, h: float,
     return idx, pos - idx
 
 
-def _hermite_eval(dc: list[np.ndarray], xf: np.ndarray, lo: float, h: float,
+def _hermite_eval(c: np.ndarray, xf: np.ndarray, lo: float, h: float,
                   order: int, lowest: int = 0) -> np.ndarray:
-    """Derivatives lowest..order of the interpolant on the grid lo + h*i
-    at points xf already folded into the grid."""
-    idx, t = _grid_cells(xf, lo, h, dc[0].shape[1])
-    return _horner(dc, idx, t, h, order, lowest)
+    """Derivatives lowest..order of the interpolant with coefficient table
+    c on the grid lo + h*i at points xf already folded into the grid."""
+    idx, t = _grid_cells(xf, lo, h, c.shape[1])
+    return _horner(c, idx, t, h, order, lowest)
 
 
-def _horner(dc: list[np.ndarray], idx: np.ndarray, t: np.ndarray, h: float,
+def _horner(c: np.ndarray, idx: np.ndarray, t: np.ndarray, h: float,
             order: int, lowest: int = 0) -> np.ndarray:
     """Derivatives lowest..order of the interpolant at local coordinates t
-    in cells idx, by Horner's rule on the coefficient rows gathered at each
-    cell, in the dtype of the tables (t should carry the same precision).
-    Each order is its own pass, so an order's values do not depend on
-    which other orders are asked for."""
-    out = np.empty(t.shape + (order - lowest + 1,), dtype=dc[0].dtype)
-    for j in range(lowest, order + 1):
-        rows = dc[j]
-        acc = rows[-1].take(idx)
-        for i in range(rows.shape[0] - 2, -1, -1):
+    in cells idx, by Horner's rule on the rows of the table c of
+    _hermite_coeffs, in its dtype (t should carry the same precision).
+
+    Row i of the order-j polynomial in t is row i+1 of order j-1 times
+    i+1.  The kernel derives those rows in place, one multiply per order,
+    on whichever side is smaller: the rows gathered once at the points
+    when the call has fewer points than the table has cells, else the
+    cells, whose rows are then gathered per order.  Rows below `lowest`
+    feed no order asked for and are skipped.  Each coefficient is the
+    same product of the same floats either way, so an order's values are
+    bitwise those of a table built per order, and do not depend on which
+    other orders are asked for: each order is its own Horner pass."""
+    rows, cells = c.shape
+    gathered = idx.size < cells
+    # blk holds rows base.. of the current order; c itself is never written
+    blk, base, owned = c[lowest:], lowest, gathered
+    if gathered:
+        blk = blk.take(idx, axis=1)
+
+    def pick(row):
+        return row if gathered else row.take(idx)
+
+    scale = np.arange(1.0, rows)
+    out = np.empty(t.shape + (order - lowest + 1,), dtype=c.dtype)
+    for j in range(order + 1):
+        if j:
+            keep = max(j, lowest)           # rows below it are not read
+            f = scale[keep - j:rows - j]
+            f = f.reshape(f.shape + (1,) * (blk.ndim - 1))
+            blk, base = blk[keep - base:], keep
+            if owned:
+                blk *= f
+            else:
+                blk, owned = blk * f, True
+        if j < lowest:
+            continue
+        acc = pick(blk[-1]) * t
+        for i in range(blk.shape[0] - 2, 0, -1):
+            acc += pick(blk[i])
             acc *= t
-            acc += rows[i].take(idx)
+        acc += pick(blk[0])
         out[..., j - lowest] = acc / h ** j
     return out
 
@@ -279,8 +304,8 @@ class Diffeo1:
         self.jets = jets
         self.n = n
         self.h = (b - a) / (n - 1)
-        self._dc: list[np.ndarray] | None = None
-        self._dcl: np.ndarray | None = None     # long double, order 0 only
+        self._dc: np.ndarray | None = None      # float64 coefficient table
+        self._dcl: np.ndarray | None = None     # its long-double twin
 
         if tail == "ep":
             self._check_ep_fold(tol)
@@ -328,7 +353,7 @@ class Diffeo1:
         x = np.atleast_1d(x)
         xf, ident = self._fold(x)
         if self._dc is None:
-            self._dc = _hermite_tables(self.jets, self.h)
+            self._dc = _hermite_coeffs(self.jets[:-1], self.jets[1:], self.h)
         out = _hermite_eval(self._dc, xf, self.a, self.h, order, lowest)
         out[ident] = 0.0
         if scalar:
@@ -407,7 +432,7 @@ class Diffeo1:
 
         The long-double coefficients come from the map's table of every
         cell, built on the first call with at least one point per cell
-        (n - 1 points) and kept on the map, as the float64 tables are.
+        (n - 1 points) and kept on the map, as the float64 table is.
         Until then each call gathers, for each point, the coefficients of
         the cell holding it, so a sparse solve on a fine grid does not
         build a table it would mostly not read.  A cell's coefficients are
@@ -425,7 +450,7 @@ class Diffeo1:
             col = np.arange(i.size)
         else:
             c, col = self._dcl, i
-        u = _horner([c], col, t, self.h, 0)[:, 0]
+        u = _horner(c, col, t, self.h, 0)[:, 0]
         u[ident] = 0.0
         r = xl + u - y
         slope = 1.0 + (self.jets[i + 1, 0] - self.jets[i, 0]) / self.h

@@ -476,7 +476,8 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
         })
         if residual <= tol.fix_tol:
             try:
-                cert = conjugator(step.conjugated, step.map, cfg, tol)
+                cert = conjugator(step.conjugated, step.map, cfg, tol,
+                                  step.reduction.rolled)
             except (PreconditionError, ConstructionError) as e:
                 raise type(e)(f"certificate stage: {e}") from e
             chain = _assemble_chain(f, u, params, step, cert,

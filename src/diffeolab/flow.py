@@ -49,7 +49,7 @@ import numpy as np
 
 from . import _dop853, _taylor
 from .config import DEFAULT_TOL, Tolerances
-from .diffeo import (Diffeo1, _cell_bracket, _hermite_eval, _hermite_tables,
+from .diffeo import (Diffeo1, _cell_bracket, _hermite_coeffs, _hermite_eval,
                      _solve_increasing, support_interval)
 from .errors import ConstructionError, PreconditionError
 from .jets import compose_derivs
@@ -237,13 +237,13 @@ def _unit_time_map(field: PlateauField, k: int, tol: Tolerances) -> Diffeo1:
 @dataclass(frozen=True)
 class _EdgeProfile:
     """The half-edge profile P on [0, PROFILE_SPAN]: node values and the
-    Hermite tables of its jets 0..k on the grid of spacing h."""
+    Hermite coefficient table of its jets 0..k on the grid of spacing h."""
     h: float
     values: np.ndarray
-    tables: list
+    table: np.ndarray
 
     def jet_at(self, s: np.ndarray, order: int) -> np.ndarray:
-        return _hermite_eval(self.tables, s, 0.0, self.h, order)
+        return _hermite_eval(self.table, s, 0.0, self.h, order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -270,10 +270,10 @@ def _edge_profile(k: int, ode_tol: float) -> _EdgeProfile:
     unit[:, 0] = 1.0
     jets = _identity_jets(vals, ramp.jets(vals, k - 1), unit)
     # one profile serves every caller: its arrays are read-only
-    tables = _hermite_tables(jets, ss[1])
-    for arr in (vals, *tables):
+    table = _hermite_coeffs(jets[:-1], jets[1:], ss[1])
+    for arr in (vals, table):
         arr.setflags(write=False)
-    return _EdgeProfile(ss[1], vals, tables)
+    return _EdgeProfile(ss[1], vals, table)
 
 
 class Chart:

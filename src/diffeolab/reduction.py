@@ -417,6 +417,8 @@ class PsiResult:
     norm_out: float
     rolled_slope: float             # C^1 size of the rolled-up midpoint
     support: tuple[float, float] | None
+    rolled: Diffeo1 | None = None   # roll_up of the input, which the
+                                    # certificate stage reuses
 
     @property
     def ratio(self) -> float:
@@ -452,7 +454,7 @@ def reduce_norm(g: Diffeo1, cfg: MatherConfig,
     norm_out = holder_norm(out, cfg.alpha, cfg.k)
     return PsiResult(map=out, norm_in=norm_in, norm_out=norm_out,
                      rolled_slope=rolled_slope,
-                     support=support_interval(out))
+                     support=support_interval(out), rolled=rolled)
 
 
 def sweep_profile(A: int, k: int = 2, eps: float = 4e-6,
@@ -541,7 +543,8 @@ class LambdaResult:
 
 
 def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
-                 tol: Tolerances | None = None) -> LambdaResult:
+                 tol: Tolerances | None = None,
+                 rolled_u: Diffeo1 | None = None) -> LambdaResult:
     """The stabilized word (shifted v)^s (shifted u)^{-s}: the identity
     left of -2A, and the quotient of the rolled-up maps right of
     2A + 1/2.  Conjugating the unit shift by it carries shifted-u words
@@ -549,7 +552,9 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     translation and the deviation from it are reported with the word.
     Each letter acts only on the points inside its grid (_apply_letter);
     the floats are those of applying it everywhere.  A length s above
-    tol.word_cap is refused before the word is built."""
+    tol.word_cap is refused before the word is built.  rolled_u, when
+    given, must be roll_up(u, tol), as reduce_norm returns it; u is then
+    not rolled again."""
     tol = tol or DEFAULT_TOL
     k = u.k
     A = cfg.A
@@ -581,7 +586,10 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
             break
         s += int(math.ceil((y + 2.0 * A) / (1.0 - a))) + 1
 
-    quot = compose(roll_up(v, tol), inverse(roll_up(u, tol), tol), tol)
+    rolled_v = roll_up(v, tol)
+    if rolled_u is None:
+        rolled_u = roll_up(u, tol)
+    quot = compose(rolled_v, inverse(rolled_u, tol), tol)
     xs_p = np.linspace(quot.a, quot.a + 1.0, 2049)
     tvals = quot(xs_p) - xs_p
     b = float(np.mean(tvals))
@@ -635,15 +643,17 @@ class ConjugacyCertificate:
 
 
 def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
-               tol: Tolerances | None = None) -> ConjugacyCertificate:
+               tol: Tolerances | None = None,
+               rolled_u: Diffeo1 | None = None) -> ConjugacyCertificate:
     """Build the compactly supported conjugacy witness for a pair whose
     rolled-up maps differ by a translation.  Piecewise: the identity left
     of -2A, the chart conjugate of the limit word in the middle, and the
     time-b flow map right of 2A + 1/2; the pieces are checked to agree on
     the overlaps before assembly.  The plateau field is that of cfg.A, and
-    the certificate's tau is its unit-time map."""
+    the certificate's tau is its unit-time map.  rolled_u is passed on to
+    lambda_limit."""
     tol = tol or DEFAULT_TOL
-    lam_res = lambda_limit(u, v, cfg, tol)
+    lam_res = lambda_limit(u, v, cfg, tol, rolled_u)
     b, dev = lam_res.translation, lam_res.translation_dev
     if dev > tol.tol_b:
         raise PreconditionError(

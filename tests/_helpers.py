@@ -124,6 +124,35 @@ def put_map_jets(m, jets):
         np.asarray(jets, dtype="<f8").tobytes()).decode("ascii")
 
 
+# -- the per-order Hermite tables, a reference for diffeo._horner --------------
+
+def hermite_tables(jets, h):
+    """Coefficient tables of the interpolant of grid jets (n, k+1) and of
+    its derivatives 1..k in the local coordinate t, one (coefficients,
+    cells) table per order: table j is table j-1 without its row 0, row i
+    times i+1."""
+    dc = [diffeo._hermite_coeffs(jets[:-1], jets[1:], h)]
+    for _ in range(jets.shape[1] - 1):
+        prev = dc[-1]
+        dc.append(prev[1:] * np.arange(1, prev.shape[0])[:, None])
+    return dc
+
+
+def horner_per_order(dc, idx, t, h, order, lowest=0):
+    """Derivatives lowest..order at local coordinates t in cells idx, by
+    Horner's rule on each order's own table, its rows gathered one at a
+    time."""
+    out = np.empty(np.shape(t) + (order - lowest + 1,), dtype=dc[0].dtype)
+    for j in range(lowest, order + 1):
+        rows = dc[j]
+        acc = rows[-1].take(idx)
+        for i in range(rows.shape[0] - 2, -1, -1):
+            acc *= t
+            acc += rows[i].take(idx)
+        out[..., j - lowest] = acc / h ** j
+    return out
+
+
 # -- loop references for the vectorized verify battery ------------------------
 
 def oscillation_per_stride(xs, fs):

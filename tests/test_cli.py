@@ -101,6 +101,80 @@ def test_every_leaf_command_takes_the_common_flags():
                                      9), path
 
 
+def test_every_float_option_is_joined_to_a_negative_value():
+    parser = build_parser()
+    floats = {o: a.dest for _, leaf in _leaf_parsers(parser)
+              for a in leaf._actions if a.type is float
+              for o in a.option_strings}
+    assert set(floats) == cli._FLOAT_FLAGS
+    assert {"--b", "--eps", "--holder", "--fix-norm"} <= set(floats)
+    for path, leaf in _leaf_parsers(parser):
+        required = {("perfect", "fixpoint"): ["--in", "f.json"],
+                    ("perfect", "verify"): ["chain.json"]}.get(path, [])
+        for flag in (o for a in leaf._actions if a.type is float
+                     for o in a.option_strings):
+            for value in ("-1e-3", "-inf", "-2", "0.25"):
+                argv = list(path) + required + [flag, value, "--k", "2"]
+                ns = parser.parse_args(cli._join_float_values(argv))
+                assert getattr(ns, floats[flag]) == float(value), (path, flag)
+                assert ns.k == 2
+    # a value that is not a float, or a token after "--", stays apart
+    assert cli._join_float_values(["--b", "--k", "2"]) == ["--b", "--k", "2"]
+    assert cli._join_float_values(["--b", "x"]) == ["--b", "x"]
+    assert cli._join_float_values(["--", "--b", "-1"]) == ["--", "--b", "-1"]
+    assert cli._join_float_values(["--k", "-1"]) == ["--k", "-1"]
+
+
+@pytest.mark.parametrize("b", ["-inf", "-nan"])
+def test_a_negative_non_finite_time_is_refused_in_both_spellings(
+        tmp_path, capsys, b):
+    for argv in (["--b", b], [f"--b={b}"]):
+        assert run("flow", "chart", *argv, "--out", str(tmp_path)) \
+            == EXIT_USAGE
+        assert "flow time must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "flow_chart.json").exists()
+
+
+def test_a_negative_time_reads_the_same_in_both_spellings(tmp_path):
+    reports = []
+    for argv in (["--b", "-1e-3"], ["--b=-1e-3"]):
+        assert run("flow", "chart", *argv, "--samples", "9",
+                   "--out", str(tmp_path)) == EXIT_OK
+        reports.append((tmp_path / "flow_chart.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["b"] == -1e-3
+
+
+def test_main_reuses_one_parser_and_parses_as_a_fresh_one(tmp_path,
+                                                          monkeypatch):
+    assert cli._parser() is cli._parser()
+    out = str(tmp_path)
+    calls = [
+        (["modulus", "analyze", "--holder", "0.3"], "modulus_verdict.json"),
+        (["modulus", "analyze"], "modulus_verdict.json"),
+        (["flow", "chart", "--b", "-0.25", "--samples", "9", "--k", "3"],
+         "flow_chart.json"),
+        (["flow", "chart", "--samples", "9"], "flow_chart.json"),
+        (["diffeo", "check", "--eps", "2e-3", "--seed", "4"],
+         "diffeo_check.json"),
+        (["diffeo", "check"], "diffeo_check.json"),
+        (["norms", "measure", "--k", "3", "--tol-word-cap", "7"],
+         "norm_report.json"),
+        (["norms", "measure"], "norm_report.json"),
+    ]
+
+    def outputs():
+        got = []
+        for argv, name in calls:
+            assert run(*argv, "--out", out) == EXIT_OK, argv
+            got.append((tmp_path / name).read_bytes())
+        return got
+
+    cached = outputs()
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert outputs() == cached
+
+
 # -- analysis commands ----------------------------------------------------------------
 
 def test_modulus_analyze_writes_verdict(tmp_path):

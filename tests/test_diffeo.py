@@ -30,9 +30,10 @@ from diffeolab import (
     translation,
 )
 from diffeolab import diffeo
-from diffeolab.diffeo import TAILS, _build_adaptive, _frac, _hermite_tables
+from diffeolab.diffeo import TAILS, _build_adaptive, _frac
 from diffeolab.jets import MAX_ORDER
-from _helpers import c0_gap, count_solve_steps, small_bump, small_periodic
+from _helpers import (c0_gap, count_solve_steps, hermite_tables, small_bump,
+                      small_periodic)
 
 try:
     from hypothesis import given, settings
@@ -124,7 +125,7 @@ def _polyval_oracle(f, xs):
     """Displacement jets point by point: the tail law folds x into the
     grid, then np.polyval runs the same Horner steps as the engine on the
     cell's coefficients, highest power first."""
-    tables = _hermite_tables(f.jets, f.h)
+    tables = hermite_tables(f.jets, f.h)
     out = np.zeros(xs.shape + (f.k + 1,))
     for p in np.ndindex(xs.shape):
         x = xs[p]

@@ -42,7 +42,7 @@ from diffeolab import (
     witness_window,
     write_chain,
 )
-from diffeolab import diffeo, fixpoint, flow
+from diffeolab import diffeo, fixpoint, flow, reduction
 from diffeolab.cli import EXIT_USAGE, main
 from diffeolab.fixpoint import _BlendProfile, _renorm_full
 from _helpers import map_jets, put_map_jets, small_bump
@@ -250,6 +250,26 @@ def test_conjugated_is_the_exact_rescale(converged, preset_f):
     want = rescale_displacement(compose(preset_f, converged.u0), 4.0)
     assert (g.a, g.b, g.n) == (want.a, want.b, want.n)
     assert np.array_equal(g.jets, want.jets)
+
+
+def test_a_search_rolls_the_conjugated_map_once(preset_f, cfg, monkeypatch):
+    rolled = []
+    roll_up = reduction.roll_up
+
+    def counting_roll_up(f, tol=None):
+        rolled.append(f)
+        return roll_up(f, tol)
+
+    monkeypatch.setattr(reduction, "roll_up", counting_roll_up)
+    res = fixed_point_search(preset_f, cfg)
+    assert res.converged and res.iterations >= 2
+    # one roll per reduction step and one of the reduced map: the
+    # certificate reuses the last step's roll of its input
+    assert len(rolled) == res.iterations + 1
+    assert len({id(f) for f in rolled}) == len(rolled)
+    conjugated = map_jets(res.chain["maps"]["conjugated"])
+    assert sum(f.jets.shape == conjugated.shape
+               and np.array_equal(f.jets, conjugated) for f in rolled) == 1
 
 
 @pytest.mark.parametrize("A", [4, 8])

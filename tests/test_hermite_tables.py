@@ -8,6 +8,11 @@ kept on the map once a call touches every cell, and must give the same
 roots as the per-point coefficients.  The guard tests record how many
 tables and dense sup passes one norm reduction builds, and check its
 output against the path that still made the bitwise copies.
+
+A map keeps only the order-0 table; `_horner` derives the rows of the
+higher orders at evaluation.  Its reference is the list of per-order
+tables with a Horner pass per order (`_helpers.hermite_tables`,
+`_helpers.horner_per_order`), and the two must agree bit for bit.
 """
 
 import math
@@ -31,10 +36,12 @@ from diffeolab import (
     sweep_profile,
     translate_conjugate,
 )
-from diffeolab import _taylor, diffeo, reduction
-from diffeolab.config import EVAL_DENSITY
+from diffeolab import _taylor, diffeo, flow, reduction
+from diffeolab.config import DEFAULT_TOL, EVAL_DENSITY
 from diffeolab.diffeo import _hermite_coeffs
-from _helpers import small_bump, small_periodic
+from diffeolab.jets import MAX_ORDER
+from _helpers import (hermite_tables, horner_per_order, small_bump,
+                      small_periodic)
 
 ALPHA = holder(0.5)
 
@@ -108,6 +115,87 @@ def test_block_kernel_matches_the_loop_bit_for_bit(k, dtype):
                 want = _loop_hermite_coeffs(j0, j1, h)
                 got = _hermite_coeffs(j0, j1, h)
             assert _same(got, want), (cells, h)
+
+
+# -- one table per map: the derivative rows are derived at evaluation ----------
+
+def _bit_equal(a, b):
+    """Bitwise equality: float64 as int64 views, long doubles by value and
+    sign (_same), since their padding bytes are not part of the value."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype == np.longdouble:
+        return _same(a, b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def _point_shapes(cells):
+    """0-d, 1-d and 2-d point sets with fewer points than cells, as many,
+    and more."""
+    return [(), (cells - 1,), (cells,), (cells + 7,),
+            (2, cells // 2 - 1), (2, cells // 2), (3, cells)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+def test_kernel_matches_the_per_order_tables_bit_for_bit(k, dtype):
+    rng = np.random.default_rng(100 + k)
+    cells, h = 12, 0.37
+    # magnitudes 1e-9..1e3 with signed zeros and subnormals, no overflow
+    jets = rng.standard_normal((cells + 1, k + 1)) \
+        * 10.0 ** rng.integers(-9, 4, (cells + 1, k + 1))
+    jets[rng.random(jets.shape) < 0.25] = -0.0
+    jets.flat[:3] = [0.0, 5e-324, -2.5e-320]
+    jets = jets.astype(dtype)
+    c = _hermite_coeffs(jets[:-1], jets[1:], h)
+    oracle = hermite_tables(jets, h)
+    for shape in _point_shapes(cells):
+        idx = rng.integers(0, cells, shape)
+        t = np.asarray(rng.random(shape), dtype=dtype)
+        for order in range(k + 1):
+            for lowest in range(order + 1):
+                got = diffeo._horner(c, idx, t, h, order, lowest)
+                want = horner_per_order(oracle, idx, t, h, order, lowest)
+                assert _bit_equal(got, want), (shape, lowest, order)
+
+
+def _arrays_held(obj):
+    """The array, list and tuple attributes of an object, by name."""
+    return {name: v for name, v in vars(obj).items()
+            if isinstance(v, (np.ndarray, list, tuple))}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, MAX_ORDER])
+def test_a_map_evaluated_at_every_order_holds_one_table(k):
+    f = small_bump(2e-3, center=0.1, radius=0.9, k=k, n=65)
+    sparse = np.linspace(f.a, f.b, 7)
+    dense = refined_grid(f, EVAL_DENSITY)
+    for xs in (sparse, dense, float(sparse[3])):
+        for order in range(k + 1):
+            for lowest in range(order + 1):
+                f.displacement_jets(xs, order, lowest)
+    held = _arrays_held(f)
+    assert set(held) == {"jets", "_dc"}
+    assert held["_dc"].dtype == np.float64
+    assert held["_dc"].shape == (2 * k + 2, f.n - 1)
+    assert f._dcl is None
+
+
+def test_the_edge_profile_holds_one_table():
+    for k in (1, 3):
+        profile = flow._edge_profile(k, DEFAULT_TOL.ode_tol)
+        held = _arrays_held(profile)
+        assert set(held) == {"values", "table"}
+        n = profile.values.size
+        assert held["table"].dtype == np.float64
+        assert held["table"].shape == (2 * k + 2, n - 1)
+        assert not held["table"].flags.writeable
+        # evaluation leaves the read-only table as it was
+        before = held["table"].copy()
+        profile.jet_at(np.linspace(0.0, 1.0, 5 * n), k)
+        profile.jet_at(np.linspace(0.0, 1.0, 3), k)
+        assert np.array_equal(before.view(np.int64),
+                              held["table"].view(np.int64))
 
 
 # -- the long-double table of the inverse solve --------------------------------
@@ -185,17 +273,18 @@ def _profile(k):
 @pytest.mark.parametrize("k", [2, 3])
 def test_reduce_norm_builds_nine_tables_and_three_sup_passes(monkeypatch, k):
     tables, passes = [], []
-    build, sups = diffeo._hermite_tables, reduction._sup_norms
+    build, sups = diffeo._hermite_coeffs, reduction._sup_norms
 
-    def counting_tables(jets, h):
-        tables.append(jets.shape[0])
-        return build(jets, h)
+    def counting_tables(j0, j1, h):
+        if j0.dtype == np.float64:
+            tables.append(j0.shape[0])
+        return build(j0, j1, h)
 
     def counting_sups(f, lowest=0, order=1):
         passes.append((lowest, order))
         return sups(f, lowest, order)
 
-    monkeypatch.setattr(diffeo, "_hermite_tables", counting_tables)
+    monkeypatch.setattr(diffeo, "_hermite_coeffs", counting_tables)
     monkeypatch.setattr(reduction, "_sup_norms", counting_sups)
     ld = _ld_builds(monkeypatch)
     reduce_norm(_profile(k), make_config(k, ALPHA, 4))
