@@ -225,7 +225,17 @@ def roll_params(g: Diffeo1):
 def roll_up(g: Diffeo1, tol: Tolerances | None = None) -> Diffeo1:
     """Mix g with the unit translation into a map commuting with integer
     shifts.  Exact on the identity; for small g the displacement of the
-    output is bounded by (word length) * (displacement sup)."""
+    output is bounded by (word length) * (displacement sup).
+
+    The build starts at twice g's nodes per unit, ceil(2/g.h) + 1 nodes
+    on the unit period, within [129, 4097], and doubles from there while
+    the order-0 midpoint residual asks for it.  It is sized by g's node
+    spacing, not its node count, for two reasons.  A coarser start, at
+    g's own density, leaves the rolled map's order-2 jets further than
+    2e-8 from the word.  A finer one amplifies the rounding of the word's
+    order-0 values by about h^-3 in the order-3 jets, so at k = 3 a roll
+    on g's node count (4A times g's density for a source of width 4A)
+    reads rounding noise where the norm should be."""
     tol = tol or DEFAULT_TOL
     inf_supp, _, _, s = roll_params(g)
     if s > tol.word_cap:
@@ -235,8 +245,8 @@ def roll_up(g: Diffeo1, tol: Tolerances | None = None) -> Diffeo1:
         r = np.ceil(xs - inf_supp)
         return _minus_identity(roll_word(g, xs, r, s, order), xs)
 
-    return _build_adaptive("periodic", 0.0, 1.0, g.k, fn,
-                           max(129, min(g.n, 4097)), tol)
+    n0 = max(129, min(math.ceil(2.0 / g.h) + 1, 4097))
+    return _build_adaptive("periodic", 0.0, 1.0, g.k, fn, n0, tol)
 
 
 def roll_norm_check(f: Diffeo1, cfg: MatherConfig,

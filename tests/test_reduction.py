@@ -34,8 +34,10 @@ from diffeolab import (
     support_interval,
     sweep_profile,
 )
-from diffeolab import from_preset, reduction
+from diffeolab import (calibrated_bump, from_preset, holder_norm, reduction,
+                       rescaler_params, smallness_threshold)
 from diffeolab.diffeo import _build_adaptive
+from diffeolab.fixpoint import _renorm_full
 from diffeolab.jets import compose_derivs
 from diffeolab.reduction import (
     _apply_letter,
@@ -229,6 +231,41 @@ def test_reduction_sweep_rows():
             r["plain_ratio"] * r["rescale_factor"], rel=1e-12)
         assert r["norm_in"] > 0.0 and r["norm_out"] > 0.0
     assert rows[1]["ratio"] < rows[0]["ratio"]
+
+
+def _quarter_ball_profile(A, k, scale=1.0):
+    """sweep_profile(A, k) at scale times a quarter of the ball radius."""
+    per_eps = holder_norm(sweep_profile(A, k, 1e-7), ALPHA, k) / 1e-7
+    eps = 0.25 * smallness_threshold(k) / per_eps
+    return sweep_profile(A, k, scale * eps)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("A", [1, 2, 4, 8])
+def test_reduced_norm_is_linear_in_the_amplitude(k, A):
+    # at these sizes the reduction is linear to first order, so doubling
+    # the input doubles the output norm; rounding noise in the rolled map's
+    # top jets would not scale with the input
+    cfg = make_config(k, ALPHA, A)
+    once = reduce_norm(_quarter_ball_profile(A, k), cfg).norm_out
+    twice = reduce_norm(_quarter_ball_profile(A, k, 2.0), cfg).norm_out
+    assert 1.98 <= twice / once <= 2.02
+
+
+def test_roll_up_starts_at_twice_the_input_density():
+    # the sweep family has the same node spacing at every width, so its
+    # rolled maps have the same grid whatever the width
+    sizes = {roll_up(_quarter_ball_profile(A, k)).n
+             for k in (2, 3) for A in (1, 2, 4, 8)}
+    assert sizes == {513}
+    # a coarse input, the k=2, A=4 search's conjugated iterate, starts
+    # (and stays) at the 129-node floor
+    cfg = make_config(2, ALPHA, 4)
+    f = calibrated_bump(0.7 * cfg.delta0, ALPHA, 2, center=0.05)
+    step = _renorm_full(identity(2, -2.0, 2.0), f, rescaler_params(cfg),
+                        cfg, DEFAULT_TOL)
+    assert 2.0 / step.conjugated.h + 1.0 < 129
+    assert step.reduction.rolled.n == 129
 
 
 # -- the conjugacy word ----------------------------------------------------------------
