@@ -38,10 +38,10 @@ from numpy.polynomial import polynomial as npp
 from ._taylor import poly_jets
 from .config import EVAL_DENSITY, Tolerances, DEFAULT_TOL
 from .errors import PreconditionError, ConstructionError
-from .diffeo import (Diffeo1, _build_adaptive, _minus_identity, compose,
-                     from_preset, identity, refined_grid, rescale_displacement,
-                     support_interval, support_within, to_dict as map_to_dict,
-                     from_dict as map_from_dict)
+from .diffeo import (Diffeo1, _build_adaptive, _minus_identity, _unit_nodes,
+                     compose, from_preset, identity, refined_grid,
+                     rescale_displacement, support_interval, support_within,
+                     to_dict as map_to_dict, from_dict as map_from_dict)
 from .norms import holder_norm
 from .reduction import (MatherConfig, PsiResult, reduce_norm, conjugator,
                         ConjugacyCertificate, make_config, rescale_factor,
@@ -206,7 +206,7 @@ def make_rescaler(cfg: MatherConfig,
     """
     tol = tol or DEFAULT_TOL
     ratio, zi, zo, k = rescaler_params(cfg)
-    n0 = max(513, int(round(256.0 * 2.0 * zo)) + 1)
+    n0 = _unit_nodes(2.0 * zo, 513)
     return _build_adaptive("compact", -zo, zo, k,
                            _rescaler_fn(ratio, zi, zo, k), n0, tol)
 

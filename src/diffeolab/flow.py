@@ -50,13 +50,9 @@ import numpy as np
 from . import _dop853, _taylor
 from .config import DEFAULT_TOL, Tolerances
 from .diffeo import (Diffeo1, _cell_bracket, _hermite_coeffs, _hermite_eval,
-                     _solve_increasing, support_interval)
+                     _solve_increasing, _unit_nodes, support_interval)
 from .errors import ConstructionError, PreconditionError
 from .jets import compose_derivs
-
-# tabulation density for flow objects; the Hermite residual scales like
-# (1/density)^(2k+2), so 256 keeps C^0 errors near 1e-12 for k = 2
-_NODES_PER_UNIT = 256
 
 # time-t maps: displacements up to this size get rho(x + d) - rho(x) from
 # a Taylor shift with this many terms instead of from values at x + d
@@ -71,13 +67,6 @@ PROFILE_SPAN = 40.0
 # [-2A - OVERLAP_REACH, -2A] through the chart inverse, so the profile must
 # reach past it: P = 0.884 at s = 32.9, and P(PROFILE_SPAN) = 0.8875
 OVERLAP_REACH = 0.884
-
-
-def _auto_nodes(width: float) -> int:
-    n = int(round(width * _NODES_PER_UNIT)) + 1
-    if n % 2 == 0:
-        n += 1
-    return max(n, 129)
 
 
 @dataclass(frozen=True)
@@ -195,7 +184,7 @@ def time_t_map(field: PlateauField, t: float, k: int,
         raise ValueError(f"flow time must be finite, got {t!r}")
     tol = tol or DEFAULT_TOL
     lo, hi = -field.edge, field.edge
-    n = _auto_nodes(hi - lo)
+    n = _unit_nodes(hi - lo)
     xs = np.linspace(lo, hi, n)
     jets = np.zeros((n, k + 1))
     if t == 0.0:
@@ -250,9 +239,9 @@ class _EdgeProfile:
 def _edge_profile(k: int, ode_tol: float) -> _EdgeProfile:
     """Integrate P' = R(P), P(0) = 0 on [0, PROFILE_SPAN], with
     R(s) = rho(2A + s) for every A (the ramp of PlateauField(0)), and
-    tabulate it at _NODES_PER_UNIT nodes per unit with jets 0..k."""
+    tabulate it at the density of _unit_nodes with jets 0..k."""
     ramp = PlateauField(0)
-    n = int(PROFILE_SPAN * _NODES_PER_UNIT) + 1
+    n = _unit_nodes(PROFILE_SPAN)
     ss = np.linspace(0.0, PROFILE_SPAN, n)
     try:
         vals = _dop853.integrate(lambda _s, p: ramp.values(p), PROFILE_SPAN,

@@ -15,6 +15,9 @@ maps differ by a translation, ``lambda_limit`` realizes the limit as
 an eventually periodic diffeomorphism, and ``conjugator`` cuts it down
 to a compactly supported conjugacy witness through the plateau-flow
 chart, emitting a verifiable certificate.
+
+The rolling-up and limit words run through one kernel, _word, whose
+letters are diffeo's one letter primitive, _apply_letter, as compose's are.
 """
 
 from __future__ import annotations
@@ -27,24 +30,15 @@ import numpy as np
 from ._taylor import compose_affine, coeffs_to_derivs, smoothstep_series
 from .config import (DEFAULT_TOL, ESTIMATOR_SLACK, EVAL_DENSITY, Tolerances,
                      smallness_threshold)
-from .diffeo import (Diffeo1, _build_adaptive, _frac, _minus_identity, compose,
-                     compose_all, inverse, post_translate, refined_grid,
-                     support_interval, support_within, translate_conjugate)
+from .diffeo import (Diffeo1, _apply_letter, _build_adaptive, _frac,
+                     _minus_identity, _unit_nodes, compose, compose_all,
+                     inverse, post_translate, refined_grid, support_interval,
+                     support_within, translate_conjugate)
 from .errors import ConstructionError, PreconditionError
 from .flow import (OVERLAP_REACH, PlateauField, _unit_time_map, time_t_map,
                    trajectory_chart)
 from .jets import compose_derivs, invert_derivs
 from .norms import SlackReport, holder_norm
-
-__all__ = [
-    "PlateauBump", "MatherConfig", "make_config",
-    "roll_word", "roll_params", "roll_up", "roll_norm_check",
-    "roll_equivariance_residual", "restrict_periodic", "spread_once",
-    "blend_toward_identity", "isotopy_step", "spread",
-    "PsiResult", "reduce_norm", "reduction_sweep",
-    "LambdaResult", "lambda_limit", "ConjugacyCertificate", "conjugator",
-]
-
 
 # -- the periodic cutoff profile --------------------------------------------
 
@@ -165,43 +159,24 @@ def _sup_norms(f: Diffeo1, lowest: int = 0,
                  for j in range(order - lowest + 1))
 
 
-def _apply_letter(g: Diffeo1, Y: np.ndarray, order: int) -> None:
-    """Replace the jets Y (points x orders 0..order) by those of g o Y,
-    in place.  A compact g is the identity off (g.a, g.b): there jet_at
-    gives exactly (x, 1, 0, ...) and compose_derivs returns Y itself, up
-    to the sign of a zero.  So only the index range from the first to the
-    last point strictly inside (g.a, g.b) is evaluated.  The range is a
-    contiguous superset of those points and needs no sorted order; a point
-    in it but off the grid still gets the exact identity.  Any other g
-    acts on every point.  The base points are copied out of Y first: a
-    contiguous array compares and evaluates faster than Y's column."""
-    x = Y[:, 0].copy()
-    if g.tail == "compact":
-        inside = (x > g.a) & (x < g.b)
-        if not inside.any():
-            return
-        lo, hi = int(inside.argmax()), x.size - int(inside[::-1].argmax())
-        Y, x = Y[lo:hi], x[lo:hi]
-    Y[:] = compose_derivs(g.jet_at(x, order), Y)
-
-
-def roll_word(g: Diffeo1, x, r, s: int, order: int | None = None) -> np.ndarray:
-    """Full-map jets of the word (shift by r-s) o (Tg)^s o (shift by -r)
-    at the points x; r may be a scalar or per-point.  Each letter g acts
-    only on the points inside its grid (_apply_letter); the floats are
-    those of applying it everywhere."""
-    order = g.k if order is None else order
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = np.asarray(r, dtype=float)
-    Y = np.zeros((x.size, order + 1))
-    Y[:, 0] = (x - r).ravel()
+def _word(x0: np.ndarray, runs, order: int) -> np.ndarray:
+    """Full-map jets, orders 0..order, of a word at the points x0 (1-d).
+    Each run (g, count, before, after) appends count letters, each the
+    map g between a shift by `before` and one by `after`, applied through
+    _apply_letter: so each map acts only on the points inside its grid,
+    with the floats of applying it everywhere.  A zero shift is skipped,
+    not added, so it cannot turn a -0.0 into 0.0."""
+    Y = np.zeros((x0.size, order + 1))
+    Y[:, 0] = x0
     if order >= 1:
         Y[:, 1] = 1.0
-    for _ in range(int(s)):
-        _apply_letter(g, Y, order)
-        Y[:, 0] += 1.0
-    Y = Y.reshape(x.shape + (order + 1,))
-    Y[..., 0] += r - float(s)
+    for g, count, before, after in runs:
+        for _ in range(count):
+            if before:
+                Y[:, 0] += before
+            _apply_letter(g, Y, order)
+            if after:
+                Y[:, 0] += after
     return Y
 
 
@@ -242,8 +217,11 @@ def roll_up(g: Diffeo1, tol: Tolerances | None = None) -> Diffeo1:
         raise ConstructionError(f"word length {s} exceeds the cap")
 
     def fn(xs: np.ndarray, order: int) -> np.ndarray:
+        # (shift by r - s) o (T g)^s o (shift by -r), r an integer per point
         r = np.ceil(xs - inf_supp)
-        return _minus_identity(roll_word(g, xs, r, s, order), xs)
+        Y = _word(xs - r, [(g, s, 0.0, 1.0)], order)
+        Y[:, 0] += r - float(s)
+        return _minus_identity(Y, xs)
 
     n0 = max(129, min(math.ceil(2.0 / g.h) + 1, 4097))
     return _build_adaptive("periodic", 0.0, 1.0, g.k, fn, n0, tol)
@@ -282,6 +260,16 @@ def roll_equivariance_residual(g: Diffeo1, b: float,
 
 
 # -- window restriction and spreading ----------------------------------------
+
+def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Derivatives 0..m of a product from those of its two factors, a and
+    b of one shape with the orders on the last axis, by Leibniz's rule."""
+    out = np.zeros(a.shape)
+    for j in range(a.shape[-1]):
+        for i in range(j + 1):
+            out[..., j] += math.comb(j, i) * a[..., i] * b[..., j - i]
+    return out
+
 
 def restrict_periodic(h: Diffeo1, window: tuple[float, float],
                       tol: Tolerances | None = None) -> Diffeo1:
@@ -332,16 +320,8 @@ def spread_once(g: Diffeo1, cfg: MatherConfig,
         raise ConstructionError(
             "recentered displacement too large for the fixed-window argument")
 
-    binom = [[math.comb(j, i) for i in range(j + 1)] for j in range(k + 1)]
-
     def damped_fn(xs: np.ndarray, order: int) -> np.ndarray:
-        zj = _ZETA.jets(xs, order)
-        uj = h.displacement_jets(xs, order)
-        out = np.zeros_like(uj)
-        for j in range(order + 1):
-            for i in range(j + 1):
-                out[..., j] += binom[j][i] * zj[..., i] * uj[..., j - i]
-        return out
+        return _leibniz(_ZETA.jets(xs, order), h.displacement_jets(xs, order))
 
     h0 = _build_adaptive("periodic", h.a, h.a + 1.0, k, damped_fn,
                          max(257, h.n), tol)
@@ -477,7 +457,7 @@ def sweep_profile(A: int, k: int = 2, eps: float = 4e-6,
     collapsing by cancellation."""
     hi = 2.0 * A - 0.05
     lo_plat = hi - 1.0
-    n = int(round(256.0 * 2.0 * hi)) + 1
+    n = _unit_nodes(2.0 * hi)
     xs = np.linspace(-hi, hi, n)
     env = np.zeros((n, k + 1))
     absx = np.abs(xs)
@@ -493,10 +473,7 @@ def sweep_profile(A: int, k: int = 2, eps: float = 4e-6,
     car = np.empty((n, k + 1))
     for j in range(k + 1):
         car[:, j] = eps * w ** j * np.sin(w * xs + phase + j * np.pi / 2.0)
-    jets = np.zeros((n, k + 1))
-    for j in range(k + 1):
-        for i in range(j + 1):
-            jets[:, j] += math.comb(j, i) * env[:, i] * car[:, j - i]
+    jets = _leibniz(env, car)
     jets[0] = 0.0
     jets[-1] = 0.0
     return Diffeo1("compact", -hi, hi, k, jets)
@@ -513,17 +490,22 @@ def rescale_factor(alpha, A: int, k: int) -> float:
 def reduction_sweep(A_values, k: int, alpha,
                     tol: Tolerances | None = None) -> list[dict]:
     """Measure the reduction step on the fixed sweep family at each width
-    (sweep_profile at its default size and phase).
+    (sweep_profile at its default phase), each input sized to half the
+    ball radius: the seminorm is linear in eps, so one measurement at a
+    reference eps calibrates it.
     The plain ratio (output seminorm over input seminorm) tracks the
     width factor of the reduction bound; multiplying by the exact
     rescaling factor of conjugation back to the target interval gives the
     contraction number the fixed-point iteration sees per application."""
     tol = tol or DEFAULT_TOL
+    eps_ref = 1e-7
     rows = []
     for A in A_values:
         A = int(A)
         cfg = make_config(k, alpha, A)
-        res = reduce_norm(sweep_profile(A, k), cfg, tol)
+        per_eps = holder_norm(sweep_profile(A, k, eps_ref), alpha, k) / eps_ref
+        g = sweep_profile(A, k, 0.5 * cfg.delta0 / per_eps)
+        res = reduce_norm(g, cfg, tol)
         resc = rescale_factor(alpha, A, k)
         rows.append({
             "A": A,
@@ -560,11 +542,10 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     2A + 1/2.  Conjugating the unit shift by it carries shifted-u words
     to shifted-v words.  The rolled quotient is built once; its mean
     translation and the deviation from it are reported with the word.
-    Each letter acts only on the points inside its grid (_apply_letter);
-    the floats are those of applying it everywhere.  A length s above
-    tol.word_cap is refused before the word is built.  rolled_u, when
-    given, must be roll_up(u, tol), as reduce_norm returns it; u is then
-    not rolled again."""
+    Both the word and the probe of its length s run through _word.  A
+    length s above tol.word_cap is refused before the word is built.
+    rolled_u, when given, must be roll_up(u, tol), as reduce_norm returns
+    it; u is then not rolled again."""
     tol = tol or DEFAULT_TOL
     k = u.k
     A = cfg.A
@@ -589,9 +570,8 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     while True:
         if s > tol.word_cap:
             raise ConstructionError(f"word length {s} exceeds the cap")
-        y = hi
-        for _ in range(s):
-            y = float(u_inv(np.array(y - 1.0)))
+        # where s letters of (shifted u)^-1 carry hi
+        y = float(_word(np.array([hi]), [(u_inv, s, -1.0, 0.0)], 0)[0, 0])
         if y <= -2.0 * A:
             break
         s += int(math.ceil((y + 2.0 * A) / (1.0 - a))) + 1
@@ -606,19 +586,10 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     dev = float(np.max(np.abs(tvals - b)))
 
     def fn(xs: np.ndarray, order: int) -> np.ndarray:
-        Y = np.zeros((xs.size, order + 1))
-        Y[:, 0] = xs
-        if order >= 1:
-            Y[:, 1] = 1.0
-        for _ in range(s):
-            Y[:, 0] -= 1.0
-            _apply_letter(u_inv, Y, order)
-        for _ in range(s):
-            _apply_letter(v, Y, order)
-            Y[:, 0] += 1.0
+        Y = _word(xs, [(u_inv, s, -1.0, 0.0), (v, s, 0.0, 1.0)], order)
         return _minus_identity(Y, xs)
 
-    n0 = max(257, int(round(256.0 * (hi - lo))) + 1)
+    n0 = _unit_nodes(hi - lo, 257)
     lam = _build_adaptive("ep", lo, hi, k, fn, n0, tol)
 
     xs_t = np.linspace(2.0 * A + 0.5, 2.0 * A + 1.5, 257)
@@ -707,7 +678,7 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
             f"{tol.overlap:.1e}")
 
     lo, hi = witness_window(cfg)
-    n0 = max(257, int(round(256.0 * (hi - lo))) + 1)
+    n0 = _unit_nodes(hi - lo, 257)
     lam = _build_adaptive("compact", lo, hi, k, fn, n0, tol)
 
     xs_c = np.linspace(-2.0 * A - 2.0, 2.0 * A + 2.0, 2049)

@@ -256,6 +256,19 @@ def test_both_sweep_commands_write_the_same_table(tmp_path):
     assert [r[0] for r in rows] == ["1", "2"]
 
 
+def test_psi_sweep_runs_at_k3(tmp_path):
+    # each row is sized to half the ball radius; the old fixed amplitude
+    # put the k = 3 input at 62 times it
+    out = str(tmp_path)
+    assert run("mather", "psi", "--k", "3", "--sweep", "1,2",
+               "--out", out) == EXIT_OK
+    _, _, rows = read_csv(tmp_path / "psi_sweep.csv")
+    assert [r[0] for r in rows] == ["1", "2"]
+    for r in rows:
+        assert float(r[1]) == pytest.approx(
+            0.5 * diffeolab.smallness_threshold(3), rel=1e-6)
+
+
 # -- the verification battery -----------------------------------------------------------
 
 def test_verify_battery_is_deterministic(tmp_path):

@@ -31,7 +31,7 @@ from diffeolab import (
 )
 from diffeolab import diffeo
 from diffeolab.diffeo import TAILS, _build_adaptive, _frac
-from diffeolab.jets import MAX_ORDER
+from diffeolab.jets import MAX_ORDER, compose_derivs
 from _helpers import (c0_gap, count_solve_steps, hermite_tables, small_bump,
                       small_periodic)
 
@@ -248,6 +248,39 @@ def test_compose_all_against_nested_compose():
     a = compose_all(maps)
     b = compose(maps[0], compose(maps[1], maps[2]))
     assert c0_gap(a, b, -2.0, 2.0) <= 1e-9
+
+
+def _compose_pairs(k):
+    rng = np.random.default_rng(23)
+    return {
+        # the r1 o r0 shape of spread_once: f acts on none of g's grid
+        "disjoint": (small_bump(2e-3, center=1.5, radius=0.5, k=k),
+                     small_bump(1e-3, center=-1.0, radius=0.5, k=k)),
+        "overlapping": (small_bump(2e-3, center=0.6, radius=0.9, k=k),
+                        small_bump(1e-3, center=-0.3, radius=1.1, k=k)),
+        "periodic": (translate_conjugate(small_periodic(rng, k=k), 0.3),
+                     small_periodic(rng, k=k)),
+    }
+
+
+@pytest.mark.parametrize("shape", ["disjoint", "overlapping", "periodic"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_compose_sampler_is_bitwise_the_unmasked_chain_rule(k, shape):
+    # the sampler applies f through _apply_letter, which evaluates only the
+    # points inside a compact f's grid; the reference evaluates f everywhere
+    f, g = _compose_pairs(k)[shape]
+    fn = diffeo._displacement_fn_compose(f, g)
+    lo, hi = min(f.a, g.a), max(f.b, g.b)
+    xs = np.linspace(lo, hi, 4097)
+    xs = np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])])
+    for order in (0, k):
+        gj = g.jet_at(xs, order)
+        want = compose_derivs(f.jet_at(gj[..., 0], order), gj)
+        want[..., 0] -= xs
+        if order:
+            want[..., 1] -= 1.0
+        got = fn(xs, order)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_group_operations_refuse_eventually_periodic_maps():

@@ -43,7 +43,7 @@ def time_t_problem(A, t):
     """time_t_map's ODE: the displacements of the ramp nodes."""
     field = make_rho(A)
     xs = np.linspace(-field.edge, field.edge,
-                     flow._auto_nodes(2.0 * field.edge))
+                     flow._unit_nodes(2.0 * field.edge))
     flat = (np.abs(xs) <= field.plateau) & (np.abs(xs + t) <= field.plateau)
     x = xs[~flat & (field.values(xs) != 0.0)]
     return (lambda _s, d: field.values(x + d)), x.size
@@ -66,7 +66,7 @@ def test_time_t_map_is_the_scipy_built_map(A, k, t, monkeypatch):
 def test_edge_profile_problem_is_scipys_bitwise(ode_tol):
     ramp = PlateauField(0)
     ss = np.linspace(0.0, flow.PROFILE_SPAN,
-                     int(flow.PROFILE_SPAN * flow._NODES_PER_UNIT) + 1)
+                     flow._unit_nodes(flow.PROFILE_SPAN))
     args = (lambda _s, p: ramp.values(p), flow.PROFILE_SPAN, [0.0])
     kw = dict(rtol=ode_tol, atol=ode_tol, t_eval=ss)
     assert_scipys_bitwise(*args, **kw)

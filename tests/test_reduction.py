@@ -36,14 +36,10 @@ from diffeolab import (
 )
 from diffeolab import (calibrated_bump, from_preset, holder_norm, reduction,
                        rescaler_params, smallness_threshold)
-from diffeolab.diffeo import _build_adaptive
+from diffeolab.diffeo import _apply_letter, _build_adaptive
 from diffeolab.fixpoint import _renorm_full
 from diffeolab.jets import compose_derivs
-from diffeolab.reduction import (
-    _apply_letter,
-    roll_word,
-    spreading_smallness,
-)
+from diffeolab.reduction import _sup_norms, _word, spreading_smallness
 from _helpers import small_bump, small_periodic
 
 ALPHA = holder(0.5)
@@ -88,6 +84,14 @@ def test_roll_up_identity_is_exact():
     assert rolled.tail == "periodic"
     assert np.all(rolled.jets == 0.0)
     assert roll_params(identity(2, -0.5, 0.5))[3] == 1
+
+
+def roll_word(g, x, r, s, order=None):
+    """Full-map jets of the rolling-up word (shift by r-s) o (Tg)^s o
+    (shift by -r) at the points x, as roll_up's sampler runs it."""
+    Y = _word(x - r, [(g, s, 0.0, 1.0)], g.k if order is None else order)
+    Y[:, 0] += r - float(s)
+    return Y
 
 
 def test_roll_word_is_stable_in_shift_and_length():
@@ -396,6 +400,55 @@ def test_a_batch_outside_the_letter_grid_is_left_alone():
     _apply_letter(g, Y, 2)
     assert np.array_equal(Y, before)
     assert np.array_equal(Y, _plain_letter(g, before, 2))
+
+
+def _scalar_word_length(u, A):
+    """The word length s of lambda_limit(u, u) as it was found with a
+    scalar loop, one letter of (shifted u)^-1 at a time on the point hi."""
+    (a,) = _sup_norms(u, order=0)
+    hi = 2.0 * A + 2.5
+    u_inv = inverse(u)
+    s = int(np.ceil((4.0 * A + 1.5) / (1.0 - a)))
+    while True:
+        y = hi
+        for _ in range(s):
+            y = float(u_inv(np.array(y - 1.0)))
+        if y <= -2.0 * A:
+            return s
+        s += int(np.ceil((y + 2.0 * A) / (1.0 - a))) + 1
+
+
+def test_the_word_length_probe_is_the_scalar_loop(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stop
+
+    probes = []
+    word = reduction._word
+
+    def spy(x0, runs, order):
+        if order == 0:
+            probes.append(sum(count for _, count, _, _ in runs))
+        return word(x0, runs, order)
+
+    # the probe runs before the first roll-up; stop there
+    monkeypatch.setattr(reduction, "_word", spy)
+    monkeypatch.setattr(reduction, "roll_up", stop)
+    cases = [(sweep_profile(A, 2), A) for A in (1, 2, 4)]
+    cases += [(from_preset("smooth_bump_displacement",
+                           {"eps": eps, "radius": 0.9, "k": 2}), 1)
+              for eps in (0.05, 0.2, 0.3)]
+    rounds = []
+    for u, A in cases:
+        probes.clear()
+        with pytest.raises(Stop):
+            lambda_limit(u, u, make_config(2, ALPHA, A))
+        assert probes[-1] == _scalar_word_length(u, A)
+        rounds.append(len(probes))
+    # both a first guess that holds and one that is lengthened are covered
+    assert 1 in rounds and 2 in rounds
 
 
 def test_lambda_limit_refuses_a_word_above_the_cap_before_building(
