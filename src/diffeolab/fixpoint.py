@@ -21,7 +21,8 @@ same parameters for callers that want it as a Diffeo1.
 
 Identities are checked by evaluation at sample points, never by building
 the maps they mention: f o u0 is evaluated as f(u0(x)) and the witness's
-inverse is solved pointwise, so the replay builds no map at all.
+inverse is solved pointwise, so the replay builds no map at all.  The
+search replays its own chain on the maps it holds, so it decodes none.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from numpy.polynomial import polynomial as npp
 from ._taylor import poly_jets
 from .config import EVAL_DENSITY, Tolerances, DEFAULT_TOL
 from .errors import PreconditionError, ConstructionError
-from .diffeo import (Diffeo1, _build_adaptive, _minus_identity, _unit_nodes,
-                     compose, from_preset, identity, refined_grid,
-                     rescale_displacement, support_interval, support_within,
+from .diffeo import (Diffeo1, _build_adaptive, _minus_identity,
+                     _support_inside, _unit_nodes, compose, from_preset,
+                     identity, refined_grid, rescale_displacement,
+                     support_interval, support_within,
                      to_dict as map_to_dict, from_dict as map_from_dict)
 from .norms import holder_norm
 from .reduction import (MatherConfig, PsiResult, reduce_norm, conjugator,
@@ -333,16 +335,23 @@ def _samples(lo: float, hi: float, n: int, supports) -> np.ndarray:
     return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
 
 
-def _rescale_residual(g: Diffeo1, f: Diffeo1, u: Diffeo1,
+def _supports(maps: dict, names) -> dict:
+    """support_interval of each named chain map."""
+    return {name: support_interval(maps[name]) for name in names}
+
+
+def _rescale_residual(maps: dict, supp: dict,
                       params: tuple[float, float, float, int],
                       window: tuple[float, float]) -> float:
-    """Largest gap of g o rescaler = rescaler o f o u, with the rescaler in
-    closed form and f o u evaluated as f(u(x)), over the window and the
-    supports of f, of u and of g pulled back by the inner scaling."""
+    """Largest gap of g o rescaler = rescaler o f o u, for the chain maps
+    g = conjugated, f and u = u0, with the rescaler in closed form and
+    f o u evaluated as f(u(x)), over the window and the supports (supp,
+    by map name) of f, of u and of g pulled back by the inner scaling."""
+    g, f, u = maps["conjugated"], maps["f"], maps["u0"]
     ratio = params[0]
-    sg = support_interval(g)
+    sg = supp["conjugated"]
     xs = _samples(window[0] - 1.0, window[1] + 1.0, 1025,
-                  [support_interval(f), support_interval(u),
+                  [supp["f"], supp["u0"],
                    None if sg is None else (sg[0] / ratio, sg[1] / ratio)])
     disp = _rescaler_fn(*params)
 
@@ -352,11 +361,12 @@ def _rescale_residual(g: Diffeo1, f: Diffeo1, u: Diffeo1,
     return float(np.max(np.abs(g(q(xs)) - q(f(u(xs))))))
 
 
-def _assemble_chain(f: Diffeo1, u0: Diffeo1,
-                    params: tuple[float, float, float, int],
+def _assemble_chain(maps: dict, params: tuple[float, float, float, int],
                     step: RenormStep, cert: ConjugacyCertificate,
                     fix_residual: float, cfg: MatherConfig, tol: Tolerances,
                     iterations: int, trace: list) -> dict:
+    """The certificate chain of a converged search, from the maps it
+    holds, keyed by their names in the chain."""
     red = step.reduction
     ratio, zi, zo, k = params
     return {
@@ -368,21 +378,15 @@ def _assemble_chain(f: Diffeo1, u0: Diffeo1,
         "residual": fix_residual,
         "trace": trace,
         "rescaler": {"ratio": ratio, "zi": zi, "zo": zo, "k": k},
-        "maps": {
-            "f": map_to_dict(f),
-            "u0": map_to_dict(u0),
-            "conjugated": map_to_dict(step.conjugated),
-            "reduced": map_to_dict(red.map),
-            "witness": map_to_dict(cert.lam),
-            "flow_time_one": map_to_dict(cert.tau),
-        },
+        "maps": {name: map_to_dict(maps[name]) for name in _CHAIN_MAPS},
         "identities": {
             "rescale_conjugation": {
                 "statement": ("conjugated o rescaler = rescaler o (f o u0), "
                               "the rescaler in closed form from its "
                               "parameters"),
-                "residual": _rescale_residual(step.conjugated, f, u0,
-                                              params, cfg.D),
+                "residual": _rescale_residual(
+                    maps, _supports(maps, ("f", "u0", "conjugated")),
+                    params, cfg.D),
                 "samples": 1025,
             },
             "flow_conjugacy": {
@@ -409,10 +413,11 @@ def _assemble_chain(f: Diffeo1, u0: Diffeo1,
     }
 
 
-def _replay_own_chain(chain: dict, tol: Tolerances) -> None:
-    """Refuse, at the certificate stage, a chain whose replay fails."""
+def _replay_own_chain(chain: dict, maps: dict, tol: Tolerances) -> None:
+    """Refuse, at the certificate stage, a chain whose replay on the maps
+    it was assembled from fails."""
     try:
-        report = verify_certificate(chain, tol)
+        report = _replay(chain, maps, tol)
     except ValueError as e:
         raise ConstructionError(
             f"certificate stage: replay failed: {e}") from e
@@ -433,8 +438,11 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
     the search refuses before it builds a map.
     Non-convergence is a reported outcome, not an exception: u0 is None
     and the trace records every residual.  A converged run replays its
-    own chain with verify_certificate and refuses with "certificate
-    stage: replay failed ..." unless every item passes.
+    own chain, and refuses with "certificate stage: replay failed ..."
+    unless every item passes.  The replay is that of verify_certificate,
+    run on the maps the search holds rather than on maps decoded from the
+    chain: their jets are the chain's bit for bit, so the report is the
+    same.
     """
     tol = tol or DEFAULT_TOL
     if cfg.A == 1:
@@ -480,9 +488,12 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
                                   step.reduction.rolled)
             except (PreconditionError, ConstructionError) as e:
                 raise type(e)(f"certificate stage: {e}") from e
-            chain = _assemble_chain(f, u, params, step, cert,
+            maps = {"f": f, "u0": u, "conjugated": step.conjugated,
+                    "reduced": step.map, "witness": cert.lam,
+                    "flow_time_one": cert.tau}
+            chain = _assemble_chain(maps, params, step, cert,
                                     float(residual), cfg, tol, it, trace)
-            _replay_own_chain(chain, tol)
+            _replay_own_chain(chain, maps, tol)
             return FixedPointResult(u0=u, iterations=it,
                                     residual=float(residual), trace=trace,
                                     certificates=[cert], chain=chain)
@@ -540,20 +551,24 @@ def _gap(key: str, stored, want) -> float:
     return float(np.max(diff, initial=0.0))
 
 
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, ConstructionError)
+
+
 def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
     """Replay a version-3 certificate chain, trusting no stored number.
 
-    The geometry (D, E and the rescaler parameters) is recomputed from the
-    stored k and A with the search's own rules, and the `config` item
-    requires the stored config, the `rescaler` entry and every map's k to
-    agree with it exactly.  Every map is rebuilt from its jets and each
-    stated identity recomputed; an identity passes only when its
-    recomputed residual is at most cert_tol, and the stored residuals are
-    reported for information only.  The support items check f, u0,
-    conjugated, reduced and the witness against their intervals.  A chain
-    of another format or version (versions 1 and 2 included), one that
-    cannot be read, or one with a map whose class is not "compact" is a
-    ValueError.
+    Every map is rebuilt from its jets; the replay proper (_replay) then
+    recomputes the geometry and each stated identity.  The geometry (D, E
+    and the rescaler parameters) is recomputed from the stored k and A
+    with the search's own rules, and the `config` item requires the
+    stored config, the `rescaler` entry and every map's k to agree with
+    it exactly.  An identity passes only when its recomputed residual is
+    at most cert_tol, and the stored residuals are reported for
+    information only.  The support items check f, u0, conjugated, reduced
+    and the witness against their intervals.  A chain of another format
+    or version (versions 1 and 2 included), one that cannot be read, or
+    one with a map whose class is not "compact" is a ValueError; the
+    class is checked before any map is built.
     """
     tol = tol or DEFAULT_TOL
     if not isinstance(chain, dict):
@@ -565,6 +580,24 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
             f"not a {CHAIN_FORMAT} version {CHAIN_VERSION}: found format "
             f"{found[0]!r}, version {found[1]!r}")
     try:
+        for name in _CHAIN_MAPS:
+            tail = dict(chain["maps"][name]).get("class")
+            if tail != "compact":
+                raise ValueError(f"maps.{name} has class {tail!r}; every "
+                                 f"chain map is compact")
+        maps = {name: map_from_dict(chain["maps"][name], tol)
+                for name in _CHAIN_MAPS}
+    except _MALFORMED as e:
+        raise ValueError(f"malformed certificate chain: {e!r}") from e
+    return _replay(chain, maps, tol)
+
+
+def _replay(chain: dict, maps: dict, tol: Tolerances) -> dict:
+    """The report of verify_certificate on a chain of the right format,
+    whose maps, keyed by their names in the chain, are given as Diffeo1s.
+    Each map's support is computed once and read by every item that
+    needs it.  A field that cannot be read is a ValueError."""
+    try:
         cfgd = dict(chain["config"])
         k, A = cfgd["k"], cfgd["A"]
         if type(k) is not int or type(A) is not int:
@@ -574,13 +607,6 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
         cfg = make_config(k, None, A)
         params = rescaler_params(cfg)
         stored_q = dict(chain["rescaler"])
-        for name in _CHAIN_MAPS:
-            tail = dict(chain["maps"][name]).get("class")
-            if tail != "compact":
-                raise ValueError(f"maps.{name} has class {tail!r}; every "
-                                 f"chain map is compact")
-        maps = {name: map_from_dict(chain["maps"][name], tol)
-                for name in _CHAIN_MAPS}
         ids = chain["identities"]
         stored = {
             "rescale-conjugation":
@@ -598,10 +624,9 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
             want[f"{name}.k"] = k
             found_cfg[f"{name}.k"] = m.k
         gaps = {key: _gap(key, found_cfg[key], want[key]) for key in want}
-    except (KeyError, IndexError, TypeError, ValueError,
-            ConstructionError) as e:
+    except _MALFORMED as e:
         raise ValueError(f"malformed certificate chain: {e!r}") from e
-    f, u0, g, red = maps["f"], maps["u0"], maps["conjugated"], maps["reduced"]
+    u0, g, red = maps["u0"], maps["conjugated"], maps["reduced"]
     lam, tau = maps["witness"], maps["flow_time_one"]
 
     items = [{"name": "config", "stored": None,
@@ -614,24 +639,25 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
                       "recomputed": float(recomputed), "bound": tol.cert_tol,
                       "ok": bool(recomputed <= tol.cert_tol)})
 
-    check("rescale-conjugation", _rescale_residual(g, f, u0, params, cfg.D))
+    supp = _supports(maps, ("f", "u0", "conjugated", "reduced", "witness"))
+    check("rescale-conjugation",
+          _rescale_residual(maps, supp, params, cfg.D))
 
     xs = _samples(cfg.E[0] - 2.0, cfg.E[1] + 2.0, 2049,
-                  [support_interval(m) for m in (red, g, lam)])
+                  [supp[name] for name in ("reduced", "conjugated",
+                                           "witness")])
     pre = lam.inverse_values(xs, tol.invert_abscissa)
     check("flow-conjugacy",
           float(np.max(np.abs(tau(red(xs)) - lam(tau(g(pre)))))))
 
     check("fixed-point", ck_distance(red, u0))
 
-    for name, m, win in (("support-f", f, cfg.D),
-                         ("support-u0", u0, cfg.D),
-                         ("support-conjugated", g, cfg.E),
-                         ("support-reduced", red, cfg.D),
-                         ("support-witness", lam, witness_window(cfg))):
-        ok, sm = support_within(m, win)
-        items.append({"name": name, "stored": None,
+    for name, win in (("f", cfg.D), ("u0", cfg.D), ("conjugated", cfg.E),
+                      ("reduced", cfg.D), ("witness", witness_window(cfg))):
+        sm = supp[name]
+        items.append({"name": f"support-{name}", "stored": None,
                       "recomputed": None if sm is None else list(sm),
-                      "bound": list(win), "ok": bool(ok)})
+                      "bound": list(win),
+                      "ok": bool(_support_inside(sm, win, maps[name].h))})
 
     return {"ok": all(item["ok"] for item in items), "items": items}

@@ -52,7 +52,8 @@ def compose_derivs(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     k = F.shape[-1] - 1
     if G.shape[-1] - 1 != k:
         raise ValueError("jet orders differ")
-    F, G = np.broadcast_arrays(F, G)
+    if F.shape != G.shape:
+        F, G = np.broadcast_arrays(F, G)
     out = np.zeros(F.shape)
     out[..., 0] = F[..., 0]
     for m in range(1, k + 1):

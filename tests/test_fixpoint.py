@@ -332,12 +332,45 @@ def test_search_refuses_a_chain_its_replay_fails(preset_f, cfg, monkeypatch):
 
 def test_search_types_a_replay_that_cannot_read_its_chain(preset_f, cfg,
                                                           monkeypatch):
-    def unreadable(chain, tol):
+    def unreadable(chain, maps, tol):
         raise ValueError("malformed certificate chain: test")
-    monkeypatch.setattr(fixpoint, "verify_certificate", unreadable)
+    monkeypatch.setattr(fixpoint, "_replay", unreadable)
     with pytest.raises(ConstructionError, match=(
             "^certificate stage: replay failed: malformed certificate")):
         fixed_point_search(preset_f, cfg)
+
+
+def _item_bits(report):
+    """The report with every number as the uint64 bits of its float."""
+    def bits(v):
+        if isinstance(v, list):
+            return [bits(x) for x in v]
+        if isinstance(v, float):
+            return int(np.float64(v).view(np.uint64))
+        return v
+    return [{key: bits(v) for key, v in item.items()}
+            for item in report["items"]]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_search_replays_held_maps_as_the_chain_replays(k, monkeypatch):
+    # the search replays the maps it holds; the chain's decoded maps must
+    # give the same report, item for item and bit for bit
+    held = []
+    replay = fixpoint._replay
+
+    def recording(*args):
+        held.append(replay(*args))
+        return held[-1]
+
+    monkeypatch.setattr(fixpoint, "_replay", recording)
+    cfg = make_config(k, ALPHA, 4)
+    res = fixed_point_search(calibrated_bump(0.5 * cfg.delta0, ALPHA, k=k),
+                             cfg)
+    assert res.converged and len(held) == 1 and held[0]["ok"]
+    decoded = verify_certificate(json.loads(dump_chain(res.chain)))
+    assert len(held) == 2 and held[1] is decoded
+    assert _item_bits(held[0]) == _item_bits(decoded)
 
 
 def test_search_refuses_width_one_before_building(monkeypatch):

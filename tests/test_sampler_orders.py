@@ -1,11 +1,14 @@
-"""The jet orders each adaptive build asks its sampler for.
+"""The points and jet orders each adaptive build asks its sampler for.
 
-`_build_adaptive` samples its nodes at order k and checks the interpolant
-at the midpoints against order 0 alone.  That is sound only if a sampler's
+`_build_adaptive` makes one sampler call per round, at order k, on the
+nodes interleaved with the midpoints, and checks the interpolant at the
+midpoints against order 0 alone.  That is sound only if a sampler's
 order-0 output does not depend on the order asked for: the oracle tests
 below check it bitwise, for every sampler of the package, on the nodes and
 midpoints of the build that sampler served.  The guard tests record the
-orders the pipelines really ask for.
+calls the pipelines really make, and check that one call on the
+interleaved points gives, bit for bit, what separate calls on the nodes
+and on the midpoints give.
 """
 
 import numpy as np
@@ -35,15 +38,16 @@ ALPHA = holder(0.5)
 
 
 class _Build:
-    def __init__(self, name, k, fn, built, calls):
+    def __init__(self, name, lo, hi, k, fn, built, calls):
         self.name, self.k, self.fn, self.built = name, k, fn, built
-        self.calls = calls              # (points, order) per sampler call
+        self.lo, self.hi = lo, hi
+        self.calls = calls              # (points, order, jets) per call
 
 
 @pytest.fixture
 def builds(monkeypatch):
     """Every _build_adaptive call made through the package, with its
-    sampler, the map built and the orders asked for."""
+    grid, its sampler, the map built and the calls made."""
     out = []
     original = diffeo._build_adaptive
 
@@ -51,11 +55,13 @@ def builds(monkeypatch):
         calls = []
 
         def sampler(xs, order=None):
-            calls.append((xs.size, order))
-            return fn(xs, order)
+            jets = fn(xs, order)
+            calls.append((xs.copy(), order, jets.copy()))
+            return jets
 
         built = original(tail, lo, hi, k, sampler, n0, tol)
-        out.append(_Build(fn.__qualname__.split(".")[0], k, fn, built, calls))
+        out.append(_Build(fn.__qualname__.split(".")[0], lo, hi, k, fn,
+                          built, calls))
         return built
 
     for module in (diffeo, reduction, fixpoint):
@@ -144,31 +150,45 @@ def test_rescaler_sampler_order0_is_a_prefix(builds, k):
     _assert_order0_is_a_prefix(builds, "_rescaler_fn")
 
 
-# -- guards: nodes at k, midpoints at 0 ----------------------------------------
+# -- guards: one call per round, on the nodes and midpoints interleaved -------
 
-def _assert_nodes_at_k_mids_at_0(builds):
+def _assert_one_call_per_round(builds):
     assert builds
     for b in builds:
-        assert len(b.calls) % 2 == 0, b.name
-        nodes, mids = b.calls[0::2], b.calls[1::2]
-        assert [o for _, o in nodes] == [b.k] * len(nodes), b.name
-        assert [o for _, o in mids] == [0] * len(mids), b.name
-        assert [m for m, _ in mids] == [n - 1 for n, _ in nodes], b.name
-        assert nodes[-1][0] == b.built.n, b.name
+        sizes = []
+        for pts, order, _ in b.calls:
+            assert order == b.k, b.name
+            assert pts.size % 2 == 1, b.name
+            n = (pts.size + 1) // 2
+            xs = np.linspace(b.lo, b.hi, n)
+            mids = 0.5 * (xs[:-1] + xs[1:])
+            assert np.array_equal(_bits(pts[0::2]), _bits(xs)), b.name
+            assert np.array_equal(_bits(pts[1::2]), _bits(mids)), b.name
+            sizes.append(n)
+        # each round doubles the grid, and the last one made the map
+        assert sizes[1:] == [2 * n - 1 for n in sizes[:-1]], b.name
+        assert sizes[-1] == b.built.n, b.name
+        # the one call gives what separate calls on nodes and midpoints give
+        pts, _, jets = b.calls[-1]
+        assert np.array_equal(_bits(jets[0::2]),
+                              _bits(b.fn(pts[0::2].copy(), b.k))), b.name
+        assert np.array_equal(_bits(jets[1::2, 0]),
+                              _bits(b.fn(pts[1::2].copy(), 0)[..., 0])), \
+            b.name
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_reduce_norm_samples_nodes_at_k_and_midpoints_at_0(builds, k):
+def test_reduce_norm_samples_each_round_in_one_call(builds, k):
     g = sweep_profile(2, k, eps=4e-6 if k == 2 else 2e-8)
     reduce_norm(g, make_config(k, ALPHA, 2))
     assert {"roll_up", "spread_once", "_displacement_fn_compose",
             "inverse"} <= {b.name for b in builds}
-    _assert_nodes_at_k_mids_at_0(builds)
+    _assert_one_call_per_round(builds)
 
 
-def test_search_samples_nodes_at_k_and_midpoints_at_0(builds):
+def test_search_samples_each_round_in_one_call(builds):
     cfg = make_config(2, ALPHA, 4)
     assert fixed_point_search(calibrated_bump(1e-3, ALPHA), cfg).converged
     assert {"roll_up", "lambda_limit", "conjugator"} <= {b.name
                                                         for b in builds}
-    _assert_nodes_at_k_mids_at_0(builds)
+    _assert_one_call_per_round(builds)
