@@ -107,13 +107,8 @@ def smoothstep_series(t: np.ndarray, k: int) -> np.ndarray:
     if np.any(mid):
         tm = t[mid]
         up = exp_well_series(tm, k)
-        tt = tvar(tm, k)
-        one_minus = tconst(1.0, k, tt.shape[:-1]) - tt
-        down = np.zeros_like(up)
-        livedn = one_minus[..., 0] > _FLAT_CUT
-        down[livedn] = texp(
-            tmul(tconst(-1.0, k, (int(np.sum(livedn)),)), trecip(one_minus[livedn]))
-        )
+        # S(1 - t) at tm + h is S at (1 - tm) - h
+        down = compose_affine(exp_well_series(1.0 - tm, k), -1.0)
         out[mid] = tdiv(up, up + down)
     return out
 

@@ -2,9 +2,13 @@
 
 Analysis subcommands write JSON or CSV reports, `verify` runs the cross-
 module invariant battery, and `emit-plots` dumps the standard data
-tables.  Every output carries the effective run configuration, files are
-written atomically, and exit codes are: 0 all pass, 1 a verification
-failed, 2 usage, 3 a numerical precondition refused the input.
+tables.  argparse binds one function to each leaf command; `main` builds
+the run configuration from the flags and config file, echoes it, and
+calls that function as fn(args, cfg).  Leaves write their reports
+through `_report` (JSON) or `_write_csv` (tables), which put the files
+under the output directory atomically and embed the run configuration.
+Exit codes are: 0 all pass, 1 a verification failed, 2 usage, 3 a
+numerical precondition refused the input.
 """
 
 from __future__ import annotations
@@ -66,15 +70,27 @@ def _write_json(path: str, payload: dict) -> None:
                           + "\n")
 
 
-def _write_csv(path: str, cfg: RunConfig, columns: list[str],
-               rows: list[list]) -> None:
+def _report(cfg: RunConfig, name: str, payload: dict) -> str:
+    """Write payload with the run configuration under `run_config` as the
+    JSON report `name` in the output directory; returns its path."""
+    path = os.path.join(cfg.out_dir, name)
+    _write_json(path, {**payload, "run_config": cfg.to_dict()})
+    return path
+
+
+def _write_csv(cfg: RunConfig, name: str, columns: list[str],
+               rows: list[list]) -> str:
+    """Write the table `name` in the output directory, led by one
+    `# key=value` line per run-configuration key; returns its path."""
     buf = io.StringIO()
     for key, val in sorted(cfg.to_dict().items()):
         buf.write(f"# {key}={val}\n")
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(columns)
     w.writerows(rows)
+    path = os.path.join(cfg.out_dir, name)
     fixpoint.write_atomic(path, buf.getvalue())
+    return path
 
 
 def _typed(key: str, value, kind: type):
@@ -177,21 +193,20 @@ def _reads_as_float(tok: str) -> bool:
     return True
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
-    return os.path.join(cfg.out_dir, name)
-
-
 def _echo_config(cfg: RunConfig) -> None:
     d = cfg.to_dict()
     keys = ("k", "alpha_spec", "A", "seed", "out_dir")
     print("config: " + " ".join(f"{k}={d[k]}" for k in keys))
 
 
+def _mather_config(cfg: RunConfig) -> reduction.MatherConfig:
+    """The norm-reduction geometry of the run's k, modulus and width."""
+    return reduction.make_config(cfg.k, parse_alpha(cfg.alpha_spec), cfg.A)
+
+
 # -- modulus ------------------------------------------------------------------
 
-def _cmd_modulus(args) -> int:
-    cfg = _make_run_config(args)
-    _echo_config(cfg)
+def _cmd_modulus(args, cfg: RunConfig) -> int:
     spec = (f"holder:{args.holder}" if args.holder is not None
             else cfg.alpha_spec)
     alpha = parse_alpha(spec)
@@ -200,16 +215,13 @@ def _cmd_modulus(args) -> int:
                                       cfg.tol)
     conc = modulus.concavity_slack(alpha, modulus.default_abscissae())
     ok = laws.passed and conc >= -cfg.tol.concavity_rel
-    payload = {
-        "run_config": cfg.to_dict(),
+    path = _report(cfg, "modulus_verdict.json", {
         "alpha": spec,
         "tameness": verdict.to_dict(),
         "laws": laws.to_dict(),
         "concavity_slack": conc,
         "ok": ok,
-    }
-    path = _out_path(cfg, "modulus_verdict.json")
-    _write_json(path, payload)
+    })
     print(f"modulus analyze: sup-tame={verdict.sup_tame.label()} "
           f"sub-tame={verdict.sub_tame.label()} laws={laws.passed} "
           f"-> {path}")
@@ -218,9 +230,7 @@ def _cmd_modulus(args) -> int:
 
 # -- diffeo -------------------------------------------------------------------
 
-def _cmd_diffeo(args) -> int:
-    cfg = _make_run_config(args)
-    _echo_config(cfg)
+def _cmd_diffeo(args, cfg: RunConfig) -> int:
     f = diffeo.from_preset(args.preset, {"eps": args.eps, "k": cfg.k},
                            cfg.tol)
     fi = diffeo.inverse(f, cfg.tol)
@@ -230,8 +240,7 @@ def _cmd_diffeo(args) -> int:
     serialization_gap = float(np.max(np.abs(d(xs) - f(xs))))
     supp = diffeo.support_interval(f)
     ok = inverse_residual <= 1e-9 and serialization_gap == 0.0
-    payload = {
-        "run_config": cfg.to_dict(),
+    path = _report(cfg, "diffeo_check.json", {
         "preset": args.preset,
         "eps": args.eps,
         "inverse_residual": inverse_residual,
@@ -239,9 +248,7 @@ def _cmd_diffeo(args) -> int:
         "support": None if supp is None else list(supp),
         "nodes": f.n,
         "ok": ok,
-    }
-    path = _out_path(cfg, "diffeo_check.json")
-    _write_json(path, payload)
+    })
     print(f"diffeo check: inverse_residual={inverse_residual:.3e} "
           f"serialization_gap={serialization_gap:.3e} ok={ok} -> {path}")
     return EXIT_OK if ok else EXIT_VERIFY
@@ -249,9 +256,7 @@ def _cmd_diffeo(args) -> int:
 
 # -- norms --------------------------------------------------------------------
 
-def _cmd_norms(args) -> int:
-    cfg = _make_run_config(args)
-    _echo_config(cfg)
+def _cmd_norms(args, cfg: RunConfig) -> int:
     alpha = parse_alpha(cfg.alpha_spec)
     f = diffeo.from_preset(args.preset, {"eps": args.eps, "k": cfg.k},
                            cfg.tol)
@@ -259,15 +264,12 @@ def _cmd_norms(args) -> int:
                                balls=(("C0", 1e-2), ("Ck", 1e-2),
                                       ("CkAlpha", 1e-2)))
     total = report.holder_dev[-1]
-    payload = {
-        "run_config": cfg.to_dict(),
+    path = _report(cfg, "norm_report.json", {
         "preset": args.preset,
         "eps": args.eps,
         "norm": total,
         "report": report.to_dict(),
-    }
-    path = _out_path(cfg, "norm_report.json")
-    _write_json(path, payload)
+    })
     print(f"norms measure: norm={total:.6e} -> {path}")
     return EXIT_OK
 
@@ -291,18 +293,13 @@ def _flow_checks(A: int, k: int, b: float, samples: int, tol) -> dict:
             "support_fix_residual": float(fix_resid)}
 
 
-def _cmd_flow(args) -> int:
-    cfg = _make_run_config(args)
-    _echo_config(cfg)
+def _cmd_flow(args, cfg: RunConfig) -> int:
     checks = _flow_checks(cfg.A, cfg.k, args.b, args.samples, cfg.tol)
-    payload = {
-        "run_config": cfg.to_dict(),
+    path = _report(cfg, "flow_chart.json", {
         "b": args.b,
         "samples": args.samples,
         **checks,
-    }
-    path = _out_path(cfg, "flow_chart.json")
-    _write_json(path, payload)
+    })
     print(f"flow chart: intertwining={checks['intertwining_residual']:.3e} "
           f"support-fix={checks['support_fix_residual']:.3e} "
           f"ok={checks['ok']} -> {path}")
@@ -311,16 +308,15 @@ def _cmd_flow(args) -> int:
 
 # -- mather -------------------------------------------------------------------
 
-def _sweep_csv(cfg: RunConfig, alpha, sweep: str,
-               name: str) -> tuple[str, int]:
-    """The reduction sweep over the comma-separated widths, written as a
-    CSV table; returns its path and row count."""
+def _sweep_csv(cfg: RunConfig, sweep: str, name: str) -> tuple[str, int]:
+    """The reduction sweep over the comma-separated widths, written as the
+    CSV table `name`; returns its path and row count."""
     rows = reduction.reduction_sweep([int(s) for s in sweep.split(",")],
-                                     cfg.k, alpha, tol=cfg.tol)
+                                     cfg.k, parse_alpha(cfg.alpha_spec),
+                                     tol=cfg.tol)
     cols = ["A", "norm_in", "norm_out", "plain_ratio",
             "rescale_factor", "ratio", "rolled_slope"]
-    path = _out_path(cfg, name)
-    _write_csv(path, cfg, cols, [[r[c] for c in cols] for r in rows])
+    path = _write_csv(cfg, name, cols, [[r[c] for c in cols] for r in rows])
     return path, len(rows)
 
 
@@ -363,106 +359,85 @@ def _roll_checks(eps: float, mcfg, shift: float,
             reduction.roll_equivariance_residual(g, shift, tol))
 
 
-def _cmd_mather(args) -> int:
-    cfg = _make_run_config(args)
-    _echo_config(cfg)
-    alpha = parse_alpha(cfg.alpha_spec)
-    k, tol = cfg.k, cfg.tol
+def _cmd_mather_psi(args, cfg: RunConfig) -> int:
+    path, n_rows = _sweep_csv(cfg, args.sweep, "psi_sweep.csv")
+    print(f"mather psi: {n_rows} rows -> {path}")
+    return EXIT_OK
 
-    if args.op == "psi":
-        path, n_rows = _sweep_csv(cfg, alpha, args.sweep, "psi_sweep.csv")
-        print(f"mather psi: {n_rows} rows -> {path}")
-        return EXIT_OK
 
-    mcfg = reduction.make_config(k, alpha, cfg.A)
+def _cmd_mather_gamma(args, cfg: RunConfig) -> int:
+    check, equi = _roll_checks(args.eps, _mather_config(cfg), 0.37, cfg.tol)
+    ok = check.ok and equi <= 1e-9
+    path = _report(cfg, "gamma_report.json", {
+        "eps": args.eps,
+        "word_norm_check": check.to_dict(),
+        "equivariance_residual": equi,
+        "ok": ok,
+    })
+    print(f"mather gamma: equivariance={equi:.3e} ok={ok} -> {path}")
+    return EXIT_OK if ok else EXIT_VERIFY
 
-    if args.op == "gamma":
-        check, equi = _roll_checks(args.eps, mcfg, 0.37, tol)
-        ok = check.ok and equi <= 1e-9
-        payload = {
-            "run_config": cfg.to_dict(),
-            "eps": args.eps,
-            "word_norm_check": check.to_dict(),
-            "equivariance_residual": equi,
-            "ok": ok,
-        }
-        path = _out_path(cfg, "gamma_report.json")
-        _write_json(path, payload)
-        print(f"mather gamma: equivariance={equi:.3e} ok={ok} -> {path}")
-        return EXIT_OK if ok else EXIT_VERIFY
 
-    if args.op == "omega":
-        resid, out = _spread_roundtrip(np.random.default_rng(cfg.seed),
-                                       args.eps, mcfg, tol, 2049)
-        supp = diffeo.support_interval(out)
-        ok = resid <= 1e-6
-        payload = {
-            "run_config": cfg.to_dict(),
-            "eps": args.eps,
-            "roundtrip_c0": resid,
-            "spread_support": None if supp is None else list(supp),
-            "ok": ok,
-        }
-        path = _out_path(cfg, "omega_report.json")
-        _write_json(path, payload)
-        print(f"mather omega: roundtrip={resid:.3e} ok={ok} -> {path}")
-        return EXIT_OK if ok else EXIT_VERIFY
+def _cmd_mather_omega(args, cfg: RunConfig) -> int:
+    resid, out = _spread_roundtrip(np.random.default_rng(cfg.seed),
+                                   args.eps, _mather_config(cfg), cfg.tol,
+                                   2049)
+    supp = diffeo.support_interval(out)
+    ok = resid <= 1e-6
+    path = _report(cfg, "omega_report.json", {
+        "eps": args.eps,
+        "roundtrip_c0": resid,
+        "spread_support": None if supp is None else list(supp),
+        "ok": ok,
+    })
+    print(f"mather omega: roundtrip={resid:.3e} ok={ok} -> {path}")
+    return EXIT_OK if ok else EXIT_VERIFY
 
-    if args.op == "lambda":
-        g = reduction.sweep_profile(mcfg.A, k, args.eps)
-        res = reduction.reduce_norm(g, mcfg, tol)
-        cert = reduction.conjugator(g, res.map, mcfg, tol, res.rolled)
-        ok = cert.residual <= tol.cert_tol
-        payload = {
-            "run_config": cfg.to_dict(),
-            "eps": args.eps,
-            "residual": cert.residual,
-            "word_length": cert.word_length,
-            "translation": cert.b,
-            "witness_support":
-                list(diffeo.support_interval(cert.lam) or ()),
-            "reduction": res.to_dict(),
-            "ok": ok,
-        }
-        path = _out_path(cfg, "lambda_report.json")
-        _write_json(path, payload)
-        print(f"mather lambda: residual={cert.residual:.3e} ok={ok} "
-              f"-> {path}")
-        return EXIT_OK if ok else EXIT_VERIFY
 
-    raise ValueError(f"unknown mather operation {args.op!r}")
+def _cmd_mather_lambda(args, cfg: RunConfig) -> int:
+    mcfg, tol = _mather_config(cfg), cfg.tol
+    g = reduction.sweep_profile(mcfg.A, mcfg.k, args.eps)
+    res = reduction.reduce_norm(g, mcfg, tol)
+    cert = reduction.conjugator(g, res.map, mcfg, tol, res.rolled)
+    ok = cert.residual <= tol.cert_tol
+    path = _report(cfg, "lambda_report.json", {
+        "eps": args.eps,
+        "residual": cert.residual,
+        "word_length": cert.word_length,
+        "translation": cert.b,
+        "witness_support": list(diffeo.support_interval(cert.lam) or ()),
+        "reduction": res.to_dict(),
+        "ok": ok,
+    })
+    print(f"mather lambda: residual={cert.residual:.3e} ok={ok} -> {path}")
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 # -- perfect ------------------------------------------------------------------
 
-def _cmd_perfect(args) -> int:
-    cfg = _make_run_config(args)
-    _echo_config(cfg)
-    tol = cfg.tol
+def _cmd_perfect_verify(args, cfg: RunConfig) -> int:
+    report = fixpoint.verify_certificate(fixpoint.load_chain(args.chain),
+                                         cfg.tol)
+    if args.report:
+        _write_json(args.report, report)
+        print(f"perfect verify: ok={report['ok']} -> {args.report}")
+    else:
+        print(json.dumps(report, indent=2, sort_keys=True))
+        print(f"perfect verify: ok={report['ok']}")
+    return EXIT_OK if report["ok"] else EXIT_VERIFY
 
-    if args.op == "verify":
-        chain = fixpoint.load_chain(args.chain)
-        report = fixpoint.verify_certificate(chain, tol)
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.report:
-            fixpoint.write_atomic(args.report, text + "\n")
-            print(f"perfect verify: ok={report['ok']} -> {args.report}")
-        else:
-            print(text)
-            print(f"perfect verify: ok={report['ok']}")
-        return EXIT_OK if report["ok"] else EXIT_VERIFY
 
+def _cmd_perfect_fixpoint(args, cfg: RunConfig) -> int:
     with open(args.infile, encoding="utf-8") as fh:
-        f = diffeo.from_dict(json.load(fh), tol)
-    alpha = parse_alpha(cfg.alpha_spec)
-    mcfg = reduction.make_config(cfg.k, alpha, cfg.A)
-    res = fixpoint.fixed_point_search(f, mcfg, tol=tol)
+        f = diffeo.from_dict(json.load(fh), cfg.tol)
+    res = fixpoint.fixed_point_search(f, _mather_config(cfg), tol=cfg.tol)
     if res.converged:
         fixpoint.write_chain(args.outfile, res.chain)
         print(f"perfect fixpoint: converged at iteration {res.iterations}, "
               f"residual {res.residual:.3e} -> {args.outfile}")
         return EXIT_OK
-    payload = {
+    # the trace takes the chain's place at --out-chain, not under out_dir
+    _write_json(args.outfile, {
         "format": "fixpoint-trace",
         "version": 1,
         "outcome": "no-convergence",
@@ -470,8 +445,7 @@ def _cmd_perfect(args) -> int:
         "iterations": res.iterations,
         "residual": res.residual,
         "trace": res.trace,
-    }
-    _write_json(args.outfile, payload)
+    })
     print(f"perfect fixpoint: no convergence after {res.iterations} "
           f"iterations (residual {res.residual:.3e}) -> {args.outfile}")
     return EXIT_OK
@@ -644,9 +618,7 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args) -> int:
-    cfg = _make_run_config(args)
-    _echo_config(cfg)
+def _cmd_verify(args, cfg: RunConfig) -> int:
     names = list(_SUITES) if args.suite == "all" else args.suite.split(",")
     for name in names:
         if name not in _SUITES:
@@ -657,19 +629,14 @@ def _cmd_verify(args) -> int:
         results[name] = _SUITES[name](rng, cfg.tol)
         print(f"  {name}: {'pass' if results[name]['ok'] else 'FAIL'}")
     ok = all(r["ok"] for r in results.values())
-    payload = {"run_config": cfg.to_dict(), "ok": ok, "suites": results}
-    path = _out_path(cfg, "verify_report.json")
-    _write_json(path, payload)
+    path = _report(cfg, "verify_report.json", {"ok": ok, "suites": results})
     print(f"verify: {'all pass' if ok else 'FAILURES'} -> {path}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 # -- emit-plots ----------------------------------------------------------------
 
-def _cmd_emit_plots(args) -> int:
-    cfg = _make_run_config(args)
-    _echo_config(cfg)
-    tol = cfg.tol
+def _cmd_emit_plots(args, cfg: RunConfig) -> int:
     tables = args.tables.split(",")
     known = {"sweep", "tameness", "lcm", "traces"}
     unknown = set(tables) - known
@@ -679,28 +646,23 @@ def _cmd_emit_plots(args) -> int:
 
     # first, so that a refused search leaves no table behind
     if "traces" in tables:
-        alpha = parse_alpha(cfg.alpha_spec)
-        mcfg = reduction.make_config(cfg.k, alpha, cfg.A)
-        f = fixpoint.calibrated_bump(args.fix_norm, alpha, k=cfg.k, tol=tol)
-        res = fixpoint.fixed_point_search(f, mcfg, tol=tol)
-        rows = [[t["iteration"], t["residual"], t["norm_composed"],
-                 t["norm_conjugated"], t["norm_reduced"],
-                 t["rolled_slope"]] for t in res.trace]
-        path = _out_path(cfg, "residual_traces.csv")
-        _write_csv(path, cfg,
-                   ["iteration", "residual", "norm_composed",
-                    "norm_conjugated", "norm_reduced", "rolled_slope"],
-                   rows)
-        written.append(path)
+        mcfg = _mather_config(cfg)
+        f = fixpoint.calibrated_bump(args.fix_norm, mcfg.alpha, k=cfg.k,
+                                     tol=cfg.tol)
+        res = fixpoint.fixed_point_search(f, mcfg, tol=cfg.tol)
+        cols = ["iteration", "residual", "norm_composed", "norm_conjugated",
+                "norm_reduced", "rolled_slope"]
+        written.append(_write_csv(cfg, "residual_traces.csv", cols,
+                                  [[t[c] for c in cols] for t in res.trace]))
 
     if "sweep" in tables:
-        written.append(_sweep_csv(cfg, parse_alpha(cfg.alpha_spec),
-                                  args.sweep, "norm_reduction_sweep.csv")[0])
+        written.append(_sweep_csv(cfg, args.sweep,
+                                  "norm_reduction_sweep.csv")[0])
 
     if "tameness" in tables:
-        path = _out_path(cfg, "tameness_functionals.csv")
-        _write_csv(path, cfg, ["s", "t", "F_sup", "G_sub"], _tameness_rows())
-        written.append(path)
+        written.append(_write_csv(cfg, "tameness_functionals.csv",
+                                  ["s", "t", "F_sup", "G_sub"],
+                                  _tameness_rows()))
 
     if "lcm" in tables:
         ts, mus = _oscillation_profile(np.random.default_rng(cfg.seed))
@@ -708,9 +670,8 @@ def _cmd_emit_plots(args) -> int:
         vals = beta0(ts)
         rows = [[float(t), float(m), float(v), float(2.0 * m)]
                 for t, m, v in zip(ts, mus, vals)]
-        path = _out_path(cfg, "lcm_sandwich.csv")
-        _write_csv(path, cfg, ["t", "mu", "beta0", "two_mu"], rows)
-        written.append(path)
+        written.append(_write_csv(cfg, "lcm_sandwich.csv",
+                                  ["t", "mu", "beta0", "two_mu"], rows))
 
     for p in written:
         print(f"emit-plots: wrote {p}")
@@ -761,18 +722,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mather", help="rolling up, spreading, reduction")
     ps = p.add_subparsers(dest="op", required=True)
-    for op, eps_default, blurb in (
-            ("gamma", 1e-5, "rolling-up word checks"),
-            ("omega", 3e-5, "spreading round trip"),
-            ("lambda", 4e-6, "conjugacy witness for one reduction")):
+    for op, eps_default, blurb, fn in (
+            ("gamma", 1e-5, "rolling-up word checks", _cmd_mather_gamma),
+            ("omega", 3e-5, "spreading round trip", _cmd_mather_omega),
+            ("lambda", 4e-6, "conjugacy witness for one reduction",
+             _cmd_mather_lambda)):
         po = ps.add_parser(op, parents=common, help=blurb)
         po.add_argument("--eps", type=float, default=eps_default)
-        po.set_defaults(fn=_cmd_mather)
+        po.set_defaults(fn=fn)
     pp = ps.add_parser("psi", parents=common,
                        help="norm-reduction ratio sweep")
     pp.add_argument("--sweep", default="1,2,4,8",
                     help="comma-separated width parameters")
-    pp.set_defaults(fn=_cmd_mather)
+    pp.set_defaults(fn=_cmd_mather_psi)
 
     p = sub.add_parser("perfect", help="fixed-point experiment")
     ps = p.add_subparsers(dest="op", required=True)
@@ -781,18 +743,18 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--in", dest="infile", required=True,
                     help="JSON file describing the input map")
     pf.add_argument("--out-chain", dest="outfile", default="chain.json")
-    pf.set_defaults(fn=_cmd_perfect)
+    pf.set_defaults(fn=_cmd_perfect_fixpoint)
     pv = ps.add_parser("verify", parents=common,
                        help="replay a certificate chain")
     pv.add_argument("chain")
     pv.add_argument("--report", default=None)
-    pv.set_defaults(fn=_cmd_perfect)
+    pv.set_defaults(fn=_cmd_perfect_verify)
 
     p = sub.add_parser("verify", parents=common,
                        help="cross-module invariant battery")
     p.add_argument("--suite", default="all",
                    help="all or comma-separated: " + ",".join(_SUITES))
-    p.set_defaults(fn=_cmd_verify, op=None)
+    p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("emit-plots", parents=common,
                        help="write the standard data tables")
@@ -801,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(traces needs --A 2 or more)")
     p.add_argument("--sweep", default="1,2,4,8")
     p.add_argument("--fix-norm", type=float, default=1e-3)
-    p.set_defaults(fn=_cmd_emit_plots, op=None)
+    p.set_defaults(fn=_cmd_emit_plots)
 
     return ap
 
@@ -821,7 +783,9 @@ def main(argv=None) -> int:
         code = e.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.fn(args)
+        cfg = _make_run_config(args)
+        _echo_config(cfg)
+        return args.fn(args, cfg)
     except (PreconditionError, ConstructionError) as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_REFUSED

@@ -69,6 +69,26 @@ PROFILE_SPAN = 40.0
 OVERLAP_REACH = 0.884
 
 
+def _plateau_jets(x, order: int, plateau: float, edge: float) -> np.ndarray:
+    """Derivatives 0..order of the even ramp that is 1 on |x| <= plateau
+    and falls by a smoothstep to 0 at |x| = edge (edge - plateau = 1)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    ax = np.abs(x)
+    out = np.zeros(x.shape + (order + 1,))
+    flat = ax <= plateau
+    out[flat, 0] = 1.0
+    ramp = (~flat) & (ax < edge)
+    if ramp.any():
+        coeffs = _taylor.compose_affine(
+            _taylor.smoothstep_series(edge - ax[ramp], order), -1.0)
+        jets = _taylor.coeffs_to_derivs(coeffs)
+        # mirror to negative arguments: odd orders change sign
+        sign = np.where(x[ramp][:, None] < 0.0,
+                        (-1.0) ** np.arange(order + 1)[None, :], 1.0)
+        out[ramp] = jets * sign
+    return out
+
+
 @dataclass(frozen=True)
 class PlateauField:
     """Unit-plateau bump field: 1 on [-2A, 2A], 0 outside [-2A-1, 2A+1]."""
@@ -84,22 +104,7 @@ class PlateauField:
 
     def jets(self, x, order: int) -> np.ndarray:
         """Derivatives 0..order of rho, exactly even in x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        ax = np.abs(x)
-        out = np.zeros(x.shape + (order + 1,))
-        flat = ax <= self.plateau
-        out[flat, 0] = 1.0
-        ramp = (~flat) & (ax < self.edge)
-        if ramp.any():
-            t = self.edge - ax[ramp]
-            coeffs = _taylor.compose_affine(
-                _taylor.smoothstep_series(t, order), -1.0)
-            jets = _taylor.coeffs_to_derivs(coeffs)
-            # mirror to negative arguments: odd orders change sign
-            sign = np.where(x[ramp][:, None] < 0.0,
-                            (-1.0) ** np.arange(order + 1)[None, :], 1.0)
-            out[ramp] = jets * sign
-        return out
+        return _plateau_jets(x, order, self.plateau, self.edge)
 
     def values(self, x) -> np.ndarray:
         """rho itself, bitwise equal to jets(x, 0)[..., 0]: the same float

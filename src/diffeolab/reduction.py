@@ -35,8 +35,8 @@ from .diffeo import (Diffeo1, _apply_letter, _build_adaptive, _frac,
                      inverse, post_translate, refined_grid, support_interval,
                      support_within, translate_conjugate)
 from .errors import ConstructionError, PreconditionError
-from .flow import (OVERLAP_REACH, PlateauField, _unit_time_map, time_t_map,
-                   trajectory_chart)
+from .flow import (OVERLAP_REACH, PlateauField, _plateau_jets, _unit_time_map,
+                   time_t_map, trajectory_chart)
 from .jets import compose_derivs, invert_derivs
 from .norms import SlackReport, holder_norm
 
@@ -456,19 +456,9 @@ def sweep_profile(A: int, k: int = 2, eps: float = 4e-6,
     ratio exhibits the source-over-target width factor instead of
     collapsing by cancellation."""
     hi = 2.0 * A - 0.05
-    lo_plat = hi - 1.0
     n = _unit_nodes(2.0 * hi)
     xs = np.linspace(-hi, hi, n)
-    env = np.zeros((n, k + 1))
-    absx = np.abs(xs)
-    env[absx <= lo_plat, 0] = 1.0
-    ramp = (absx > lo_plat) & (absx < hi)
-    if ramp.any():
-        c = compose_affine(smoothstep_series(hi - absx[ramp], k), -1.0)
-        dv = coeffs_to_derivs(c)
-        sgn = np.where(xs[ramp][:, None] < 0.0,
-                       (-1.0) ** np.arange(k + 1)[None, :], 1.0)
-        env[ramp] = dv * sgn
+    env = _plateau_jets(xs, k, hi - 1.0, hi)
     w = 2.0 * np.pi
     car = np.empty((n, k + 1))
     for j in range(k + 1):
@@ -620,7 +610,6 @@ class ConjugacyCertificate:
     overlaps: dict                  # piecewise-assembly agreement
     word_length: int
     translation_dev: float          # deviation of the rolled quotient from T_b
-    config: dict
 
 
 def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
@@ -689,5 +678,4 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     return ConjugacyCertificate(
         b=b, tau=tau, lam=lam, residual=residual,
         overlaps={"left": left, "right": right},
-        word_length=lam_res.word_length, translation_dev=dev,
-        config=cfg.to_dict())
+        word_length=lam_res.word_length, translation_dev=dev)

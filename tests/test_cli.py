@@ -188,6 +188,50 @@ def test_modulus_analyze_writes_verdict(tmp_path):
     assert "run_config" in verdict
 
 
+# each run sets a width, a seed and a tolerance off their defaults, so a
+# report that echoed a default configuration would not match
+_ECHO_FLAGS = ["--A", "2", "--seed", "5", "--tol-fix-max-iter", "17"]
+
+
+def _run_config(out) -> dict:
+    return diffeolab.RunConfig(A=2, seed=5, out_dir=out,
+                               tol=Tolerances(fix_max_iter=17)).to_dict()
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["modulus", "analyze"], "modulus_verdict.json"),
+    (["diffeo", "check"], "diffeo_check.json"),
+    (["norms", "measure"], "norm_report.json"),
+    (["flow", "chart", "--samples", "9"], "flow_chart.json"),
+    (["mather", "gamma"], "gamma_report.json"),
+    (["mather", "omega"], "omega_report.json"),
+    (["mather", "lambda"], "lambda_report.json"),
+    (["verify", "--suite", "jets,modulus"], "verify_report.json"),
+])
+def test_every_json_report_carries_the_run_config(tmp_path, argv, name):
+    out = str(tmp_path)
+    assert run(*argv, *_ECHO_FLAGS, "--out", out) == EXIT_OK
+    assert read_json(tmp_path / name)["run_config"] == _run_config(out)
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["mather", "psi", "--sweep", "1"], "psi_sweep.csv"),
+    (["emit-plots", "--tables", "sweep", "--sweep", "1"],
+     "norm_reduction_sweep.csv"),
+    (["emit-plots", "--tables", "tameness"], "tameness_functionals.csv"),
+    (["emit-plots", "--tables", "lcm"], "lcm_sandwich.csv"),
+    (["emit-plots", "--tables", "traces", "--fix-norm", "5e-4"],
+     "residual_traces.csv"),
+])
+def test_every_table_opens_with_the_run_config(tmp_path, argv, name):
+    out = str(tmp_path)
+    assert run(*argv, *_ECHO_FLAGS, "--out", out) == EXIT_OK
+    want = [f"# {key}={val}" for key, val in sorted(_run_config(out).items())]
+    lines = (tmp_path / name).read_text().splitlines()
+    assert lines[:len(want)] == want
+    assert not lines[len(want)].startswith("#")
+
+
 def test_diffeo_check_round_trip(tmp_path):
     out = str(tmp_path)
     assert run("diffeo", "check", "--preset", "smooth_bump_displacement",
