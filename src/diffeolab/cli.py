@@ -44,7 +44,7 @@ _TOL_TYPES = {f.name: type(f.default) for f in dataclasses.fields(Tolerances)}
 # "-inf" as an option string, not as the value, so main() joins such a pair
 # into one token "--b=-inf" (tests/test_cli.py checks the list is complete)
 _FLOAT_FLAGS = frozenset(
-    ["--b", "--eps", "--fix-norm", "--holder"]
+    ["--b", "--eps", "--fix-norm"]
     + [f"--tol-{name.replace('_', '-')}" for name, kind in _TOL_TYPES.items()
        if kind is float])
 
@@ -207,16 +207,14 @@ def _mather_config(cfg: RunConfig) -> reduction.MatherConfig:
 # -- modulus ------------------------------------------------------------------
 
 def _cmd_modulus(args, cfg: RunConfig) -> int:
-    spec = (f"holder:{args.holder}" if args.holder is not None
-            else cfg.alpha_spec)
-    alpha = parse_alpha(spec)
+    alpha = parse_alpha(cfg.alpha_spec)
     verdict = modulus.classify_tameness(alpha, tol=cfg.tol)
     laws = modulus.check_modulus_laws(alpha, 2.0, np.geomspace(1e-4, 1e2, 61),
                                       cfg.tol)
     conc = modulus.concavity_slack(alpha, modulus.default_abscissae())
     ok = laws.passed and conc >= -cfg.tol.concavity_rel
     path = _report(cfg, "modulus_verdict.json", {
-        "alpha": spec,
+        "alpha": cfg.alpha_spec,
         "tameness": verdict.to_dict(),
         "laws": laws.to_dict(),
         "concavity_slack": conc,
@@ -398,7 +396,7 @@ def _cmd_mather_lambda(args, cfg: RunConfig) -> int:
     mcfg, tol = _mather_config(cfg), cfg.tol
     g = reduction.sweep_profile(mcfg.A, mcfg.k, args.eps)
     res = reduction.reduce_norm(g, mcfg, tol)
-    cert = reduction.conjugator(g, res.map, mcfg, tol, res.rolled)
+    cert = reduction.conjugator(g, res.map, mcfg, tol)
     ok = cert.residual <= tol.cert_tol
     path = _report(cfg, "lambda_report.json", {
         "eps": args.eps,
@@ -692,8 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = p.add_subparsers(dest="op", required=True)
     pa = ps.add_parser("analyze", parents=common,
                        help="tameness verdict and law checks")
-    pa.add_argument("--holder", type=float, default=None,
-                    help="shortcut for --alpha holder:S")
     pa.set_defaults(fn=_cmd_modulus)
 
     p = sub.add_parser("diffeo", help="interpolation model checks")

@@ -386,14 +386,6 @@ class Diffeo1:
     def __call__(self, x) -> np.ndarray:
         return self.jet_at(x, 0)[..., 0]
 
-    def deriv(self, x, j: int) -> np.ndarray:
-        out = self.displacement_jets(x, j, j)[..., 0]
-        if j == 0:
-            out = out + np.asarray(x, dtype=float)
-        elif j == 1:
-            out = out + 1.0
-        return out
-
     # -- structural queries ----------------------------------------------
 
     def inverse_values(self, y, xtol: float | None = None) -> np.ndarray:
@@ -732,12 +724,6 @@ def from_preset(name: str, params: dict | None = None,
         return _preset_bump(tol=tol, **params)
     if name == "periodic_wiggle":
         return _preset_wiggle(tol=tol, **params)
-    if name == "scaled_family":
-        inner_spec = params["inner"]
-        scale = float(params["scale"])
-        inner = from_preset(inner_spec["preset"],
-                            inner_spec.get("params", {}), tol)
-        return rescale_displacement(inner, scale)
     raise ValueError(f"unknown preset {name!r}")
 
 

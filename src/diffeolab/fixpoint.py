@@ -484,8 +484,7 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
         })
         if residual <= tol.fix_tol:
             try:
-                cert = conjugator(step.conjugated, step.map, cfg, tol,
-                                  step.reduction.rolled)
+                cert = conjugator(step.conjugated, step.map, cfg, tol)
             except (PreconditionError, ConstructionError) as e:
                 raise type(e)(f"certificate stage: {e}") from e
             maps = {"f": f, "u0": u, "conjugated": step.conjugated,

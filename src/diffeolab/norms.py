@@ -241,7 +241,7 @@ def verify_derivation(f: Diffeo1, g: Diffeo1, alpha) -> SlackReport:
     rhs2 = max(sup(v) for v in flist) ** (m - 1) * sum(sem(v) for v in flist)
 
     comp = f.displacement_jets(g(xs), 0)[:, 0]
-    g1 = float(np.max(np.abs(g.deriv(xs, 1))))
+    g1 = float(np.max(np.abs(g.jet_at(xs, 1)[:, 1])))
     lhs3 = sem(comp)
     rhs3 = sem(phi) * max(g1, 1.0)
 

@@ -10,11 +10,13 @@ its output lives on the fixed target interval no matter how wide the
 input's support was, and the measured norm ratio is the quantity the
 fixed-point experiment feeds on.
 
-A limit word of two rolled-up maps detects conjugacy: when the rolled
-maps differ by a translation, ``lambda_limit`` realizes the limit as
-an eventually periodic diffeomorphism, and ``conjugator`` cuts it down
-to a compactly supported conjugacy witness through the plateau-flow
-chart, emitting a verifiable certificate.
+A limit word of two rolled-up maps detects conjugacy: ``lambda_limit``
+realizes the limit as an eventually periodic diffeomorphism whose
+periodic tail is the rolled quotient, and reads off that tail how far
+the quotient is from a translation.  When it is a translation,
+``conjugator`` cuts the word down to a compactly supported conjugacy
+witness through the plateau-flow chart, emitting a verifiable
+certificate.
 
 The rolling-up and limit words run through one kernel, _word, whose
 letters are diffeo's one letter primitive, _apply_letter, as compose's are.
@@ -407,8 +409,6 @@ class PsiResult:
     norm_out: float
     rolled_slope: float             # C^1 size of the rolled-up midpoint
     support: tuple[float, float] | None
-    rolled: Diffeo1 | None = None   # roll_up of the input, which the
-                                    # certificate stage reuses
 
     @property
     def ratio(self) -> float:
@@ -444,7 +444,7 @@ def reduce_norm(g: Diffeo1, cfg: MatherConfig,
     norm_out = holder_norm(out, cfg.alpha, cfg.k)
     return PsiResult(map=out, norm_in=norm_in, norm_out=norm_out,
                      rolled_slope=rolled_slope,
-                     support=support_interval(out), rolled=rolled)
+                     support=support_interval(out))
 
 
 def sweep_profile(A: int, k: int = 2, eps: float = 4e-6,
@@ -517,25 +517,23 @@ class LambdaResult:
 
     map: Diffeo1
     word_length: int
-    translation: float              # mean of quot(x) - x over one period,
-                                    # quot = rolled-v o rolled-u^{-1}
-    translation_dev: float          # sup of |quot(x) - x - translation|
-    tail_residual: float            # word against quot right of 2A + 1/2
+    translation: float              # mean of lam(x) - x over the word's
+                                    # stored period, which is the rolled
+                                    # quotient rolled-v o rolled-u^{-1}
+    translation_dev: float          # sup of |lam(x) - x - translation| there
     intertwine_residual: float      # shifted-u vs shifted-v equivariance
 
 
 def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
-                 tol: Tolerances | None = None,
-                 rolled_u: Diffeo1 | None = None) -> LambdaResult:
+                 tol: Tolerances | None = None) -> LambdaResult:
     """The stabilized word (shifted v)^s (shifted u)^{-s}: the identity
     left of -2A, and the quotient of the rolled-up maps right of
     2A + 1/2.  Conjugating the unit shift by it carries shifted-u words
-    to shifted-v words.  The rolled quotient is built once; its mean
-    translation and the deviation from it are reported with the word.
+    to shifted-v words.  The word's stored period [2A + 3/2, 2A + 5/2]
+    lies in that right tail, so its mean translation, and the deviation
+    from it, are those of the rolled quotient, which is never built.
     Both the word and the probe of its length s run through _word.  A
-    length s above tol.word_cap is refused before the word is built.
-    rolled_u, when given, must be roll_up(u, tol), as reduce_norm returns
-    it; u is then not rolled again."""
+    length s above tol.word_cap is refused before the word is built."""
     tol = tol or DEFAULT_TOL
     k = u.k
     A = cfg.A
@@ -566,15 +564,6 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
             break
         s += int(math.ceil((y + 2.0 * A) / (1.0 - a))) + 1
 
-    rolled_v = roll_up(v, tol)
-    if rolled_u is None:
-        rolled_u = roll_up(u, tol)
-    quot = compose(rolled_v, inverse(rolled_u, tol), tol)
-    xs_p = np.linspace(quot.a, quot.a + 1.0, 2049)
-    tvals = quot(xs_p) - xs_p
-    b = float(np.mean(tvals))
-    dev = float(np.max(np.abs(tvals - b)))
-
     def fn(xs: np.ndarray, order: int) -> np.ndarray:
         Y = _word(xs, [(u_inv, s, -1.0, 0.0), (v, s, 0.0, 1.0)], order)
         return _minus_identity(Y, xs)
@@ -582,8 +571,10 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     n0 = _unit_nodes(hi - lo, 257)
     lam = _build_adaptive("ep", lo, hi, k, fn, n0, tol)
 
-    xs_t = np.linspace(2.0 * A + 0.5, 2.0 * A + 1.5, 257)
-    tail_residual = float(np.max(np.abs(lam(xs_t) - quot(xs_t))))
+    xs_p = np.linspace(hi - 1.0, hi, 2049)
+    tvals = lam(xs_p) - xs_p
+    b = float(np.mean(tvals))
+    dev = float(np.max(np.abs(tvals - b)))
 
     xs_w = np.linspace(-2.0 * A - 2.0, 2.0 * A + 3.0, 1025)
     lhs = v(lam(xs_w)) + 1.0
@@ -594,8 +585,7 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
             f"intertwining residual {intertwine:.3e} exceeds "
             f"{tol.intertwine:.1e}")
     return LambdaResult(map=lam, word_length=2 * s, translation=b,
-                        translation_dev=dev, tail_residual=tail_residual,
-                        intertwine_residual=intertwine)
+                        translation_dev=dev, intertwine_residual=intertwine)
 
 
 @dataclass(frozen=True)
@@ -609,21 +599,21 @@ class ConjugacyCertificate:
     residual: float                 # sup distance of the two sides
     overlaps: dict                  # piecewise-assembly agreement
     word_length: int
-    translation_dev: float          # deviation of the rolled quotient from T_b
+    translation_dev: float          # deviation of the limit word's periodic
+                                    # tail (the rolled quotient) from T_b
 
 
 def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
-               tol: Tolerances | None = None,
-               rolled_u: Diffeo1 | None = None) -> ConjugacyCertificate:
+               tol: Tolerances | None = None) -> ConjugacyCertificate:
     """Build the compactly supported conjugacy witness for a pair whose
-    rolled-up maps differ by a translation.  Piecewise: the identity left
-    of -2A, the chart conjugate of the limit word in the middle, and the
-    time-b flow map right of 2A + 1/2; the pieces are checked to agree on
-    the overlaps before assembly.  The plateau field is that of cfg.A, and
-    the certificate's tau is its unit-time map.  rolled_u is passed on to
-    lambda_limit."""
+    rolled-up maps differ by a translation, as the limit word's periodic
+    tail reads it (lambda_limit).  Piecewise: the identity left of -2A,
+    the chart conjugate of the limit word in the middle, and the time-b
+    flow map right of 2A + 1/2; the pieces are checked to agree on the
+    overlaps before assembly.  The plateau field is that of cfg.A, and
+    the certificate's tau is its unit-time map."""
     tol = tol or DEFAULT_TOL
-    lam_res = lambda_limit(u, v, cfg, tol, rolled_u)
+    lam_res = lambda_limit(u, v, cfg, tol)
     b, dev = lam_res.translation, lam_res.translation_dev
     if dev > tol.tol_b:
         raise PreconditionError(

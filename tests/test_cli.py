@@ -107,7 +107,7 @@ def test_every_float_option_is_joined_to_a_negative_value():
               for a in leaf._actions if a.type is float
               for o in a.option_strings}
     assert set(floats) == cli._FLOAT_FLAGS
-    assert {"--b", "--eps", "--holder", "--fix-norm"} <= set(floats)
+    assert {"--b", "--eps", "--fix-norm"} <= set(floats)
     for path, leaf in _leaf_parsers(parser):
         required = {("perfect", "fixpoint"): ["--in", "f.json"],
                     ("perfect", "verify"): ["chain.json"]}.get(path, [])
@@ -150,7 +150,8 @@ def test_main_reuses_one_parser_and_parses_as_a_fresh_one(tmp_path,
     assert cli._parser() is cli._parser()
     out = str(tmp_path)
     calls = [
-        (["modulus", "analyze", "--holder", "0.3"], "modulus_verdict.json"),
+        (["modulus", "analyze", "--alpha", "holder:0.3"],
+         "modulus_verdict.json"),
         (["modulus", "analyze"], "modulus_verdict.json"),
         (["flow", "chart", "--b", "-0.25", "--samples", "9", "--k", "3"],
          "flow_chart.json"),
@@ -171,6 +172,10 @@ def test_main_reuses_one_parser_and_parses_as_a_fresh_one(tmp_path,
         return got
 
     cached = outputs()
+    # the verdict records the modulus it analyzed as its run configuration
+    verdict = json.loads(cached[0])
+    assert verdict["alpha"] == verdict["run_config"]["alpha_spec"]
+    assert verdict["alpha"] == "holder:0.3"
     monkeypatch.setattr(cli, "_parser", build_parser)
     assert outputs() == cached
 

@@ -480,6 +480,11 @@ def _with_jets(jets):
     ("no jets", {key: v for key, v in _bump_dict().items() if key != "jets"}),
     ("a text node count",
      {**_bump_dict(), "grid": {"a": -1.0, "b": 1.0, "n": "many"}}),
+    ("an unknown preset",
+     {"preset": "scaled_family",
+      "params": {"inner": {"preset": "smooth_bump_displacement",
+                           "params": {"eps": 1e-3}},
+                 "scale": 2.0}}),
 ])
 def test_from_dict_refuses_malformed_maps(name, d):
     with pytest.raises(ValueError, match="^malformed map"):

@@ -263,9 +263,9 @@ def test_a_search_rolls_the_conjugated_map_once(preset_f, cfg, monkeypatch):
     monkeypatch.setattr(reduction, "roll_up", counting_roll_up)
     res = fixed_point_search(preset_f, cfg)
     assert res.converged and res.iterations >= 2
-    # one roll per reduction step and one of the reduced map: the
-    # certificate reuses the last step's roll of its input
-    assert len(rolled) == res.iterations + 1
+    # one roll per reduction step: the certificate reads the rolled
+    # quotient off the limit word's periodic tail and rolls nothing
+    assert len(rolled) == res.iterations
     assert len({id(f) for f in rolled}) == len(rolled)
     conjugated = map_jets(res.chain["maps"]["conjugated"])
     assert sum(f.jets.shape == conjugated.shape

@@ -14,6 +14,7 @@ from diffeolab import (
     Diffeo1,
     PreconditionError,
     blend_toward_identity,
+    compose,
     compose_all,
     conjugator,
     holder,
@@ -269,7 +270,7 @@ def test_roll_up_starts_at_twice_the_input_density():
     step = _renorm_full(identity(2, -2.0, 2.0), f, rescaler_params(cfg),
                         cfg, DEFAULT_TOL)
     assert 2.0 / step.conjugated.h + 1.0 < 129
-    assert step.reduction.rolled.n == 129
+    assert roll_up(step.conjugated).n == 129
 
 
 # -- the conjugacy word ----------------------------------------------------------------
@@ -288,12 +289,19 @@ def test_lambda_limit_agrees_with_rolled_quotient_on_the_right():
     g = sweep_profile(2, eps=4e-6)
     v = reduce_norm(g, cfg).map
     lam = lambda_limit(g, v, cfg)
-    assert lam.tail_residual <= 1e-7
     assert lam.intertwine_residual <= 1e-7
     ru, rv = roll_up(g), roll_up(v)
     xs = np.linspace(2.0 * cfg.A + 0.5, 2.0 * cfg.A + 3.5, 400)
     want = rv(inverse(ru)(xs))
     assert float(np.max(np.abs(lam.map(xs) - want))) <= 1e-7
+    # the translation read off the word's periodic tail is the rolled
+    # quotient's
+    xs_p = np.linspace(0.0, 1.0, 2049)
+    tvals = compose(rv, inverse(ru))(xs_p) - xs_p
+    b = float(np.mean(tvals))
+    assert abs(lam.translation - b) <= 1e-14
+    assert abs(lam.translation_dev
+               - float(np.max(np.abs(tvals - b)))) <= 1e-12
     # identity on the far left
     left = np.linspace(-2.0 * cfg.A - 3.0, -2.0 * cfg.A, 200)
     assert float(np.max(np.abs(lam.map(left) - left))) <= 1e-9
@@ -433,9 +441,9 @@ def test_the_word_length_probe_is_the_scalar_loop(monkeypatch):
             probes.append(sum(count for _, count, _, _ in runs))
         return word(x0, runs, order)
 
-    # the probe runs before the first roll-up; stop there
+    # the probe runs before the word is built; stop there
     monkeypatch.setattr(reduction, "_word", spy)
-    monkeypatch.setattr(reduction, "roll_up", stop)
+    monkeypatch.setattr(reduction, "_build_adaptive", stop)
     cases = [(sweep_profile(A, 2), A) for A in (1, 2, 4)]
     cases += [(from_preset("smooth_bump_displacement",
                            {"eps": eps, "radius": 0.9, "k": 2}), 1)
@@ -477,9 +485,8 @@ def test_conjugator_certificate_for_a_reduced_pair(monkeypatch):
 
     monkeypatch.setattr(reduction, "roll_up", counting_roll_up)
     cert = conjugator(g, res.map, cfg)
-    # the rolled quotient is built once, inside lambda_limit
-    assert len(rolled) == 2
-    assert {id(f) for f in rolled} == {id(g), id(res.map)}
+    # the translation is read off the limit word: nothing is rolled
+    assert rolled == []
     assert cert.residual <= 1e-5
     supp = support_interval(cert.lam, slack=1e-9)
     assert supp[0] >= -2.0 * cfg.A - cert.lam.h
