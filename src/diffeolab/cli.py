@@ -108,7 +108,8 @@ def _typed(key: str, value, kind: type):
 
 
 def _make_run_config(args) -> RunConfig:
-    """Merge CLI flags over config-file values over defaults.  An unknown
+    """Merge CLI flags over config-file values over defaults; `perfect
+    verify` then takes k, A and the modulus from its chain.  An unknown
     config-file key or a value of the wrong type is a ValueError."""
     file_cfg: dict = {}
     if getattr(args, "config", None):
@@ -141,7 +142,7 @@ def _make_run_config(args) -> RunConfig:
     if A < 1:
         raise ValueError(f"A must be at least 1, got {A}")
 
-    return RunConfig(
+    run = RunConfig(
         k=pick(getattr(args, "k", None), "k", 2),
         alpha_spec=pick(getattr(args, "alpha", None), "alpha", "holder:0.5"),
         A=A,
@@ -149,6 +150,31 @@ def _make_run_config(args) -> RunConfig:
         out_dir=pick(getattr(args, "out", None), "out", "."),
         tol=tol,
     )
+    if getattr(args, "chain", None) is not None:
+        # the replay reads k, A and the modulus from the chain, never the
+        # flags, so the echo shows the chain's
+        run = dataclasses.replace(run, **_chain_statement(args.chain))
+    return run
+
+
+def _chain_statement(path: str) -> dict:
+    """The k, A and modulus spec that the certificate chain at path
+    states, as RunConfig fields.  A chain that states them in no readable
+    form gives {}: verify_certificate refuses it."""
+    chain = fixpoint.load_chain(path)
+    try:
+        cfgd = chain["config"]
+        k, A, alpha = cfgd["k"], cfgd["A"], cfgd["alpha"]
+        kind = alpha["kind"]
+        if kind == "holder":
+            spec = f"holder:{alpha['s']}"
+        elif kind == "omegaz":
+            spec = f"omegaz:{alpha['sigma']},{alpha['tau']}"
+        else:
+            spec = json.dumps(alpha, separators=(",", ":"))
+    except (KeyError, TypeError):
+        return {}
+    return {"k": k, "A": A, "alpha_spec": spec}
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -394,12 +420,15 @@ def _cmd_mather_omega(args, cfg: RunConfig) -> int:
 
 def _cmd_mather_lambda(args, cfg: RunConfig) -> int:
     mcfg, tol = _mather_config(cfg), cfg.tol
-    g = reduction.sweep_profile(mcfg.A, mcfg.k, args.eps)
+    # the ball radius shrinks tenfold per order above 2, so no one default
+    # amplitude serves every k
+    eps = reduction.half_ball_eps(mcfg) if args.eps is None else args.eps
+    g = reduction.sweep_profile(mcfg.A, mcfg.k, eps)
     res = reduction.reduce_norm(g, mcfg, tol)
     cert = reduction.conjugator(g, res.map, mcfg, tol)
     ok = cert.residual <= tol.cert_tol
     path = _report(cfg, "lambda_report.json", {
-        "eps": args.eps,
+        "eps": eps,
         "residual": cert.residual,
         "word_length": cert.word_length,
         "translation": cert.b,
@@ -721,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     for op, eps_default, blurb, fn in (
             ("gamma", 1e-5, "rolling-up word checks", _cmd_mather_gamma),
             ("omega", 3e-5, "spreading round trip", _cmd_mather_omega),
-            ("lambda", 4e-6, "conjugacy witness for one reduction",
+            ("lambda", None, "conjugacy witness for one reduction",
              _cmd_mather_lambda)):
         po = ps.add_parser(op, parents=common, help=blurb)
         po.add_argument("--eps", type=float, default=eps_default)

@@ -22,7 +22,9 @@ same parameters for callers that want it as a Diffeo1.
 Identities are checked by evaluation at sample points, never by building
 the maps they mention: f o u0 is evaluated as f(u0(x)) and the witness's
 inverse is solved pointwise, so the replay builds no map at all.  The
-search replays its own chain on the maps it holds, so it decodes none.
+search replays its own chain on the maps it holds, so it decodes none,
+and with the identity residuals it computed on them, so it evaluates
+each identity once; verify_certificate recomputes every one.
 """
 
 from __future__ import annotations
@@ -363,11 +365,13 @@ def _rescale_residual(maps: dict, supp: dict,
 
 def _assemble_chain(maps: dict, params: tuple[float, float, float, int],
                     step: RenormStep, cert: ConjugacyCertificate,
-                    fix_residual: float, cfg: MatherConfig, tol: Tolerances,
+                    residuals: dict, cfg: MatherConfig, tol: Tolerances,
                     iterations: int, trace: list) -> dict:
     """The certificate chain of a converged search, from the maps it
-    holds, keyed by their names in the chain."""
+    holds, keyed by their names in the chain, and the identity residuals
+    it computed on them, keyed by their replay item names."""
     red = step.reduction
+    fix_residual = residuals["fixed-point"]
     ratio, zi, zo, k = params
     return {
         "format": CHAIN_FORMAT,
@@ -384,15 +388,13 @@ def _assemble_chain(maps: dict, params: tuple[float, float, float, int],
                 "statement": ("conjugated o rescaler = rescaler o (f o u0), "
                               "the rescaler in closed form from its "
                               "parameters"),
-                "residual": _rescale_residual(
-                    maps, _supports(maps, ("f", "u0", "conjugated")),
-                    params, cfg.D),
+                "residual": residuals["rescale-conjugation"],
                 "samples": 1025,
             },
             "flow_conjugacy": {
                 "statement": ("flow_time_one o reduced = witness o "
                               "flow_time_one o conjugated o witness^{-1}"),
-                "residual": cert.residual,
+                "residual": residuals["flow-conjugacy"],
                 "tail_flow_time": cert.b,
                 "word_length": cert.word_length,
                 "translation_dev": cert.translation_dev,
@@ -413,7 +415,17 @@ def _assemble_chain(maps: dict, params: tuple[float, float, float, int],
     }
 
 
-def _replay_own_chain(chain: dict, maps: dict, tol: Tolerances) -> None:
+class _HeldMaps(dict):
+    """The chain maps a converged search holds, by name, carrying the
+    identity residuals it computed on these very maps, by replay item
+    name: _replay reports those instead of evaluating them again."""
+
+    def __init__(self, maps: dict, residuals: dict):
+        super().__init__(maps)
+        self.residuals = residuals
+
+
+def _replay_own_chain(chain: dict, maps: _HeldMaps, tol: Tolerances) -> None:
     """Refuse, at the certificate stage, a chain whose replay on the maps
     it was assembled from fails."""
     try:
@@ -441,8 +453,12 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
     own chain, and refuses with "certificate stage: replay failed ..."
     unless every item passes.  The replay is that of verify_certificate,
     run on the maps the search holds rather than on maps decoded from the
-    chain: their jets are the chain's bit for bit, so the report is the
-    same.
+    chain, and given the three identity residuals the search computed on
+    them: the rescale conjugation while assembling the chain, the flow
+    conjugacy in conjugator and the fixed point as the last step's
+    distance.  The maps' jets are the chain's bit for bit and each
+    residual is what the replay would recompute, so the report is the
+    same; only the config and support items are evaluated again.
     """
     tol = tol or DEFAULT_TOL
     if cfg.A == 1:
@@ -490,9 +506,16 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
             maps = {"f": f, "u0": u, "conjugated": step.conjugated,
                     "reduced": step.map, "witness": cert.lam,
                     "flow_time_one": cert.tau}
-            chain = _assemble_chain(maps, params, step, cert,
-                                    float(residual), cfg, tol, it, trace)
-            _replay_own_chain(chain, maps, tol)
+            residuals = {
+                "rescale-conjugation": _rescale_residual(
+                    maps, _supports(maps, ("f", "u0", "conjugated")),
+                    params, cfg.D),
+                "flow-conjugacy": cert.residual,
+                "fixed-point": float(residual),
+            }
+            chain = _assemble_chain(maps, params, step, cert, residuals,
+                                    cfg, tol, it, trace)
+            _replay_own_chain(chain, _HeldMaps(maps, residuals), tol)
             return FixedPointResult(u0=u, iterations=it,
                                     residual=float(residual), trace=trace,
                                     certificates=[cert], chain=chain)
@@ -591,11 +614,36 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
     return _replay(chain, maps, tol)
 
 
+def _identity_residuals(maps: dict, supp: dict,
+                        params: tuple[float, float, float, int],
+                        cfg: MatherConfig, tol: Tolerances) -> dict:
+    """The residual of each identity the chain states, keyed by its replay
+    item name, evaluated on the chain maps (supp holds their supports).
+    The flow conjugacy is sampled as conjugator samples it, on the
+    witness window widened by two units left and one right, and further
+    out to any support it does not hold."""
+    u0, g, red = maps["u0"], maps["conjugated"], maps["reduced"]
+    lam, tau = maps["witness"], maps["flow_time_one"]
+    lo, hi = witness_window(cfg)
+    xs = _samples(lo - 2.0, hi + 1.0, 2049,
+                  [supp[name] for name in ("reduced", "conjugated",
+                                           "witness")])
+    pre = lam.inverse_values(xs, tol.invert_abscissa)
+    return {
+        "rescale-conjugation": _rescale_residual(maps, supp, params, cfg.D),
+        "flow-conjugacy":
+            float(np.max(np.abs(tau(red(xs)) - lam(tau(g(pre)))))),
+        "fixed-point": ck_distance(red, u0),
+    }
+
+
 def _replay(chain: dict, maps: dict, tol: Tolerances) -> dict:
     """The report of verify_certificate on a chain of the right format,
     whose maps, keyed by their names in the chain, are given as Diffeo1s.
     Each map's support is computed once and read by every item that
-    needs it.  A field that cannot be read is a ValueError."""
+    needs it.  Maps given as _HeldMaps bring the identity residuals, which
+    are reported as they are; otherwise _identity_residuals evaluates
+    them.  A field that cannot be read is a ValueError."""
     try:
         cfgd = dict(chain["config"])
         k, A = cfgd["k"], cfgd["A"]
@@ -625,8 +673,6 @@ def _replay(chain: dict, maps: dict, tol: Tolerances) -> dict:
         gaps = {key: _gap(key, found_cfg[key], want[key]) for key in want}
     except _MALFORMED as e:
         raise ValueError(f"malformed certificate chain: {e!r}") from e
-    u0, g, red = maps["u0"], maps["conjugated"], maps["reduced"]
-    lam, tau = maps["witness"], maps["flow_time_one"]
 
     items = [{"name": "config", "stored": None,
               "recomputed": max(gaps.values()), "bound": 0.0,
@@ -639,17 +685,10 @@ def _replay(chain: dict, maps: dict, tol: Tolerances) -> dict:
                       "ok": bool(recomputed <= tol.cert_tol)})
 
     supp = _supports(maps, ("f", "u0", "conjugated", "reduced", "witness"))
-    check("rescale-conjugation",
-          _rescale_residual(maps, supp, params, cfg.D))
-
-    xs = _samples(cfg.E[0] - 2.0, cfg.E[1] + 2.0, 2049,
-                  [supp[name] for name in ("reduced", "conjugated",
-                                           "witness")])
-    pre = lam.inverse_values(xs, tol.invert_abscissa)
-    check("flow-conjugacy",
-          float(np.max(np.abs(tau(red(xs)) - lam(tau(g(pre)))))))
-
-    check("fixed-point", ck_distance(red, u0))
+    residuals = (getattr(maps, "residuals", None)
+                 or _identity_residuals(maps, supp, params, cfg, tol))
+    for name in ("rescale-conjugation", "flow-conjugacy", "fixed-point"):
+        check(name, residuals[name])
 
     for name, win in (("f", cfg.D), ("u0", cfg.D), ("conjugated", cfg.E),
                       ("reduced", cfg.D), ("witness", witness_window(cfg))):

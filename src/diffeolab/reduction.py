@@ -469,6 +469,16 @@ def sweep_profile(A: int, k: int = 2, eps: float = 4e-6,
     return Diffeo1("compact", -hi, hi, k, jets)
 
 
+def half_ball_eps(cfg: MatherConfig) -> float:
+    """The amplitude at which sweep_profile(cfg.A, cfg.k) has half the
+    ball radius cfg.delta0 as its seminorm: the seminorm is linear in eps,
+    so one measurement at a reference eps calibrates it."""
+    eps_ref = 1e-7
+    per_eps = holder_norm(sweep_profile(cfg.A, cfg.k, eps_ref), cfg.alpha,
+                          cfg.k) / eps_ref
+    return 0.5 * cfg.delta0 / per_eps
+
+
 def rescale_factor(alpha, A: int, k: int) -> float:
     """The exact norm scaling of conjugation by x -> A x on the top
     seminorm: A^(1-k) times the largest value of alpha(s/A)/alpha(s)."""
@@ -481,20 +491,17 @@ def reduction_sweep(A_values, k: int, alpha,
                     tol: Tolerances | None = None) -> list[dict]:
     """Measure the reduction step on the fixed sweep family at each width
     (sweep_profile at its default phase), each input sized to half the
-    ball radius: the seminorm is linear in eps, so one measurement at a
-    reference eps calibrates it.
+    ball radius (half_ball_eps).
     The plain ratio (output seminorm over input seminorm) tracks the
     width factor of the reduction bound; multiplying by the exact
     rescaling factor of conjugation back to the target interval gives the
     contraction number the fixed-point iteration sees per application."""
     tol = tol or DEFAULT_TOL
-    eps_ref = 1e-7
     rows = []
     for A in A_values:
         A = int(A)
         cfg = make_config(k, alpha, A)
-        per_eps = holder_norm(sweep_profile(A, k, eps_ref), alpha, k) / eps_ref
-        g = sweep_profile(A, k, 0.5 * cfg.delta0 / per_eps)
+        g = sweep_profile(A, k, half_ball_eps(cfg))
         res = reduce_norm(g, cfg, tol)
         resc = rescale_factor(alpha, A, k)
         rows.append({
@@ -531,9 +538,17 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     2A + 1/2.  Conjugating the unit shift by it carries shifted-u words
     to shifted-v words.  The word's stored period [2A + 3/2, 2A + 5/2]
     lies in that right tail, so its mean translation, and the deviation
-    from it, are those of the rolled quotient, which is never built.
+    from it, are those of the rolled quotient, which is never built; they
+    are read from exact word samples there, not from the interpolant.
     Both the word and the probe of its length s run through _word.  A
-    length s above tol.word_cap is refused before the word is built."""
+    length s above tol.word_cap is refused before the word is built.
+
+    The build starts at 2^m nodes per unit, the largest power of two not
+    above the coarser letter's density 1/max(u.h, v.h), and at least 4,
+    and doubles from there while the order-0 midpoint gap asks for it.  A
+    power-of-two density keeps hi - 1, where the ep fold is checked, and
+    the conjugator's cut 2A + 3/4 on grid nodes; off that lattice the
+    k = 3 fold check compares interpolated jets and fails."""
     tol = tol or DEFAULT_TOL
     k = u.k
     A = cfg.A
@@ -568,11 +583,12 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
         Y = _word(xs, [(u_inv, s, -1.0, 0.0), (v, s, 0.0, 1.0)], order)
         return _minus_identity(Y, xs)
 
-    n0 = _unit_nodes(hi - lo, 257)
+    per_unit = max(4, 2 ** (math.frexp(1.0 / max(u.h, v.h))[1] - 1))
+    n0 = int(round((hi - lo) * per_unit)) + 1
     lam = _build_adaptive("ep", lo, hi, k, fn, n0, tol)
 
     xs_p = np.linspace(hi - 1.0, hi, 2049)
-    tvals = lam(xs_p) - xs_p
+    tvals = fn(xs_p, 0)[:, 0]
     b = float(np.mean(tvals))
     dev = float(np.max(np.abs(tvals - b)))
 
@@ -611,7 +627,14 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     the chart conjugate of the limit word in the middle, and the time-b
     flow map right of 2A + 1/2; the pieces are checked to agree on the
     overlaps before assembly.  The plateau field is that of cfg.A, and
-    the certificate's tau is its unit-time map."""
+    the certificate's tau is its unit-time map.
+
+    The witness is built on witness_window(cfg) at the limit word's own
+    density, so its grid holds the cut 2A + 3/4 as a node as the word's
+    does, and doubles while its order-0 midpoint gap asks for it.  The
+    residual is sampled on the points verify_certificate samples for a
+    chain whose supports lie in their windows, so a search can hand it to
+    its own replay."""
     tol = tol or DEFAULT_TOL
     lam_res = lambda_limit(u, v, cfg, tol)
     b, dev = lam_res.translation, lam_res.translation_dev
@@ -657,10 +680,11 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
             f"{tol.overlap:.1e}")
 
     lo, hi = witness_window(cfg)
-    n0 = _unit_nodes(hi - lo, 257)
+    n0 = int(round((hi - lo) / Lam.h)) + 1
     lam = _build_adaptive("compact", lo, hi, k, fn, n0, tol)
 
-    xs_c = np.linspace(-2.0 * A - 2.0, 2.0 * A + 2.0, 2049)
+    # the replay samples the same points (fixpoint._identity_residuals)
+    xs_c = np.linspace(lo - 2.0, hi + 1.0, 2049)
     lhs = tau(v(xs_c))
     rhs = lam(tau(u(lam.inverse_values(xs_c, tol.invert_abscissa))))
     residual = float(np.max(np.abs(lhs - rhs)))

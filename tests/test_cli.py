@@ -281,6 +281,24 @@ def test_mather_lambda_certificate(tmp_path):
     assert report["ok"] is True
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_mather_lambda_sizes_its_default_amplitude_to_the_ball(tmp_path, k):
+    # the ball radius shrinks tenfold per order above 2: one default
+    # amplitude for every k refused every k = 3 run
+    out = str(tmp_path)
+    assert run("mather", "lambda", "--k", str(k), "--A", "4",
+               "--out", out) == EXIT_OK
+    report = read_json(tmp_path / "lambda_report.json")
+    radius = diffeolab.smallness_threshold(k)
+    assert report["reduction"]["norm_in"] == pytest.approx(0.5 * radius,
+                                                           rel=1e-9)
+    assert report["ok"] is True
+    # an explicit amplitude is used as given
+    assert run("mather", "lambda", "--k", str(k), "--A", "4",
+               "--eps", "2e-8", "--out", out) == EXIT_OK
+    assert read_json(tmp_path / "lambda_report.json")["eps"] == 2e-8
+
+
 def test_psi_sweep_table(tmp_path):
     out = str(tmp_path)
     assert run("mather", "psi", "--sweep", "1,2,4,8", "--out", out) == EXIT_OK
@@ -401,6 +419,26 @@ def test_fixpoint_round_trip_and_tamper(tmp_path):
     bad_path = tmp_path / "tampered.json"
     bad_path.write_text(json.dumps(chain))
     assert run("perfect", "verify", str(bad_path), "--out", out) == EXIT_VERIFY
+
+
+@pytest.mark.parametrize("spec", ["holder:0.5", "omegaz:0.5,0.3"])
+def test_perfect_verify_echoes_the_chain_config(tmp_path, capsys, spec):
+    # the replay takes k, A and the modulus from the chain, so the echo
+    # does too, whatever the flags say
+    out = str(tmp_path)
+    fin = tmp_path / "f.json"
+    fin.write_text(json.dumps(to_dict(
+        calibrated_bump(4e-4, cli.parse_alpha(spec)))))
+    chain_path = tmp_path / "chain.json"
+    assert run("perfect", "fixpoint", "--in", str(fin), "--A", "4",
+               "--alpha", spec, "--out-chain", str(chain_path),
+               "--out", out) == EXIT_OK
+    capsys.readouterr()
+    assert run("perfect", "verify", str(chain_path), "--k", "3", "--A", "1",
+               "--alpha", "holder:0.3", "--report", str(tmp_path / "r.json"),
+               "--out", out) == EXIT_OK
+    echoed = capsys.readouterr().out.splitlines()[0]
+    assert echoed == f"config: k=2 alpha_spec={spec} A=4 seed=0 out_dir={out}"
 
 
 def test_verify_refuses_a_widened_config_and_an_old_version(tmp_path, capsys):

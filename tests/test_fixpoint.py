@@ -373,6 +373,51 @@ def test_search_replays_held_maps_as_the_chain_replays(k, monkeypatch):
     assert _item_bits(held[0]) == _item_bits(decoded)
 
 
+@pytest.mark.parametrize("k, A, alpha", [
+    (2, 4, ALPHA), (3, 4, ALPHA), (1, 8, log_refined_holder(0.5, 0.3))])
+def test_a_converged_search_evaluates_each_identity_once(k, A, alpha,
+                                                         monkeypatch):
+    # the self-replay reports the residuals the search computed on the
+    # maps it holds, and evaluates none of the three identities again
+    rescales, distances, solves, reports = [], [], [], []
+    rescale_residual, distance = fixpoint._rescale_residual, ck_distance
+    inverse_values, replay = diffeo.Diffeo1.inverse_values, fixpoint._replay
+
+    def counting_rescale(*args):
+        rescales.append(args)
+        return rescale_residual(*args)
+
+    def counting_distance(u, v):
+        distances.append(v)
+        return distance(u, v)
+
+    def counting_solve(self, y, xtol=None):
+        solves.append((self, np.size(y)))
+        return inverse_values(self, y, xtol)
+
+    def recording(*args):
+        reports.append(replay(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(fixpoint, "_rescale_residual", counting_rescale)
+    monkeypatch.setattr(fixpoint, "ck_distance", counting_distance)
+    monkeypatch.setattr(diffeo.Diffeo1, "inverse_values", counting_solve)
+    monkeypatch.setattr(fixpoint, "_replay", recording)
+    cfg = make_config(k, alpha, A)
+    res = fixed_point_search(
+        calibrated_bump(0.3 * cfg.delta0, alpha, k=k, center=0.1), cfg)
+    assert res.converged and len(reports) == 1 and reports[0]["ok"]
+    assert len(rescales) == 1
+    assert sum(v is res.u0 for v in distances) == 1
+    lam = res.certificates[0].lam
+    assert [n for m, n in solves if m is lam] == [2049]
+    # the held residuals are those the written chain's replay recomputes,
+    # at k = 1 too, where the source window is not the witness's
+    decoded = verify_certificate(json.loads(dump_chain(res.chain)))
+    assert len(rescales) == 2
+    assert _item_bits(reports[0]) == _item_bits(decoded)
+
+
 def test_search_refuses_width_one_before_building(monkeypatch):
     # at A=1 the scaling ratio and the rescale factor are both 1
     def no_build(*args):

@@ -345,7 +345,11 @@ def _plain_lambda_map(u, v, A, s):
         return Y
 
     lo, hi = -2.0 * A, 2.0 * A + 2.5
-    n0 = max(257, int(round(256.0 * (hi - lo))) + 1)
+    # the largest power of two, at least 4, not above the coarser density
+    per_unit = 4
+    while 2 * per_unit <= 1.0 / max(u.h, v.h):
+        per_unit *= 2
+    n0 = int(round(per_unit * (hi - lo))) + 1
     return _build_adaptive("ep", lo, hi, k, fn, n0, DEFAULT_TOL)
 
 
@@ -362,6 +366,36 @@ def test_lambda_limit_word_is_bitwise_the_unmasked_word(k, A):
     ref = _plain_lambda_map(u, v, A, lam.word_length // 2)
     assert (lam.map.a, lam.map.b, lam.map.n) == (ref.a, ref.b, ref.n)
     assert np.array_equal(lam.map.jets, ref.jets)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("A", [2, 4, 8])
+def test_word_and_witness_grids_hold_the_period_end_and_the_cut(
+        k, A, monkeypatch):
+    # both builds start at a power-of-two density, so the word's stored
+    # period end and the conjugator's cut 2A + 3/4 fall on grid nodes; the
+    # pair is the one a search step hands to conjugator
+    cfg = make_config(k, ALPHA, A)
+    f = calibrated_bump(0.7 * cfg.delta0, ALPHA, k, center=0.1)
+    step = _renorm_full(identity(k, -2.0, 2.0), f, rescaler_params(cfg),
+                        cfg, DEFAULT_TOL)
+    g, red = step.conjugated, step.map
+    starts = []
+
+    def recording(tail, lo, hi, k, fn, n0, tol):
+        starts.append((hi - lo) / (n0 - 1))
+        return _build_adaptive(tail, lo, hi, k, fn, n0, tol)
+
+    monkeypatch.setattr(reduction, "_build_adaptive", recording)
+    cert = conjugator(g, red, cfg)
+    lam = lambda_limit(g, red, cfg).map
+    h_word, h_witness = starts[-1], starts[1]
+    assert 1.0 / h_word in (4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+    assert h_word >= max(g.h, red.h) > h_word / 2.0 or h_word == 0.25
+    assert h_witness == lam.h
+    for m in (lam, cert.lam):
+        for x in (m.b - 1.0, 2.0 * A + 0.75):
+            assert np.count_nonzero(m.nodes == x) == 1, (m.tail, x)
 
 
 def test_roll_word_is_bitwise_the_unmasked_word_on_unsorted_points():
