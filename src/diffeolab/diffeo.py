@@ -397,9 +397,12 @@ class Diffeo1:
         back to the root.  Every other point is bracketed by its node cell
         (_cell_bracket) and solved by _solve_increasing to steps of xtol;
         one more Newton step, with the residual f(x) - y taken in extended
-        precision, then leaves x at (or next to) the double nearest the
-        interpolant's root, so the roots carry no rounding noise from node
-        to node.  A residual above 1e-8 after the loop is a
+        precision (_newton_in_long_double), then leaves x at (or next to)
+        the double nearest the interpolant's root, so the roots carry no
+        rounding noise from node to node.  That step reads the map's
+        long-double coefficient table, built by the first solve whatever
+        its number of points; each root is the same whichever points are
+        solved with it.  A residual above 1e-8 after the loop is a
         ConstructionError."""
         if self.tail == "ep":
             raise ValueError(f"no inverse is solved for a map of class "
@@ -433,29 +436,16 @@ class Diffeo1:
         np.longdouble (80-bit where the platform has it, else an ordinary
         step), and the largest residual |f(x) - y| before the step.  The
         residual is a few ulp at most, so the step takes the slope of the
-        cell's chord.
-
-        The long-double coefficients come from the map's table of every
-        cell, built on the first call with at least one point per cell
-        (n - 1 points) and kept on the map, as the float64 table is.
-        Until then each call gathers, for each point, the coefficients of
-        the cell holding it, so a sparse solve on a fine grid does not
-        build a table it would mostly not read.  A cell's coefficients are
-        bitwise the same either way."""
+        cell's chord.  The long-double coefficients come from the map's
+        table of every cell, built on the first call and kept on the map,
+        as the float64 table is."""
         xl = x.astype(np.longdouble)
         xf, ident = self._fold(xl)
         i, t = _grid_cells(xf, self.a, self.h, self.n - 1)
-        if self._dcl is None and i.size >= self.n - 1:
+        if self._dcl is None:
             jl = self.jets.astype(np.longdouble)
             self._dcl = _hermite_coeffs(jl[:-1], jl[1:], self.h)
-        if self._dcl is None:
-            c = _hermite_coeffs(self.jets[i].astype(np.longdouble),
-                                self.jets[i + 1].astype(np.longdouble),
-                                self.h)
-            col = np.arange(i.size)
-        else:
-            c, col = self._dcl, i
-        u = _horner(c, col, t, self.h, 0)[:, 0]
+        u = _horner(self._dcl, i, t, self.h, 0)[:, 0]
         u[ident] = 0.0
         r = xl + u - y
         slope = 1.0 + (self.jets[i + 1, 0] - self.jets[i, 0]) / self.h
@@ -540,8 +530,10 @@ def _build_adaptive(tail: str, lo: float, hi: float, k: int, fn,
     call, at order k, on the nodes interleaved with the midpoints: the
     even rows are the map's node jets and order 0 of the odd rows is what
     the midpoint check compares, bitwise what separate calls would give.
-    Up to about 10^3 nodes, one call on 2n - 1 points costs less than the
-    two calls; on the witness's 4 * 10^3 nodes it can cost more."""
+    Up to about 10^3 nodes, such as the k = 2, A = 4 witness's 545, one
+    call on 2n - 1 points costs less than the two calls; on several
+    thousand nodes, such as the k = 1, A = 8 witness's 33 793, it can
+    cost more."""
     n = max(int(n0), 2)
     n = min(n, tol.max_nodes)
     while True:

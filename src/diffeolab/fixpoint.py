@@ -23,8 +23,9 @@ Identities are checked by evaluation at sample points, never by building
 the maps they mention: f o u0 is evaluated as f(u0(x)) and the witness's
 inverse is solved pointwise, so the replay builds no map at all.  The
 search replays its own chain on the maps it holds, so it decodes none,
-and with the identity residuals it computed on them, so it evaluates
-each identity once; verify_certificate recomputes every one.
+and passes the replay the identity residuals it computed on them, so it
+evaluates each identity once; verify_certificate recomputes every one
+with the same functions.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .diffeo import (Diffeo1, _build_adaptive, _minus_identity,
 from .norms import holder_norm
 from .reduction import (MatherConfig, PsiResult, reduce_norm, conjugator,
                         ConjugacyCertificate, make_config, rescale_factor,
-                        witness_window)
+                        witness_window, _flow_conjugacy_residual, _samples)
 
 
 # -- rescaling conjugator ----------------------------------------------------
@@ -270,13 +271,14 @@ def _renorm_full(u: Diffeo1, f: Diffeo1,
 
 
 def ck_distance(u: Diffeo1, v: Diffeo1) -> float:
-    """Largest absolute gap between the full jets of u and v, sampled on
-    the union of both refined grids with tail extension."""
-    if u.k != v.k:
-        raise ValueError("operands carry different jet orders")
+    """Largest absolute gap between the jets of u and v, of every order
+    both carry, sampled on the union of both refined grids with tail
+    extension.  Maps of different k are compared on the lower one's
+    orders; the replay's config item is what refuses such a pair."""
+    k = min(u.k, v.k)
     xs = np.union1d(refined_grid(u, EVAL_DENSITY),
                     refined_grid(v, EVAL_DENSITY))
-    return float(np.max(np.abs(u.jet_at(xs, u.k) - v.jet_at(xs, v.k))))
+    return float(np.max(np.abs(u.jet_at(xs, k) - v.jet_at(xs, k))))
 
 
 # -- the search and its certificate chain ------------------------------------
@@ -325,16 +327,6 @@ CHAIN_FORMAT = "homology-certificate-chain"
 CHAIN_VERSION = 3
 _CHAIN_MAPS = ("f", "u0", "conjugated", "reduced", "witness",
                "flow_time_one")
-
-
-def _samples(lo: float, hi: float, n: int, supports) -> np.ndarray:
-    """n samples over [lo, hi], widened a unit past any support it does not
-    hold, at the same spacing."""
-    step = (hi - lo) / (n - 1)
-    for s in supports:
-        if s is not None:
-            lo, hi = min(lo, s[0] - 1.0), max(hi, s[1] + 1.0)
-    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
 
 
 def _supports(maps: dict, names) -> dict:
@@ -415,21 +407,13 @@ def _assemble_chain(maps: dict, params: tuple[float, float, float, int],
     }
 
 
-class _HeldMaps(dict):
-    """The chain maps a converged search holds, by name, carrying the
-    identity residuals it computed on these very maps, by replay item
-    name: _replay reports those instead of evaluating them again."""
-
-    def __init__(self, maps: dict, residuals: dict):
-        super().__init__(maps)
-        self.residuals = residuals
-
-
-def _replay_own_chain(chain: dict, maps: _HeldMaps, tol: Tolerances) -> None:
+def _replay_own_chain(chain: dict, maps: dict, residuals: dict,
+                      tol: Tolerances) -> None:
     """Refuse, at the certificate stage, a chain whose replay on the maps
-    it was assembled from fails."""
+    it was assembled from, with the identity residuals computed on them,
+    fails."""
     try:
-        report = _replay(chain, maps, tol)
+        report = _replay(chain, maps, tol, residuals)
     except ValueError as e:
         raise ConstructionError(
             f"certificate stage: replay failed: {e}") from e
@@ -453,12 +437,14 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
     own chain, and refuses with "certificate stage: replay failed ..."
     unless every item passes.  The replay is that of verify_certificate,
     run on the maps the search holds rather than on maps decoded from the
-    chain, and given the three identity residuals the search computed on
-    them: the rescale conjugation while assembling the chain, the flow
-    conjugacy in conjugator and the fixed point as the last step's
-    distance.  The maps' jets are the chain's bit for bit and each
-    residual is what the replay would recompute, so the report is the
-    same; only the config and support items are evaluated again.
+    chain, and given as an argument the three identity residuals the
+    search computed on them: the rescale conjugation by _rescale_residual,
+    the flow conjugacy by conjugator through _flow_conjugacy_residual, and
+    the fixed point as the last step's ck_distance.  The replay
+    recomputes each with the same function, on the same points while the
+    supports lie in their windows (else a support item fails), and the
+    maps' jets are the chain's bit for bit, so the report is the same;
+    only the config and support items are evaluated again.
     """
     tol = tol or DEFAULT_TOL
     if cfg.A == 1:
@@ -515,7 +501,7 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
             }
             chain = _assemble_chain(maps, params, step, cert, residuals,
                                     cfg, tol, it, trace)
-            _replay_own_chain(chain, _HeldMaps(maps, residuals), tol)
+            _replay_own_chain(chain, maps, residuals, tol)
             return FixedPointResult(u0=u, iterations=it,
                                     residual=float(residual), trace=trace,
                                     certificates=[cert], chain=chain)
@@ -619,31 +605,27 @@ def _identity_residuals(maps: dict, supp: dict,
                         cfg: MatherConfig, tol: Tolerances) -> dict:
     """The residual of each identity the chain states, keyed by its replay
     item name, evaluated on the chain maps (supp holds their supports).
-    The flow conjugacy is sampled as conjugator samples it, on the
-    witness window widened by two units left and one right, and further
-    out to any support it does not hold."""
-    u0, g, red = maps["u0"], maps["conjugated"], maps["reduced"]
-    lam, tau = maps["witness"], maps["flow_time_one"]
-    lo, hi = witness_window(cfg)
-    xs = _samples(lo - 2.0, hi + 1.0, 2049,
-                  [supp[name] for name in ("reduced", "conjugated",
-                                           "witness")])
-    pre = lam.inverse_values(xs, tol.invert_abscissa)
+    The flow conjugacy is conjugator's own residual function, given the
+    supports of reduced, conjugated and the witness."""
     return {
         "rescale-conjugation": _rescale_residual(maps, supp, params, cfg.D),
-        "flow-conjugacy":
-            float(np.max(np.abs(tau(red(xs)) - lam(tau(g(pre)))))),
-        "fixed-point": ck_distance(red, u0),
+        "flow-conjugacy": _flow_conjugacy_residual(
+            maps["conjugated"], maps["reduced"], maps["witness"],
+            maps["flow_time_one"], cfg, tol,
+            [supp[name] for name in ("reduced", "conjugated", "witness")]),
+        "fixed-point": ck_distance(maps["reduced"], maps["u0"]),
     }
 
 
-def _replay(chain: dict, maps: dict, tol: Tolerances) -> dict:
+def _replay(chain: dict, maps: dict, tol: Tolerances,
+            residuals: dict | None = None) -> dict:
     """The report of verify_certificate on a chain of the right format,
     whose maps, keyed by their names in the chain, are given as Diffeo1s.
     Each map's support is computed once and read by every item that
-    needs it.  Maps given as _HeldMaps bring the identity residuals, which
-    are reported as they are; otherwise _identity_residuals evaluates
-    them.  A field that cannot be read is a ValueError."""
+    needs it.  The identity residuals, keyed by replay item name, are
+    reported as given when residuals holds them; otherwise
+    _identity_residuals evaluates them.  A field that cannot be read is a
+    ValueError."""
     try:
         cfgd = dict(chain["config"])
         k, A = cfgd["k"], cfgd["A"]
@@ -685,8 +667,8 @@ def _replay(chain: dict, maps: dict, tol: Tolerances) -> dict:
                       "ok": bool(recomputed <= tol.cert_tol)})
 
     supp = _supports(maps, ("f", "u0", "conjugated", "reduced", "witness"))
-    residuals = (getattr(maps, "residuals", None)
-                 or _identity_residuals(maps, supp, params, cfg, tol))
+    if residuals is None:
+        residuals = _identity_residuals(maps, supp, params, cfg, tol)
     for name in ("rescale-conjugation", "flow-conjugacy", "fixed-point"):
         check(name, residuals[name])
 

@@ -632,9 +632,9 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     The witness is built on witness_window(cfg) at the limit word's own
     density, so its grid holds the cut 2A + 3/4 as a node as the word's
     does, and doubles while its order-0 midpoint gap asks for it.  The
-    residual is sampled on the points verify_certificate samples for a
-    chain whose supports lie in their windows, so a search can hand it to
-    its own replay."""
+    residual is _flow_conjugacy_residual with no supports, which is what
+    verify_certificate recomputes for a chain whose supports lie in
+    their windows, so a search can hand it to its own replay."""
     tol = tol or DEFAULT_TOL
     lam_res = lambda_limit(u, v, cfg, tol)
     b, dev = lam_res.translation, lam_res.translation_dev
@@ -683,13 +683,32 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     n0 = int(round((hi - lo) / Lam.h)) + 1
     lam = _build_adaptive("compact", lo, hi, k, fn, n0, tol)
 
-    # the replay samples the same points (fixpoint._identity_residuals)
-    xs_c = np.linspace(lo - 2.0, hi + 1.0, 2049)
-    lhs = tau(v(xs_c))
-    rhs = lam(tau(u(lam.inverse_values(xs_c, tol.invert_abscissa))))
-    residual = float(np.max(np.abs(lhs - rhs)))
-
     return ConjugacyCertificate(
-        b=b, tau=tau, lam=lam, residual=residual,
+        b=b, tau=tau, lam=lam,
+        residual=_flow_conjugacy_residual(u, v, lam, tau, cfg, tol),
         overlaps={"left": left, "right": right},
         word_length=lam_res.word_length, translation_dev=dev)
+
+
+def _samples(lo: float, hi: float, n: int, supports) -> np.ndarray:
+    """n samples over [lo, hi], widened a unit past any support it does not
+    hold, at the same spacing."""
+    step = (hi - lo) / (n - 1)
+    for s in supports:
+        if s is not None:
+            lo, hi = min(lo, s[0] - 1.0), max(hi, s[1] + 1.0)
+    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+
+
+def _flow_conjugacy_residual(u: Diffeo1, v: Diffeo1, lam: Diffeo1,
+                             tau: Diffeo1, cfg: MatherConfig, tol: Tolerances,
+                             supports=()) -> float:
+    """Largest gap of tau o v = lam o tau o u o lam^{-1}, with lam^{-1}
+    solved pointwise, over 2049 samples of the witness window widened by
+    two units left and one right, and further out to any of the supports
+    it does not hold (_samples).  conjugator and the certificate replay
+    both read the flow conjugacy here."""
+    lo, hi = witness_window(cfg)
+    xs = _samples(lo - 2.0, hi + 1.0, 2049, supports)
+    pre = lam.inverse_values(xs, tol.invert_abscissa)
+    return float(np.max(np.abs(tau(v(xs)) - lam(tau(u(pre))))))

@@ -124,6 +124,13 @@ def put_map_jets(m, jets):
         np.asarray(jets, dtype="<f8").tobytes()).decode("ascii")
 
 
+def raise_map_order(m):
+    """Store the serialized map m at order k + 1, its new jets all zero."""
+    jets = map_jets(m)
+    put_map_jets(m, np.hstack([jets, np.zeros((len(jets), 1))]))
+    m["k"] += 1
+
+
 # -- the per-order Hermite tables, a reference for diffeo._horner --------------
 
 def hermite_tables(jets, h):

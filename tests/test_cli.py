@@ -20,7 +20,8 @@ from diffeolab.cli import (EXIT_OK, EXIT_REFUSED, EXIT_USAGE, EXIT_VERIFY,
                            build_parser, main)
 from diffeolab import cli, modulus
 from _helpers import (classify_side_per_t, map_jets, oscillation_per_stride,
-                      put_map_jets, suite_jets_per_trial, tameness_rows_per_t)
+                      put_map_jets, raise_map_order, suite_jets_per_trial,
+                      tameness_rows_per_t)
 
 
 def run(*argv):
@@ -419,6 +420,30 @@ def test_fixpoint_round_trip_and_tamper(tmp_path):
     bad_path = tmp_path / "tampered.json"
     bad_path.write_text(json.dumps(chain))
     assert run("perfect", "verify", str(bad_path), "--out", out) == EXIT_VERIFY
+
+
+@pytest.mark.parametrize("name", ["reduced", "u0"])
+def test_perfect_verify_reports_a_map_at_another_order(tmp_path, capsys,
+                                                       name):
+    # a chain map stored at k + 1 fails the config item, exit 1, whichever
+    # identity reads it
+    out = str(tmp_path)
+    fin = tmp_path / "f.json"
+    fin.write_text(json.dumps(to_dict(calibrated_bump(1e-3, holder(0.5)))))
+    chain_path = tmp_path / "chain.json"
+    assert run("perfect", "fixpoint", "--in", str(fin), "--A", "4",
+               "--out-chain", str(chain_path), "--out", out) == EXIT_OK
+    chain = read_json(chain_path)
+    raise_map_order(chain["maps"][name])
+    bad_path = tmp_path / "order.json"
+    bad_path.write_text(json.dumps(chain))
+    capsys.readouterr()
+    assert run("perfect", "verify", str(bad_path), "--report",
+               str(tmp_path / "r.json"), "--out", out) == EXIT_VERIFY
+    assert "usage error" not in capsys.readouterr().err
+    config = read_json(tmp_path / "r.json")["items"][0]
+    assert config["name"] == "config" and not config["ok"]
+    assert config["mismatch"] == [f"{name}.k"]
 
 
 @pytest.mark.parametrize("spec", ["holder:0.5", "omegaz:0.5,0.3"])

@@ -45,7 +45,7 @@ from diffeolab import (
 from diffeolab import diffeo, fixpoint, flow, reduction
 from diffeolab.cli import EXIT_USAGE, main
 from diffeolab.fixpoint import _BlendProfile, _renorm_full
-from _helpers import map_jets, put_map_jets, small_bump
+from _helpers import map_jets, put_map_jets, raise_map_order, small_bump
 
 ALPHA = holder(0.5)
 
@@ -332,7 +332,7 @@ def test_search_refuses_a_chain_its_replay_fails(preset_f, cfg, monkeypatch):
 
 def test_search_types_a_replay_that_cannot_read_its_chain(preset_f, cfg,
                                                           monkeypatch):
-    def unreadable(chain, maps, tol):
+    def unreadable(chain, maps, tol, residuals=None):
         raise ValueError("malformed certificate chain: test")
     monkeypatch.setattr(fixpoint, "_replay", unreadable)
     with pytest.raises(ConstructionError, match=(
@@ -531,6 +531,18 @@ def test_tampering_any_map_fails_its_identity(converged, name, x0, identity):
     report = verify_certificate(chain)
     assert not report["ok"]
     assert _failed(report)[identity] > DEFAULT_TOL.cert_tol
+
+
+@pytest.mark.parametrize("name", fixpoint._CHAIN_MAPS)
+def test_a_map_stored_at_another_order_fails_the_config(converged, name):
+    # reduced and u0 meet in the fixed-point distance, which compares the
+    # orders both carry; the config item names the map whose k is off
+    chain = _copy(converged)
+    raise_map_order(chain["maps"][name])
+    report = verify_certificate(chain)
+    assert not report["ok"]
+    assert list(_failed(report)) == ["config"]
+    assert report["items"][0]["mismatch"] == [f"{name}.k"]
 
 
 @pytest.mark.parametrize("key,value", [("ratio", 5.0), ("zi", 9.0),
