@@ -615,13 +615,12 @@ def support_interval(f: Diffeo1, slack: float = 1e-10):
     if f.tail != "compact":
         raise ValueError(f"no support is computed for a map of class "
                          f"{f.tail!r}")
-    active = np.any(np.abs(f.jets) > slack, axis=1)
-    if not active.any():
+    # in the flat jets, entry i belongs to node i // (k + 1)
+    active = np.flatnonzero(np.abs(f.jets.ravel()) > slack)
+    if not active.size:
         return None
-    nodes = f.nodes
-    lo = float(nodes[int(np.argmax(active))])
-    hi = float(nodes[f.n - 1 - int(np.argmax(active[::-1]))])
-    return (lo, hi)
+    lo, hi = f.a + f.h * (active[[0, -1]] // (f.k + 1))
+    return (float(lo), float(hi))
 
 
 def support_within(f: Diffeo1, window: tuple[float, float]):

@@ -20,16 +20,19 @@ rescaler in closed form.  `make_rescaler` builds the Hermite map of the
 same parameters for callers that want it as a Diffeo1.
 
 Identities are checked by evaluation at sample points, never by building
-the maps they mention: f o u0 is evaluated as f(u0(x)) and the witness's
-inverse is solved pointwise, so the replay builds no map at all.  The
-search replays its own chain on the maps it holds, so it decodes none,
-and passes the replay the identity residuals it computed on them, so it
+the maps they mention: f o u0 is evaluated as f(u0(x)), and the flow
+conjugacy is composed on the right by the witness so that no inverse is
+solved, so the replay builds no map at all.  The unit-time flow map is
+checked against the plateau field it claims to integrate.  The search
+replays its own chain on the maps it holds, so it decodes none, and
+passes the replay the identity residuals it computed on them, so it
 evaluates each identity once; verify_certificate recomputes every one
 with the same functions.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -42,6 +45,7 @@ from numpy.polynomial import polynomial as npp
 from ._taylor import poly_jets
 from .config import EVAL_DENSITY, Tolerances, DEFAULT_TOL
 from .errors import PreconditionError, ConstructionError
+from .flow import PlateauField, _time_map_grid
 from .diffeo import (Diffeo1, _build_adaptive, _minus_identity,
                      _support_inside, _unit_nodes, compose, from_preset,
                      identity, refined_grid, rescale_displacement,
@@ -55,15 +59,22 @@ from .reduction import (MatherConfig, PsiResult, reduce_norm, conjugator,
 
 # -- rescaling conjugator ----------------------------------------------------
 
-def _step_poly(k: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _step_poly(k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Coefficients of the polynomial step with k+2 flat derivatives at
-    both ends: 0 at t=0, 1 at t=1, monotone in between."""
+    both ends: 0 at t=0, 1 at t=1, monotone in between; those of its
+    antiderivative vanishing at 0; and that antiderivative's value at 1.
+    Built once per k, since every rescaler of order k reads them; the
+    arrays are read-only."""
     m = k + 2
     c = np.zeros(2 * m + 2)
     for j in range(m + 1):
         c[m + 1 + j] = (math.comb(m + j, j) * math.comb(2 * m + 1, m - j)
                         * (-1) ** j)
-    return c
+    ci = npp.polyint(c)
+    for arr in (c, ci):
+        arr.setflags(write=False)
+    return c, ci, float(npp.polyval(1.0, ci))
 
 
 class _BlendProfile:
@@ -83,9 +94,7 @@ class _BlendProfile:
         self.zo = zo
         self.span = zo - zi
         self.mean = (zo - ratio * zi) / self.span
-        self.c = _step_poly(k)
-        self.ci = npp.polyint(self.c)
-        self.ivalue = float(npp.polyval(1.0, self.ci))
+        self.c, self.ci, self.ivalue = _step_poly(k)
         self.w = min(0.05, 0.5 * self.mean / (ratio + 1.0))
         w, eye = self.w, self.ivalue
         self.ell = ((self.mean - ratio * w * (1.0 - eye) - w * eye)
@@ -355,6 +364,29 @@ def _rescale_residual(maps: dict, supp: dict,
     return float(np.max(np.abs(g(q(xs)) - q(f(u(xs))))))
 
 
+def _flow_time_one_residual(tau: Diffeo1, field: PlateauField) -> float:
+    """Largest gap of the identities that fix the unit-time map tau of the
+    field rho.  At the nodes x where x and x + 1 both lie on the plateau,
+    tau is the unit translation: its node jet is x + 1, 1, 0, ..., so a
+    cell between two such nodes interpolates the translation exactly.
+    Elsewhere, at the nodes and at the midpoints of the cells with an end
+    off those nodes, tau meets the 1-D flow identity
+    rho(tau(x)) = tau'(x) rho(x).  Where rho vanishes that identity reads
+    only rho(tau(x)), so a change of tau there by a value next to the
+    field's outer edge goes unseen."""
+    xs = tau.nodes
+    shift = ((np.abs(xs) <= field.plateau)
+             & (np.abs(xs + 1.0) <= field.plateau))
+    cells = ~(shift[:-1] & shift[1:])
+    pts = np.concatenate([xs[~shift], xs[:-1][cells] + 0.5 * tau.h])
+    J = tau.jet_at(pts, 1)
+    flow = np.abs(field.values(J[:, 0]) - J[:, 1] * field.values(pts))
+    unit = np.compress(shift, tau.jets, axis=0)
+    unit[:, 0] -= 1.0
+    return float(max(np.max(flow, initial=0.0),
+                     np.max(np.abs(unit), initial=0.0)))
+
+
 def _assemble_chain(maps: dict, params: tuple[float, float, float, int],
                     step: RenormStep, cert: ConjugacyCertificate,
                     residuals: dict, cfg: MatherConfig, tol: Tolerances,
@@ -384,8 +416,8 @@ def _assemble_chain(maps: dict, params: tuple[float, float, float, int],
                 "samples": 1025,
             },
             "flow_conjugacy": {
-                "statement": ("flow_time_one o reduced = witness o "
-                              "flow_time_one o conjugated o witness^{-1}"),
+                "statement": ("flow_time_one o reduced o witness = witness "
+                              "o flow_time_one o conjugated"),
                 "residual": residuals["flow-conjugacy"],
                 "tail_flow_time": cert.b,
                 "word_length": cert.word_length,
@@ -437,14 +469,16 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
     own chain, and refuses with "certificate stage: replay failed ..."
     unless every item passes.  The replay is that of verify_certificate,
     run on the maps the search holds rather than on maps decoded from the
-    chain, and given as an argument the three identity residuals the
+    chain, and given as an argument the four identity residuals the
     search computed on them: the rescale conjugation by _rescale_residual,
-    the flow conjugacy by conjugator through _flow_conjugacy_residual, and
-    the fixed point as the last step's ck_distance.  The replay
-    recomputes each with the same function, on the same points while the
-    supports lie in their windows (else a support item fails), and the
-    maps' jets are the chain's bit for bit, so the report is the same;
-    only the config and support items are evaluated again.
+    the flow conjugacy by conjugator through _flow_conjugacy_residual
+    (evaluated composed on the right by the witness, so no inverse is
+    solved), the unit-time flow map by _flow_time_one_residual, and the
+    fixed point as the last step's ck_distance.  The replay recomputes
+    each with the same function, on the same points while the supports
+    lie in their windows (else a support item fails), and the maps' jets
+    are the chain's bit for bit, so the report is the same; only the
+    config and support items are evaluated again.
     """
     tol = tol or DEFAULT_TOL
     if cfg.A == 1:
@@ -497,6 +531,8 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
                     maps, _supports(maps, ("f", "u0", "conjugated")),
                     params, cfg.D),
                 "flow-conjugacy": cert.residual,
+                "flow-time-one": _flow_time_one_residual(
+                    cert.tau, PlateauField(cfg.A)),
                 "fixed-point": float(residual),
             }
             chain = _assemble_chain(maps, params, step, cert, residuals,
@@ -545,18 +581,30 @@ def load_chain(path: str) -> dict:
 
 
 def _gap(key: str, stored, want) -> float:
-    """Largest absolute difference of two numbers or equal-length lists; a
-    ValueError naming the key when they cannot be compared."""
-    try:
-        s = np.asarray(stored, dtype=float)
-        diff = np.abs(s - np.asarray(want, dtype=float))
-        ok = s.shape == np.shape(want) and bool(np.all(np.isfinite(diff)))
-    except (TypeError, ValueError):
-        ok = False
+    """Largest absolute difference of two numbers, or of two equal-length
+    lists of numbers, in plain floats; a ValueError naming the key when
+    they cannot be compared.  A number is an int or a float, not a bool
+    or a string, and the difference must be finite."""
+    if isinstance(want, list):
+        ok = isinstance(stored, (list, tuple)) and len(stored) == len(want)
+        pairs = zip(stored, want) if ok else ()
+    else:
+        ok, pairs = True, ((stored, want),)
+    gap = 0.0
+    for s, w in pairs:
+        number = isinstance(s, (int, float)) and not isinstance(s, bool)
+        try:
+            d = abs(float(s) - float(w)) if number else math.nan
+        except OverflowError:           # an int beyond the float range
+            d = math.inf
+        if not math.isfinite(d):
+            ok = False
+            break
+        gap = max(gap, d)
     if not ok:
         raise ValueError(f"{key} is {stored!r} where a value like "
                          f"{want!r} belongs")
-    return float(np.max(diff, initial=0.0))
+    return gap
 
 
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, ConstructionError)
@@ -569,14 +617,18 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
     recomputes the geometry and each stated identity.  The geometry (D, E
     and the rescaler parameters) is recomputed from the stored k and A
     with the search's own rules, and the `config` item requires the
-    stored config, the `rescaler` entry and every map's k to agree with
-    it exactly.  An identity passes only when its recomputed residual is
-    at most cert_tol, and the stored residuals are reported for
-    information only.  The support items check f, u0, conjugated, reduced
-    and the witness against their intervals.  A chain of another format
-    or version (versions 1 and 2 included), one that cannot be read, or
-    one with a map whose class is not "compact" is a ValueError; the
-    class is checked before any map is built.
+    stored config, the `rescaler` entry, every map's k and the grid of
+    flow_time_one to agree with it exactly.  An identity passes only when
+    its recomputed residual is at most cert_tol, and the stored residuals
+    are reported for information only.  The flow conjugacy is evaluated
+    as tau o reduced o witness = witness o tau o conjugated, so no inverse
+    is solved, and flow-time-one checks tau against the plateau field of
+    the stored A (_flow_time_one_residual); it has no stored residual.
+    The support items check f, u0, conjugated, reduced and the witness
+    against their intervals.  A chain of another format or version
+    (versions 1 and 2 included), one that cannot be read, or one with a
+    map whose class is not "compact" is a ValueError; the class is
+    checked before any map is built.
     """
     tol = tol or DEFAULT_TOL
     if not isinstance(chain, dict):
@@ -602,17 +654,19 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
 
 def _identity_residuals(maps: dict, supp: dict,
                         params: tuple[float, float, float, int],
-                        cfg: MatherConfig, tol: Tolerances) -> dict:
-    """The residual of each identity the chain states, keyed by its replay
-    item name, evaluated on the chain maps (supp holds their supports).
-    The flow conjugacy is conjugator's own residual function, given the
-    supports of reduced, conjugated and the witness."""
+                        cfg: MatherConfig) -> dict:
+    """The residual of each identity the replay checks, keyed by its
+    replay item name, evaluated on the chain maps (supp holds their
+    supports).  The flow conjugacy is conjugator's own residual function,
+    given the supports of reduced, conjugated and the witness."""
     return {
         "rescale-conjugation": _rescale_residual(maps, supp, params, cfg.D),
         "flow-conjugacy": _flow_conjugacy_residual(
             maps["conjugated"], maps["reduced"], maps["witness"],
-            maps["flow_time_one"], cfg, tol,
+            maps["flow_time_one"], cfg,
             [supp[name] for name in ("reduced", "conjugated", "witness")]),
+        "flow-time-one": _flow_time_one_residual(maps["flow_time_one"],
+                                                 PlateauField(cfg.A)),
         "fixed-point": ck_distance(maps["reduced"], maps["u0"]),
     }
 
@@ -641,6 +695,7 @@ def _replay(chain: dict, maps: dict, tol: Tolerances,
             "rescale-conjugation":
                 float(ids["rescale_conjugation"]["residual"]),
             "flow-conjugacy": float(ids["flow_conjugacy"]["residual"]),
+            "flow-time-one": None,
             "fixed-point": float(ids["fixed_point"]["residual"]),
         }
         want = {"B": cfg.B, "D": list(cfg.D), "E": list(cfg.E),
@@ -652,6 +707,11 @@ def _replay(chain: dict, maps: dict, tol: Tolerances,
         for name, m in maps.items():
             want[f"{name}.k"] = k
             found_cfg[f"{name}.k"] = m.k
+        # flow-time-one samples tau on its own grid, which must be the one
+        # every time-t map of the field has
+        tau = maps["flow_time_one"]
+        want["flow_time_one.grid"] = list(_time_map_grid(PlateauField(A)))
+        found_cfg["flow_time_one.grid"] = [tau.a, tau.b, tau.n]
         gaps = {key: _gap(key, found_cfg[key], want[key]) for key in want}
     except _MALFORMED as e:
         raise ValueError(f"malformed certificate chain: {e!r}") from e
@@ -668,8 +728,8 @@ def _replay(chain: dict, maps: dict, tol: Tolerances,
 
     supp = _supports(maps, ("f", "u0", "conjugated", "reduced", "witness"))
     if residuals is None:
-        residuals = _identity_residuals(maps, supp, params, cfg, tol)
-    for name in ("rescale-conjugation", "flow-conjugacy", "fixed-point"):
+        residuals = _identity_residuals(maps, supp, params, cfg)
+    for name in stored:
         check(name, residuals[name])
 
     for name, win in (("f", cfg.D), ("u0", cfg.D), ("conjugated", cfg.E),

@@ -182,14 +182,20 @@ def _rho_shift(field: PlateauField, x: np.ndarray, d: np.ndarray,
     return out
 
 
+def _time_map_grid(field: PlateauField) -> tuple[float, float, int]:
+    """(a, b, n) of the grid of every time-t map of the field: its
+    support [-2A - 1, 2A + 1] at the density of _unit_nodes."""
+    return -field.edge, field.edge, _unit_nodes(2.0 * field.edge)
+
+
 def time_t_map(field: PlateauField, t: float, k: int,
                tol: Tolerances | None = None) -> Diffeo1:
-    """The time-t map of the field as a compactly supported diffeomorphism."""
+    """The time-t map of the field as a compactly supported diffeomorphism,
+    on _time_map_grid(field)."""
     if not math.isfinite(t):
         raise ValueError(f"flow time must be finite, got {t!r}")
     tol = tol or DEFAULT_TOL
-    lo, hi = -field.edge, field.edge
-    n = _unit_nodes(hi - lo)
+    lo, hi, n = _time_map_grid(field)
     xs = np.linspace(lo, hi, n)
     jets = np.zeros((n, k + 1))
     if t == 0.0:

@@ -607,7 +607,7 @@ def lambda_limit(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
 @dataclass(frozen=True)
 class ConjugacyCertificate:
     """A compactly supported witness lam with tau o v = lam o tau o u o
-    lam^{-1}, checkable by resampling."""
+    lam^{-1}, checkable by evaluating tau o v o lam = lam o tau o u."""
 
     b: float                        # translation separating the rolled maps
     tau: Diffeo1                    # unit-time plateau-flow map
@@ -632,9 +632,11 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     The witness is built on witness_window(cfg) at the limit word's own
     density, so its grid holds the cut 2A + 3/4 as a node as the word's
     does, and doubles while its order-0 midpoint gap asks for it.  The
-    residual is _flow_conjugacy_residual with no supports, which is what
-    verify_certificate recomputes for a chain whose supports lie in
-    their windows, so a search can hand it to its own replay."""
+    residual is _flow_conjugacy_residual with no supports: the gap of
+    tau o v o lam against lam o tau o u, so no inverse of the witness is
+    solved.  It is what verify_certificate recomputes for a chain whose
+    supports lie in their windows, so a search can hand it to its own
+    replay."""
     tol = tol or DEFAULT_TOL
     lam_res = lambda_limit(u, v, cfg, tol)
     b, dev = lam_res.translation, lam_res.translation_dev
@@ -685,7 +687,7 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
 
     return ConjugacyCertificate(
         b=b, tau=tau, lam=lam,
-        residual=_flow_conjugacy_residual(u, v, lam, tau, cfg, tol),
+        residual=_flow_conjugacy_residual(u, v, lam, tau, cfg),
         overlaps={"left": left, "right": right},
         word_length=lam_res.word_length, translation_dev=dev)
 
@@ -701,14 +703,14 @@ def _samples(lo: float, hi: float, n: int, supports) -> np.ndarray:
 
 
 def _flow_conjugacy_residual(u: Diffeo1, v: Diffeo1, lam: Diffeo1,
-                             tau: Diffeo1, cfg: MatherConfig, tol: Tolerances,
+                             tau: Diffeo1, cfg: MatherConfig,
                              supports=()) -> float:
-    """Largest gap of tau o v = lam o tau o u o lam^{-1}, with lam^{-1}
-    solved pointwise, over 2049 samples of the witness window widened by
-    two units left and one right, and further out to any of the supports
-    it does not hold (_samples).  conjugator and the certificate replay
-    both read the flow conjugacy here."""
+    """Largest gap of tau o v o lam = lam o tau o u, the conjugacy
+    tau o v = lam o tau o u o lam^{-1} composed on the right by lam, so
+    evaluated with no inverse solve, over 2049 samples of the witness
+    window widened by two units left and one right, and further out to
+    any of the supports it does not hold (_samples).  conjugator and the
+    certificate replay both read the flow conjugacy here."""
     lo, hi = witness_window(cfg)
     xs = _samples(lo - 2.0, hi + 1.0, 2049, supports)
-    pre = lam.inverse_values(xs, tol.invert_abscissa)
-    return float(np.max(np.abs(tau(v(xs)) - lam(tau(u(pre))))))
+    return float(np.max(np.abs(tau(v(lam(xs))) - lam(tau(u(xs))))))

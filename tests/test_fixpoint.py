@@ -7,6 +7,8 @@ parameter or config number is caught.
 
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -378,28 +380,38 @@ def test_search_replays_held_maps_as_the_chain_replays(k, monkeypatch):
 def test_a_converged_search_evaluates_each_identity_once(k, A, alpha,
                                                          monkeypatch):
     # the self-replay reports the residuals the search computed on the
-    # maps it holds, and evaluates none of the three identities again
-    rescales, distances, solves, reports = [], [], [], []
-    rescale_residual, distance = fixpoint._rescale_residual, ck_distance
-    inverse_values, replay = diffeo.Diffeo1.inverse_values, fixpoint._replay
+    # maps it holds, and evaluates none of the four identities again; the
+    # flow conjugacy is evaluated without solving the witness's inverse
+    calls = {"rescale": 0, "flow": 0, "time-one": 0}
+    distances, solves, reports = [], [], []
+    distance, replay = ck_distance, fixpoint._replay
+    inverse_values = diffeo.Diffeo1.inverse_values
 
-    def counting_rescale(*args):
-        rescales.append(args)
-        return rescale_residual(*args)
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
 
     def counting_distance(u, v):
         distances.append(v)
         return distance(u, v)
 
     def counting_solve(self, y, xtol=None):
-        solves.append((self, np.size(y)))
+        solves.append(self)
         return inverse_values(self, y, xtol)
 
     def recording(*args):
         reports.append(replay(*args))
         return reports[-1]
 
-    monkeypatch.setattr(fixpoint, "_rescale_residual", counting_rescale)
+    monkeypatch.setattr(fixpoint, "_rescale_residual",
+                        counting("rescale", fixpoint._rescale_residual))
+    flow_residual = counting("flow", reduction._flow_conjugacy_residual)
+    monkeypatch.setattr(reduction, "_flow_conjugacy_residual", flow_residual)
+    monkeypatch.setattr(fixpoint, "_flow_conjugacy_residual", flow_residual)
+    monkeypatch.setattr(fixpoint, "_flow_time_one_residual",
+                        counting("time-one", fixpoint._flow_time_one_residual))
     monkeypatch.setattr(fixpoint, "ck_distance", counting_distance)
     monkeypatch.setattr(diffeo.Diffeo1, "inverse_values", counting_solve)
     monkeypatch.setattr(fixpoint, "_replay", recording)
@@ -407,14 +419,18 @@ def test_a_converged_search_evaluates_each_identity_once(k, A, alpha,
     res = fixed_point_search(
         calibrated_bump(0.3 * cfg.delta0, alpha, k=k, center=0.1), cfg)
     assert res.converged and len(reports) == 1 and reports[0]["ok"]
-    assert len(rescales) == 1
+    assert calls == {"rescale": 1, "flow": 1, "time-one": 1}
     assert sum(v is res.u0 for v in distances) == 1
     lam = res.certificates[0].lam
-    assert [n for m, n in solves if m is lam] == [2049]
+    assert all(m is not lam for m in solves)
     # the held residuals are those the written chain's replay recomputes,
-    # at k = 1 too, where the source window is not the witness's
+    # at k = 1 too, where the source window is not the witness's; that
+    # replay solves no inverse at all
+    del solves[:]
     decoded = verify_certificate(json.loads(dump_chain(res.chain)))
-    assert len(rescales) == 2
+    assert calls == {"rescale": 2, "flow": 2, "time-one": 2}
+    assert solves == []
+    assert "flow-time-one" in [item["name"] for item in decoded["items"]]
     assert _item_bits(reports[0]) == _item_bits(decoded)
 
 
@@ -445,7 +461,7 @@ def test_emitted_certificate_verifies(converged):
     assert report["ok"]
     names = [item["name"] for item in report["items"]]
     assert names == ["config", "rescale-conjugation", "flow-conjugacy",
-                     "fixed-point", "support-f", "support-u0",
+                     "flow-time-one", "fixed-point", "support-f", "support-u0",
                      "support-conjugated", "support-reduced",
                      "support-witness"]
     assert all(item["ok"] for item in report["items"])
@@ -519,30 +535,54 @@ def test_the_chain_stores_rescaler_parameters_not_a_map(converged, cfg):
     ("conjugated", 0.4, "rescale-conjugation"),
     ("reduced", 0.2, "flow-conjugacy"),
     ("witness", 1.0, "flow-conjugacy"),
-    ("flow_time_one", 1.0, "flow-conjugacy"),
+    # no one spot: 60 evenly spaced nodes over 5%-95% of the grid, each
+    # tampered in turn
+    pytest.param("flow_time_one", None, "flow-time-one",
+                 id="flow_time_one-sweep-flow-time-one"),
 ])
 def test_tampering_any_map_fails_its_identity(converged, name, x0, identity):
-    chain = _copy(converged)
-    m = chain["maps"][name]
+    m = converged.chain["maps"][name]
     a, b, n = m["grid"]["a"], m["grid"]["b"], m["grid"]["n"]
-    jets = map_jets(m)
-    jets[round((x0 - a) / (b - a) * (n - 1))][0] += 1e-3
-    put_map_jets(m, jets)
-    report = verify_certificate(chain)
-    assert not report["ok"]
-    assert _failed(report)[identity] > DEFAULT_TOL.cert_tol
+    if x0 is None:
+        nodes = np.round(np.linspace(0.05, 0.95, 60) * (n - 1)).astype(int)
+    else:
+        nodes = [round((x0 - a) / (b - a) * (n - 1))]
+    passed = []
+    for i in nodes:
+        chain = _copy(converged)
+        jets = map_jets(chain["maps"][name])
+        jets[i][0] += 1e-3
+        put_map_jets(chain["maps"][name], jets)
+        report = verify_certificate(chain)
+        if report["ok"] or not (_failed(report).get(identity, 0.0)
+                                > DEFAULT_TOL.cert_tol):
+            passed.append(a + (b - a) * i / (n - 1))
+    assert passed == []
 
 
 @pytest.mark.parametrize("name", fixpoint._CHAIN_MAPS)
 def test_a_map_stored_at_another_order_fails_the_config(converged, name):
     # reduced and u0 meet in the fixed-point distance, which compares the
-    # orders both carry; the config item names the map whose k is off
+    # orders both carry; the config item names the map whose k is off.
+    # flow-time-one reads tau's interpolant, whose zero top-order jets are
+    # not the flow's (2.7e-5 against cert_tol)
     chain = _copy(converged)
     raise_map_order(chain["maps"][name])
     report = verify_certificate(chain)
     assert not report["ok"]
-    assert list(_failed(report)) == ["config"]
+    assert list(_failed(report)) == (
+        ["config", "flow-time-one"] if name == "flow_time_one" else ["config"])
     assert report["items"][0]["mismatch"] == [f"{name}.k"]
+
+
+def test_a_flow_map_on_another_grid_fails_the_config(converged):
+    # the identity on two nodes meets the flow identity at both and at the
+    # one midpoint, so only the grid tells it from the unit-time map
+    chain = _copy(converged)
+    chain["maps"]["flow_time_one"] = to_dict(identity(2, -20.0, 20.0))
+    report = verify_certificate(chain)
+    assert "flow-time-one" not in _failed(report)
+    assert report["items"][0]["mismatch"] == ["flow_time_one.grid"]
 
 
 @pytest.mark.parametrize("key,value", [("ratio", 5.0), ("zi", 9.0),
@@ -575,6 +615,62 @@ def test_unreadable_config_values_are_malformed(converged, key, value):
     with pytest.raises(ValueError, match=f"malformed certificate chain: "
                                          f".*{key} is "):
         verify_certificate(chain)
+
+
+def _numpy_gap(key, stored, want):
+    """The config gap as numpy arrays: the oracle of fixpoint._gap."""
+    try:
+        s = np.asarray(stored, dtype=float)
+        with np.errstate(over="ignore"):
+            diff = np.abs(s - np.asarray(want, dtype=float))
+        ok = s.shape == np.shape(want) and bool(np.all(np.isfinite(diff)))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{key} is {stored!r} where a value like "
+                         f"{want!r} belongs")
+    return float(np.max(diff, initial=0.0))
+
+
+@pytest.mark.parametrize("key,stored,want", [
+    ("delta0", 1e-3, 1e-3), ("delta0", 2.5e-3, 1e-3), ("eps0", -0.0, 0.0),
+    ("eps0", 1e300, -1e300), ("B", 1, 1), ("B", 3, 1), ("rescaler.k", 2.0, 2),
+    ("D", [-2.0, 2.0], [-2.0, 2.0]), ("D", [-3.0, 2.5], [-2.0, 2.0]),
+    ("E", [-8, 8], [-8.0, 8.0]), ("E", (-8.0, 9.0), [-8.0, 8.0])])
+def test_config_gap_is_the_numpy_gap(key, stored, want):
+    got = fixpoint._gap(key, stored, want)
+    assert type(got) is float
+    assert np.float64(got).view(np.uint64) == np.float64(
+        _numpy_gap(key, stored, want)).view(np.uint64)
+
+
+@pytest.mark.parametrize("key,stored,want", [
+    ("delta0", "junk", 1e-3), ("D", "junk", [-2.0, 2.0]),
+    ("delta0", None, 1e-3), ("D", [-2.0, None], [-2.0, 2.0]),
+    ("delta0", math.nan, 1e-3), ("delta0", math.inf, 1e-3),
+    ("D", [-math.inf, 2.0], [-2.0, 2.0]), ("eps0", 1e308, -1e308),
+    ("D", 2.0, [-2.0, 2.0]), ("delta0", [1e-3], 1e-3),
+    ("D", [-2.0], [-2.0, 2.0]), ("E", [-8.0, 8.0, 1.0], [-8.0, 8.0]),
+    ("D", [[-2.0, 2.0]], [-2.0, 2.0]), ("D", [[-2.0], [2.0]], [-2.0, 2.0]),
+    ("delta0", {}, 1e-3), ("D", {"lo": -2.0}, [-2.0, 2.0])])
+def test_config_gap_refuses_what_the_numpy_gap_refuses(key, stored, want):
+    with pytest.raises(ValueError) as oracle:
+        _numpy_gap(key, stored, want)
+    with pytest.raises(ValueError) as plain:
+        fixpoint._gap(key, stored, want)
+    assert str(plain.value) == str(oracle.value)
+    assert str(plain.value).startswith(f"{key} is ")
+
+
+@pytest.mark.parametrize("key,stored,want", [
+    ("delta0", "0.001", 1e-3), ("D", ["-2", "2"], [-2.0, 2.0]),
+    ("delta0", True, 1e-3), ("B", True, 1), ("D", [True, 2.0], [-2.0, 2.0])])
+def test_config_gap_refuses_strings_and_bools(key, stored, want):
+    # numpy reads "0.001" as 0.001 and True as 1.0; a chain stores numbers
+    _numpy_gap(key, stored, want)
+    with pytest.raises(ValueError, match=(
+            f"^{key} is {re.escape(repr(stored))} where a value like ")):
+        fixpoint._gap(key, stored, want)
 
 
 def test_a_widened_config_fails_the_conjugation(converged):
