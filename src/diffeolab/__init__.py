@@ -28,7 +28,7 @@ from .flow import (Chart, PlateauField, make_rho, time_t_map,
 from .reduction import (ConjugacyCertificate, LambdaResult, MatherConfig,
                         PsiResult, blend_toward_identity, conjugator,
                         isotopy_step, lambda_limit, make_config, reduce_norm,
-                        reduction_sweep, rescale_factor, restrict_periodic,
+                        reduction_sweep, rescale_factor,
                         roll_equivariance_residual, roll_norm_check,
                         roll_params, roll_up, spread, spread_once,
                         sweep_profile, witness_window)
@@ -59,7 +59,7 @@ __all__ = [
     "ConjugacyCertificate", "LambdaResult", "MatherConfig", "PsiResult",
     "blend_toward_identity", "conjugator", "isotopy_step", "lambda_limit",
     "make_config", "reduce_norm", "reduction_sweep", "rescale_factor",
-    "restrict_periodic", "roll_equivariance_residual", "roll_norm_check",
+    "roll_equivariance_residual", "roll_norm_check",
     "roll_params", "roll_up", "spread", "spread_once", "sweep_profile",
     "witness_window",
     "FixedPointResult", "calibrated_bump", "ck_distance", "dump_chain",

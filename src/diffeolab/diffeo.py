@@ -597,13 +597,19 @@ def inverse(f: Diffeo1, tol: Tolerances | None = None) -> Diffeo1:
         raise ValueError(f"no inverse is built for a map of class {f.tail!r}")
 
     def fn(ys: np.ndarray, order: int) -> np.ndarray:
-        # f' is read at every order, so the positive-slope refusal of
-        # invert_derivs covers every sampled point
-        xs = f.inverse_values(ys, tol.invert_abscissa)
-        fj = f.jet_at(xs, max(order, 1))
-        return _minus_identity(invert_derivs(fj, xs)[..., :order + 1], ys)
+        return _minus_identity(_inverse_jets(f, ys, order, tol), ys)
 
     return _build_adaptive(f.tail, lo, hi, f.k, fn, f.n, tol)
+
+
+def _inverse_jets(f: Diffeo1, ys: np.ndarray, order: int,
+                  tol: Tolerances) -> np.ndarray:
+    """Full-map jets, orders 0..order, of f^{-1} at the points ys: the
+    roots x of f(x) = ys to tol.invert_abscissa (inverse_values) and the
+    inverse-function jets of f there.  f' is read at every order, so the
+    positive-slope refusal of invert_derivs covers every point."""
+    xs = f.inverse_values(ys, tol.invert_abscissa)
+    return invert_derivs(f.jet_at(xs, max(order, 1)), xs)[..., :order + 1]
 
 
 def support_interval(f: Diffeo1, slack: float = 1e-10):

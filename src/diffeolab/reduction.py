@@ -4,8 +4,9 @@ The pipeline has three legs.  ``roll_up`` mixes a small compactly
 supported diffeomorphism with the unit translation, producing a map
 that commutes with integer shifts (a circle map).  ``spread`` runs the
 other way: it cuts a small circle map into discrete-isotopy factors
-and plants each factor, through a window restriction, on its own slot
-of a fixed compact interval.  ``reduce_norm`` composes the two legs;
+and plants each factor on its own slot of a fixed compact interval,
+sampling the planted map straight from the factor's exact jets, with no
+intermediate map built.  ``reduce_norm`` composes the two legs;
 its output lives on the fixed target interval no matter how wide the
 input's support was, and the measured norm ratio is the quantity the
 fixed-point experiment feeds on.
@@ -33,9 +34,10 @@ from ._taylor import compose_affine, coeffs_to_derivs, smoothstep_series
 from .config import (DEFAULT_TOL, ESTIMATOR_SLACK, EVAL_DENSITY, Tolerances,
                      smallness_threshold)
 from .diffeo import (Diffeo1, _apply_letter, _build_adaptive, _frac,
-                     _minus_identity, _unit_nodes, compose, compose_all,
-                     inverse, post_translate, refined_grid, support_interval,
-                     support_within, translate_conjugate)
+                     _grid_cells, _inverse_jets, _minus_identity, _unit_nodes,
+                     compose, compose_all, inverse, post_translate,
+                     refined_grid, support_interval, support_within,
+                     translate_conjugate)
 from .errors import ConstructionError, PreconditionError
 from .flow import (OVERLAP_REACH, PlateauField, _plateau_jets, _unit_time_map,
                    time_t_map, trajectory_chart)
@@ -63,16 +65,19 @@ class PlateauBump:
         out = np.zeros(x.shape + (order + 1,))
         ones = (t <= self.PLATEAU) | (t >= 1.0 - self.PLATEAU)
         out[ones, 0] = 1.0
-        down = (t > self.PLATEAU) & (t < self.ZERO_LO)
-        if down.any():
-            y = (self.ZERO_LO - t[down]) / self.WIDTH
-            c = compose_affine(smoothstep_series(y, order), -1.0 / self.WIDTH)
-            out[down] = coeffs_to_derivs(c)
-        up = (t > self.ZERO_HI) & (t < 1.0 - self.PLATEAU)
-        if up.any():
-            y = (t[up] - self.ZERO_HI) / self.WIDTH
-            c = compose_affine(smoothstep_series(y, order), 1.0 / self.WIDTH)
-            out[up] = coeffs_to_derivs(c)
+        # both ramps in one series call; the falling one, left of 1/2, runs
+        # the smoothstep backward
+        ramp = (((t > self.PLATEAU) & (t < self.ZERO_LO))
+                | ((t > self.ZERO_HI) & (t < 1.0 - self.PLATEAU)))
+        if ramp.any():
+            tr = t[ramp]
+            down = tr < 0.5
+            y = np.where(down, self.ZERO_LO - tr,
+                         tr - self.ZERO_HI) / self.WIDTH
+            s = smoothstep_series(y, order)
+            c = compose_affine(s, 1.0 / self.WIDTH)
+            c[down] = compose_affine(s[down], -1.0 / self.WIDTH)
+            out[ramp] = coeffs_to_derivs(c)
         return out
 
     def __call__(self, x) -> np.ndarray:
@@ -150,15 +155,61 @@ def witness_window(cfg: MatherConfig) -> tuple[float, float]:
 
 # -- rolling up ---------------------------------------------------------------
 
+def _cell_samples(f: Diffeo1, xs: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The samples of xs = refined_grid(f, density) whose cell of f's grid
+    is marked in live, with the cells assigned by the rule evaluation uses
+    (f's fold, then _grid_cells).  Only the samples near each live cell's
+    share of the grid are looked at: a sample on a node can round into
+    either cell, so the share is widened by one sample each side, and a
+    periodic map folds its last sample into its first cell."""
+    cells = live.size
+    per = (xs.size - 1) / cells             # samples per cell, at least 8
+    span = np.arange(-1, int(math.ceil(per)) + 2)
+    first = np.floor(np.flatnonzero(live) * per).astype(int)
+    near = np.clip((first[:, None] + span).ravel(), 0, xs.size - 1)
+    x = xs[np.concatenate((near, [0, xs.size - 1]))]
+    cell, _ = _grid_cells(f._fold(x)[0], f.a, f.h, cells)
+    return x[live[cell]]
+
+
 def _sup_norms(f: Diffeo1, lowest: int = 0,
                order: int = 1) -> tuple[float, ...]:
-    """(sup |u^(lowest)|, ..., sup |u^(order)|) of the displacement on a
-    dense grid.  Only the orders asked for are evaluated; each sup is the
-    same whichever others are asked for."""
+    """(sup |u^(lowest)|, ..., sup |u^(order)|) of the displacement over
+    the samples of refined_grid(f, EVAL_DENSITY).  Each sup is the same
+    whichever other orders are asked for.
+
+    Only the samples whose cell can hold a sup are evaluated.  On a cell
+    of f's coefficient table c, |u^(j)| is at most the sum over i of
+    |c_(i+j)| (i+j)!/i! / h^j, since the local coordinate t lies in
+    [0, 1].  The samples of the cell with the largest such bound, for
+    each order, give a lower bound on that order's sup; then every sample
+    in a cell whose bound, widened for the rounding of both sides,
+    reaches it is evaluated (_cell_samples).  The samples left out
+    hold values below a sampled one, so each sup is bitwise the largest
+    value over all the samples."""
     xs = refined_grid(f, EVAL_DENSITY)
-    uj = f.displacement_jets(xs, order, lowest)
-    return tuple(float(np.max(np.abs(uj[:, j])))
-                 for j in range(order - lowest + 1))
+    if f._dc is None:
+        f.displacement_jets(xs[:1], 0)  # builds and keeps f's table
+    c = f._dc
+    rows, cells = c.shape
+    absc = np.abs(c)
+    bound = np.empty((order - lowest + 1, cells))
+    falling = np.ones(rows)             # i!/(i-j)! in row i, 0 for i < j
+    for j in range(order + 1):
+        if j:
+            falling = falling * (np.arange(rows) - (j - 1))
+        if j >= lowest:
+            bound[j - lowest] = (falling @ absc) / f.h ** j
+    # far above the rounding of a Horner pass and of the bound, some tens
+    # of ulps, and of subnormal arithmetic
+    bound = bound * (1.0 + 1e-12) + 1e-300
+    top = np.zeros(cells, dtype=bool)
+    top[np.argmax(bound, axis=1)] = True
+    low = np.max(np.abs(f.displacement_jets(_cell_samples(f, xs, top), order,
+                                            lowest)), axis=0)
+    live = np.any(bound >= low[:, None], axis=0)
+    uj = f.displacement_jets(_cell_samples(f, xs, live), order, lowest)
+    return tuple(float(s) for s in np.max(np.abs(uj), axis=0))
 
 
 def _word(x0: np.ndarray, runs, order: int) -> np.ndarray:
@@ -261,7 +312,7 @@ def roll_equivariance_residual(g: Diffeo1, b: float,
     return float(np.max(np.abs(lhs(xs) - rhs(xs))))
 
 
-# -- window restriction and spreading ----------------------------------------
+# -- spreading ----------------------------------------------------------------
 
 def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Derivatives 0..m of a product from those of its two factors, a and
@@ -273,38 +324,20 @@ def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def restrict_periodic(h: Diffeo1, window: tuple[float, float],
-                      tol: Tolerances | None = None) -> Diffeo1:
-    """Cut one unit window out of a periodic map: the result agrees with h
-    on the window and is the identity outside.  Refuses unless h fixes the
-    window ends with all displacement jets vanishing there."""
-    tol = tol or DEFAULT_TOL
-    if h.tail != "periodic":
-        raise PreconditionError("window restriction applies to periodic maps")
-    a, b = float(window[0]), float(window[1])
-    if abs((b - a) - 1.0) > 1e-12:
-        raise PreconditionError("the restriction window must have unit length")
-    edges = np.array([a, b])
-    ej = h.displacement_jets(edges, h.k)
-    worst = float(np.max(np.abs(ej)))
-    if worst > tol.surgery_boundary:
-        raise PreconditionError(
-            f"window ends are not fixed to all orders: jet residual "
-            f"{worst:.3e} exceeds {tol.surgery_boundary:.1e}")
-    n = max(129, h.n)
-    xs = np.linspace(a, b, n)
-    jets = h.displacement_jets(xs, h.k)
-    jets[0] = 0.0
-    jets[-1] = 0.0
-    return Diffeo1("compact", a, b, h.k, jets, tol=tol)
-
-
 def spread_once(g: Diffeo1, cfg: MatherConfig,
                 tol: Tolerances | None = None) -> Diffeo1:
-    """One-slot spreading: recenter g to fix 0, damp it to the identity
-    through the periodic cutoff, and plant the two factors on [-3/2,-1/2]
-    and [1,2].  The output is supported in [-3/2, 2] and rolls back up to
-    the recentered input."""
+    """One-slot spreading: recenter g to fix 0 into h, damp h to the
+    identity through the periodic cutoff into h0, and plant the two
+    factors, h0 on [-3/2, -1/2] and h o h0^{-1} on [1, 2].  The output is
+    supported in [-3/2, 2] and rolls back up to the recentered input.
+
+    The factors are planted in one adaptive build of the output, which
+    samples each from exact jets: h0 from its interpolant, and h o
+    h0^{-1} by solving h0 at the sample (_inverse_jets) and applying h to
+    the root's jets.  So neither h0^{-1}, nor h o h0^{-1}, nor a copy of
+    either factor restricted to its window is ever built.  Refuses unless
+    both factors fix their window ends with all displacement jets
+    vanishing there, as a factor cut out of a window must."""
     tol = tol or DEFAULT_TOL
     if g.tail != "periodic":
         raise PreconditionError("spreading applies to periodic maps")
@@ -327,19 +360,38 @@ def spread_once(g: Diffeo1, cfg: MatherConfig,
 
     h0 = _build_adaptive("periodic", h.a, h.a + 1.0, k, damped_fn,
                          max(257, h.n), tol)
-    h1 = compose(h, inverse(h0, tol), tol)
+
+    def h1_jets(ys: np.ndarray, order: int) -> np.ndarray:
+        # displacement jets of h o h0^{-1}
+        jets = _inverse_jets(h0, ys, order, tol)
+        _apply_letter(h, jets, order)
+        return _minus_identity(jets, ys)
 
     win = np.linspace(-0.05, 0.05, 65)
-    fix1 = float(np.max(np.abs(h1(win) - win)))
+    fix1 = float(np.max(np.abs(h1_jets(win, 0))))
     fix0 = float(np.max(np.abs(h0(win + 0.5) - (win + 0.5))))
     if max(fix0, fix1) > tol.window_fix:
         raise ConstructionError(
             f"fixed-window residual {max(fix0, fix1):.3e} exceeds "
             f"{tol.window_fix:.1e}; the damped factors do not separate")
 
-    r1 = restrict_periodic(h1, (1.0, 2.0), tol)
-    r0 = restrict_periodic(h0, (-1.5, -0.5), tol)
-    return compose(r1, r0, tol)
+    worst = max(float(np.max(np.abs(h1_jets(np.array([1.0, 2.0]), k)))),
+                float(np.max(np.abs(h0.displacement_jets(
+                    np.array([-1.5, -0.5]), k)))))
+    if worst > tol.surgery_boundary:
+        raise PreconditionError(
+            f"window ends are not fixed to all orders: jet residual "
+            f"{worst:.3e} exceeds {tol.surgery_boundary:.1e}")
+
+    def fn(xs: np.ndarray, order: int) -> np.ndarray:
+        out = np.zeros(xs.shape + (order + 1,))
+        left = (xs > -1.5) & (xs < -0.5)
+        out[left] = h0.displacement_jets(xs[left], order)
+        right = (xs > 1.0) & (xs < 2.0)
+        out[right] = h1_jets(xs[right], order)
+        return out
+
+    return _build_adaptive("compact", -1.5, 2.0, k, fn, max(257, h.n), tol)
 
 
 def blend_toward_identity(h: Diffeo1, t: float) -> Diffeo1:

@@ -253,7 +253,7 @@ def test_compose_all_against_nested_compose():
 def _compose_pairs(k):
     rng = np.random.default_rng(23)
     return {
-        # the r1 o r0 shape of spread_once: f acts on none of g's grid
+        # the shape of spread's slots: f acts on none of g's grid
         "disjoint": (small_bump(2e-3, center=1.5, radius=0.5, k=k),
                      small_bump(1e-3, center=-1.0, radius=0.5, k=k)),
         "overlapping": (small_bump(2e-3, center=0.6, radius=0.9, k=k),

@@ -264,7 +264,7 @@ def _profile(k):
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_reduce_norm_builds_nine_tables_and_three_sup_passes(monkeypatch, k):
+def test_reduce_norm_builds_five_tables_and_three_sup_passes(monkeypatch, k):
     tables, passes = [], []
     build, sups = diffeo._hermite_coeffs, reduction._sup_norms
 
@@ -281,12 +281,11 @@ def test_reduce_norm_builds_nine_tables_and_three_sup_passes(monkeypatch, k):
     monkeypatch.setattr(reduction, "_sup_norms", counting_sups)
     ld = _ld_builds(monkeypatch)
     reduce_norm(_profile(k), make_config(k, ALPHA, 4))
-    # input, roll-up, recentering, damped factor, its inverse, the
-    # composite, two restrictions and the planted product
-    assert len(tables) == 9
+    # input, roll-up, recentering, damped factor and the planted product
+    assert len(tables) == 5
     # roll_params reads order 0, rolled_slope order 1, spread_once both
     assert passes == [(0, 0), (1, 1), (0, 1)]
-    assert len(ld) == 1                     # the damped factor's inverse
+    assert len(ld) == 1                     # the damped factor, solved
 
 
 def _reference_reduce_norm(g, cfg):

@@ -5,6 +5,9 @@ map gives that map back.  The limit word must agree with the quotient of
 the rolled-up maps on the far right and intertwine the unit shift.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -26,18 +29,20 @@ from diffeolab import (
     post_translate,
     reduce_norm,
     reduction_sweep,
-    restrict_periodic,
+    refined_grid,
     roll_equivariance_residual,
     roll_norm_check,
     roll_params,
     roll_up,
     spread,
+    spread_once,
     support_interval,
     sweep_profile,
 )
 from diffeolab import (calibrated_bump, from_preset, holder_norm, reduction,
                        rescaler_params, smallness_threshold)
-from diffeolab.diffeo import _apply_letter, _build_adaptive
+from diffeolab.config import EVAL_DENSITY
+from diffeolab.diffeo import _apply_letter, _build_adaptive, _grid_cells
 from diffeolab.fixpoint import _renorm_full
 from diffeolab.jets import compose_derivs
 from diffeolab.reduction import _sup_norms, _word, spreading_smallness
@@ -141,23 +146,73 @@ def test_roll_norm_check_bounds_and_refusal():
         roll_norm_check(small_bump(5e-2, radius=1.2), cfg)
 
 
-# -- window surgery ---------------------------------------------------------------
+def _dense_sups(f, lowest, order):
+    """The sup pass over every sample of the refined grid: the oracle of
+    _sup_norms, which evaluates only the cells that can hold a sup."""
+    uj = f.displacement_jets(refined_grid(f, EVAL_DENSITY), order, lowest)
+    return tuple(float(np.max(np.abs(uj[:, j])))
+                 for j in range(order - lowest + 1))
 
-def test_restrict_periodic_cuts_one_window():
-    bump = small_bump(1e-3, center=0.5, radius=0.4, n=257)
-    jets = bump.jet_at(np.linspace(0.0, 1.0, 257), 2)
-    jets[:, 0] -= np.linspace(0.0, 1.0, 257)
-    jets[:, 1] -= 1.0
-    from diffeolab import Diffeo1
-    h = Diffeo1("periodic", 0.0, 1.0, 2, jets)
-    cut = restrict_periodic(h, (0.0, 1.0))
-    assert cut.tail == "compact"
-    xs = np.linspace(0.0, 1.0, 501)
-    assert float(np.max(np.abs(cut(xs) - h(xs)))) <= 1e-10
-    with pytest.raises(PreconditionError):
-        restrict_periodic(h, (0.3, 1.3))  # window ends move
-    with pytest.raises(PreconditionError):
-        restrict_periodic(h, (0.0, 1.5))  # not a unit window
+
+def _random_map(rng, tail, k, eps, a=-0.7, b=1.3, n=None):
+    n = n or int(rng.integers(20, 300))
+    jets = eps * rng.standard_normal((n, k + 1))
+    if tail == "periodic":
+        b = a + 1.0
+        jets[-1] = jets[0]
+    else:
+        jets[[0, -1]] = 0.0
+    return Diffeo1(tail, a, b, k, jets)
+
+
+def _first_grid_with_extra_samples(a, b):
+    """The smallest node count n whose grid over [a, b] gives refined_grid
+    more than 8 samples per cell plus one, since (b - a) / h rounds up."""
+    for n in range(2, 2000):
+        if math.ceil((b - a) / ((b - a) / (n - 1))) > n - 1:
+            return n
+    raise AssertionError("no such grid")
+
+
+def test_cell_samples_are_those_the_evaluation_puts_in_live_cells():
+    # random grids, and live sets of every density, against the cell of
+    # every sample as displacement_jets assigns it
+    rng = np.random.default_rng(41)
+    for trial in range(200):
+        tail = ("compact", "periodic")[trial % 2]
+        a = float(rng.uniform(-40.0, 40.0))
+        b = a + (1.0 if tail == "periodic" else float(rng.uniform(0.01, 30)))
+        n = int(rng.integers(2, 400))
+        f = Diffeo1(tail, a, b, 1, np.zeros((n, 2)))
+        xs = refined_grid(f, EVAL_DENSITY)
+        cell, _ = _grid_cells(f._fold(xs)[0], f.a, f.h, n - 1)
+        live = rng.uniform(size=n - 1) < rng.choice([0.02, 0.3, 1.0])
+        got = reduction._cell_samples(f, xs, live)
+        assert np.array_equal(np.unique(got), xs[live[cell]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("eps", [1e-3, 1e-12, 1e-290])
+def test_sup_norms_are_bitwise_the_dense_pass(k, eps):
+    rng = np.random.default_rng([k, int(-math.log10(eps))])
+    n_extra = _first_grid_with_extra_samples(-0.7, 1.3)
+    maps = [_random_map(rng, "compact", k, eps),
+            _random_map(rng, "periodic", k, eps),
+            _random_map(rng, "compact", k, eps, n=n_extra),
+            identity(k, -0.7, 1.3),
+            Diffeo1("periodic", 0.0, 1.0, k, np.zeros((65, k + 1)))]
+    xs = refined_grid(maps[2], EVAL_DENSITY)
+    assert xs.size > 8 * (maps[2].n - 1) + 1
+    if k >= 2:
+        g = sweep_profile(2, k, eps=eps)
+        maps += [g, roll_up(g)]
+    for f in maps:
+        for lowest in range(k + 1):
+            for order in range(lowest, k + 1):
+                got = _sup_norms(f, lowest, order)
+                want = _dense_sups(f, lowest, order)
+                assert [v.hex() for v in got] == [v.hex() for v in want], \
+                    (f.tail, f.n, lowest, order)
 
 
 # -- spreading ---------------------------------------------------------------------
@@ -196,6 +251,64 @@ def test_spread_round_trip_recovers_recentered_input():
         target = post_translate(g, -float(g(np.array(0.0))))
         rolled = roll_up(sp)
         assert float(np.max(np.abs(rolled(xs) - target(xs)))) <= 1e-6
+
+
+def _spread_once_through_copies(h):
+    """spread_once as it was built from maps: the damped factor h0, its
+    inverse, the composite h o h0^{-1}, both factors cut out of their
+    windows, and the composite of the two cuts."""
+    def damped_fn(xs, order):
+        return reduction._leibniz(reduction._ZETA.jets(xs, order),
+                                  h.displacement_jets(xs, order))
+
+    def cut(f, a, b):
+        jets = f.displacement_jets(np.linspace(a, b, max(129, f.n)), f.k)
+        jets[[0, -1]] = 0.0
+        return Diffeo1("compact", a, b, f.k, jets)
+
+    h0 = _build_adaptive("periodic", h.a, h.a + 1.0, h.k, damped_fn,
+                         max(257, h.n), DEFAULT_TOL)
+    h1 = compose(h, inverse(h0))
+    return compose(cut(h1, 1.0, 2.0), cut(h0, -1.5, -0.5))
+
+
+# per-order bounds on |planted - through copies| at the nodes, about four
+# times the largest gap measured over k in {1, 2, 3}, A in {1, 2, 4, 8}:
+# 3.3e-15, 2.2e-12, 8.2e-10 and 1.2e-6; order 3 reads the noise of the
+# copies' own order-0 rounding, amplified by h^-3
+_SPREAD_GAPS = (1.5e-14, 1e-11, 4e-9, 5e-6)
+
+
+@pytest.mark.parametrize("k,A", [(1, 2), (2, 2), (2, 8), (3, 4)])
+def test_spread_once_plants_what_the_copies_planted(k, A):
+    cfg = make_config(k, ALPHA, A)
+    if k == 1:
+        g = calibrated_bump(0.6 * cfg.delta0, ALPHA, 1, center=0.1)
+    else:
+        g = sweep_profile(A, k, eps=1e-7)
+        g = sweep_profile(A, k, eps=0.6e-7 * cfg.delta0
+                          / holder_norm(g, ALPHA, k))
+    r = roll_up(g)
+    h = post_translate(r, -float(r(np.array(0.0))))
+    if cfg.B > 1:
+        h = isotopy_step(h, cfg.B, cfg.B)
+        h = post_translate(h, -float(h(np.array(0.0))))
+    got = spread_once(h, cfg)
+    want = _spread_once_through_copies(h)
+    assert (got.tail, got.a, got.b, got.n) == (want.tail, want.a, want.b,
+                                               want.n)
+    gaps = np.max(np.abs(got.jets - want.jets), axis=0)
+    assert np.all(gaps <= _SPREAD_GAPS[:k + 1]), gaps
+
+
+def test_spread_once_refuses_factors_moving_their_window_ends():
+    cfg = make_config(2, ALPHA, 2)
+    r = roll_up(sweep_profile(2, 2, eps=4e-6))
+    h = post_translate(r, -float(r(np.array(0.0))))
+    strict = dataclasses.replace(DEFAULT_TOL, surgery_boundary=0.0)
+    with pytest.raises(PreconditionError,
+                       match="window ends are not fixed to all orders"):
+        spread_once(h, cfg, strict)
 
 
 def test_spread_requires_a_small_periodic_map():
