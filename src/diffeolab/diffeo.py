@@ -140,9 +140,19 @@ def _hermite_coeffs(j0: np.ndarray, j1: np.ndarray, h: float) -> np.ndarray:
 def _grid_cells(xf: np.ndarray, lo: float, h: float,
                 cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell index and local coordinate t of points xf on the grid lo + h*i
-    of `cells` cells, in the precision of xf."""
+    of `cells` cells, in the precision of xf.
+
+    Every point must be finite and none may lie left of lo, so that
+    pos >= 0 and truncation is the floor; a NaN casts to the most negative
+    int and has no cell.  Every caller makes sure of the second: a map's
+    points are folded into its grid first (Diffeo1._fold), and the chart's
+    edge profile is read at s = |x| - 2A > 0 or inside inverse-solve
+    brackets that start at 0.  A non-finite point is the caller's error
+    (Diffeo1.displacement_jets asks for finite x).
+    Only the right end is clamped: a point at lo + h*cells, or one that
+    rounds past it, is in the last cell."""
     pos = (xf - lo) / h
-    idx = np.minimum(np.maximum(pos.astype(int), 0), cells - 1)
+    idx = np.minimum(pos.astype(int), cells - 1)
     return idx, pos - idx
 
 
@@ -354,7 +364,12 @@ class Diffeo1:
     def displacement_jets(self, x, order: int | None = None,
                           lowest: int = 0) -> np.ndarray:
         """Derivatives lowest..order of the displacement, vectorized over
-        x; each is bitwise the same whichever other orders are asked for."""
+        finite x (a NaN, or an infinite point of a periodic or ep map, has
+        no cell); each is bitwise the same whichever other orders are asked
+        for.  A compact map is the identity off (a, b), where every
+        derivative is +0.0.  So, as in _apply_letter, only the index range
+        from the first to the last point strictly inside (a, b) is
+        evaluated, and the points around it are zero-filled."""
         if order is None:
             order = self.k
         if order > self.k:
@@ -367,8 +382,25 @@ class Diffeo1:
         xf, ident = self._fold(x)
         if self._dc is None:
             self._dc = _hermite_coeffs(self.jets[:-1], self.jets[1:], self.h)
-        out = _hermite_eval(self._dc, xf, self.a, self.h, order, lowest)
-        out[ident] = 0.0
+        m = order - lowest + 1
+        xf, ident = xf.ravel(), ident.ravel()
+        lo, hi = 0, x.size
+        if self.tail == "compact" and ident.any():
+            live = ~ident
+            lo, hi = int(live.argmax()), x.size - int(live[::-1].argmax())
+            if not live[lo]:
+                lo = hi = 0                     # no point inside (a, b)
+        if (lo, hi) == (0, x.size):
+            out = _hermite_eval(self._dc, xf, self.a, self.h, order, lowest)
+            out[ident] = 0.0
+        else:
+            inner = _hermite_eval(self._dc, xf[lo:hi], self.a, self.h,
+                                  order, lowest)
+            inner[ident[lo:hi]] = 0.0
+            # allocated after the evaluation, whose temporaries are freed
+            out = np.zeros((x.size, m))
+            out[lo:hi] = inner
+        out = out.reshape(x.shape + (m,))
         if scalar:
             return out[0]
         return out

@@ -53,8 +53,11 @@ def sample_grid(*maps: Diffeo1) -> np.ndarray:
 # -- Holder estimator --------------------------------------------------------
 
 def holder_seminorm_samples(vals: np.ndarray, step: float, alpha) -> float:
-    """Lower estimate of [phi]_alpha from uniform samples of phi, over 24
-    dyadic separation scales."""
+    """Lower estimate of [phi]_alpha from uniform samples of phi, over the
+    dyadic strides 1, 2, 4, ... below the sample count, at most 23 of
+    them, and the full span.  alpha is called once, on the array of
+    stride lengths; a modulus evaluates an array elementwise, with the
+    floats of one call per stride."""
     m = len(vals)
     if m < 2:
         return 0.0
@@ -65,13 +68,14 @@ def holder_seminorm_samples(vals: np.ndarray, step: float, alpha) -> float:
         s *= 2
     if strides[-1] != m - 1:
         strides.append(m - 1)
+    scales = alpha(np.array(strides) * step)
     best = 0.0
     diff = np.empty(m - 1, dtype=vals.dtype)    # one buffer for every stride
-    for s in strides:
+    for s, scale in zip(strides, scales):
         d = diff[:m - s]
         np.subtract(vals[s:], vals[:-s], out=d)
         gap = float(np.max(np.abs(d, out=d)))
-        best = max(best, gap / float(alpha(s * step)))
+        best = max(best, gap / float(scale))
     return best
 
 

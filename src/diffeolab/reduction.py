@@ -49,18 +49,39 @@ from .norms import SlackReport, holder_norm
 class PlateauBump:
     """1-periodic C^inf profile: 1 on [-1/10, 1/10] + Z, 0 on the windows
     of the same width around half-integers, monotone smoothstep ramps of
-    width 3/10 in between."""
+    width 3/10 in between.
+
+    jets keeps its _CACHED most recently used results, keyed by the
+    points' shape and bytes and the order, and returns read-only arrays.
+    spread_once damps a rolled map, whose grid always starts at 0 with
+    one of a few node counts, so its builds sample the profile on the
+    same lattice call after call."""
 
     PLATEAU = 0.1
     ZERO_LO = 0.4
     ZERO_HI = 0.6
     WIDTH = 0.3
+    _CACHED = 4
 
     def __init__(self):
         self._slope_sup = None
+        self._cache: dict[tuple, np.ndarray] = {}
 
     def jets(self, x, order: int) -> np.ndarray:
+        """Derivatives 0..order at the points x, shape x.shape +
+        (order + 1,), read-only: a result the cache holds is shared."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        key = (order, x.shape, x.tobytes())
+        out = self._cache.pop(key, None)
+        if out is None:
+            out = self._jets(x, order)
+            out.setflags(write=False)
+            if len(self._cache) >= self._CACHED:
+                del self._cache[next(iter(self._cache))]
+        self._cache[key] = out      # the least recently used goes first
+        return out
+
+    def _jets(self, x: np.ndarray, order: int) -> np.ndarray:
         t = _frac(x)
         out = np.zeros(x.shape + (order + 1,))
         ones = (t <= self.PLATEAU) | (t >= 1.0 - self.PLATEAU)
@@ -86,8 +107,9 @@ class PlateauBump:
     @property
     def slope_sup(self) -> float:
         if self._slope_sup is None:
+            # evaluated once, so kept out of the cache
             xs = np.linspace(0.0, 1.0, 8193)
-            self._slope_sup = float(np.max(np.abs(self.jets(xs, 1)[:, 1])))
+            self._slope_sup = float(np.max(np.abs(self._jets(xs, 1)[:, 1])))
         return self._slope_sup
 
 
@@ -335,9 +357,16 @@ def spread_once(g: Diffeo1, cfg: MatherConfig,
     samples each from exact jets: h0 from its interpolant, and h o
     h0^{-1} by solving h0 at the sample (_inverse_jets) and applying h to
     the root's jets.  So neither h0^{-1}, nor h o h0^{-1}, nor a copy of
-    either factor restricted to its window is ever built.  Refuses unless
-    both factors fix their window ends with all displacement jets
-    vanishing there, as a factor cut out of a window must."""
+    either factor restricted to its window is ever built.
+
+    Refuses (ConstructionError) unless h o h0^{-1} fixes [-1/20, 1/20],
+    where the cutoff is 1, and h0 fixes [9/20, 11/20], where it is 0, to
+    tol.window_fix; and (PreconditionError) unless both factors fix their
+    window ends with all displacement jets vanishing there, as a factor
+    cut out of a window must.  Each factor's fixed-window and window-end
+    probes are one sampler call, so they cost one inverse solve of h0.
+    h0's build reads the cutoff's jets on the same lattice for every h of
+    one node count, which PlateauBump.jets keeps."""
     tol = tol or DEFAULT_TOL
     if g.tail != "periodic":
         raise PreconditionError("spreading applies to periodic maps")
@@ -367,17 +396,22 @@ def spread_once(g: Diffeo1, cfg: MatherConfig,
         _apply_letter(h, jets, order)
         return _minus_identity(jets, ys)
 
+    # each factor's fixed window and window ends, probed in one call: the
+    # samplers are pointwise, and an order's values do not depend on the
+    # highest order asked for
     win = np.linspace(-0.05, 0.05, 65)
-    fix1 = float(np.max(np.abs(h1_jets(win, 0))))
-    fix0 = float(np.max(np.abs(h0(win + 0.5) - (win + 0.5))))
+    p0 = win + 0.5
+    j1 = h1_jets(np.concatenate((win, [1.0, 2.0])), k)
+    j0 = h0.displacement_jets(np.concatenate((p0, [-1.5, -0.5])), k)
+    fix1 = float(np.max(np.abs(j1[:-2, 0])))
+    fix0 = float(np.max(np.abs((j0[:-2, 0] + p0) - p0)))   # h0(p0) - p0
     if max(fix0, fix1) > tol.window_fix:
         raise ConstructionError(
             f"fixed-window residual {max(fix0, fix1):.3e} exceeds "
             f"{tol.window_fix:.1e}; the damped factors do not separate")
 
-    worst = max(float(np.max(np.abs(h1_jets(np.array([1.0, 2.0]), k)))),
-                float(np.max(np.abs(h0.displacement_jets(
-                    np.array([-1.5, -0.5]), k)))))
+    worst = max(float(np.max(np.abs(j1[-2:]))),
+                float(np.max(np.abs(j0[-2:]))))
     if worst > tol.surgery_boundary:
         raise PreconditionError(
             f"window ends are not fixed to all orders: jet residual "

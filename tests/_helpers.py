@@ -160,6 +160,17 @@ def horner_per_order(dc, idx, t, h, order, lowest=0):
     return out
 
 
+def every_sample_jets(f, xs, order, lowest=0):
+    """f.displacement_jets(xs, order, lowest) with every point evaluated:
+    the tail fold, one Horner pass on the map's table at all the folded
+    points, and +0.0 where the map is the identity."""
+    if f._dc is None:
+        f.displacement_jets(np.zeros(0), 0)     # builds f's table
+    xf, ident = f._fold(np.asarray(xs, dtype=float))
+    out = diffeo._hermite_eval(f._dc, xf, f.a, f.h, order, lowest)
+    out[ident] = 0.0
+    return out
+
 # -- loop references for the vectorized verify battery ------------------------
 
 def oscillation_per_stride(xs, fs):

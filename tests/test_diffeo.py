@@ -32,8 +32,8 @@ from diffeolab import (
 from diffeolab import diffeo
 from diffeolab.diffeo import TAILS, _build_adaptive, _frac
 from diffeolab.jets import MAX_ORDER, compose_derivs
-from _helpers import (c0_gap, count_solve_steps, hermite_tables, small_bump,
-                      small_periodic)
+from _helpers import (c0_gap, count_solve_steps, every_sample_jets,
+                      hermite_tables, small_bump, small_periodic)
 
 try:
     from hypothesis import given, settings
@@ -188,6 +188,55 @@ def test_folded_jets_are_those_of_the_np_mod_fold(tail, monkeypatch):
     got = f.displacement_jets(xs)
     monkeypatch.setattr(diffeo, "_frac", lambda y: np.mod(y, 1.0))
     assert np.array_equal(f.displacement_jets(xs), got)
+
+
+@pytest.mark.parametrize("tail", TAILS)
+def test_folded_points_need_no_left_clamp_of_their_cells(tail):
+    # every caller folds its points into the grid before _grid_cells, so
+    # the indices are those of the clamp at 0 it no longer applies
+    rng = np.random.default_rng(43)
+    f = _random_map(tail, 2, rng)
+    far = np.concatenate([[-1e300, -1e9, -1e-20, 0.0, 1e-20, 1e9, 1e300],
+                          f.a - np.geomspace(1e-16, 1e6, 23),
+                          f.b + np.geomspace(1e-16, 1e6, 23),
+                          rng.uniform(f.a - 1e4, f.b + 1e4, 4097)])
+    for xs in (far, far.astype(np.longdouble)):
+        xf = f._fold(xs)[0]
+        idx, t = diffeo._grid_cells(xf, f.a, f.h, f.n - 1)
+        pos = (xf - f.a) / f.h
+        clamped = np.minimum(np.maximum(pos.astype(int), 0), f.n - 2)
+        assert np.array_equal(idx, clamped)
+        assert np.array_equal(t, pos - clamped)
+        assert np.array_equal(np.signbit(t), np.signbit(pos - clamped))
+
+
+def test_compact_map_is_evaluated_only_inside_its_support():
+    # the points before the first and after the last one inside (a, b)
+    # are zero-filled, not evaluated; the bits are those of the dense pass
+    rng = np.random.default_rng(59)
+    f = _random_map("compact", 3, rng)
+    inside = rng.uniform(f.a, f.b, 40)
+    left = f.a - rng.uniform(0.0, 3.0, 9)
+    right = f.b + rng.uniform(0.0, 3.0, 9)
+    ends = np.array([f.a, f.b, f.a, f.b])
+    cases = [np.concatenate([left, inside, right]),
+             np.concatenate([right, ends[:2], inside, ends[2:], left]),
+             rng.permutation(np.concatenate([left, inside, right, ends])),
+             np.concatenate([inside[:1], right, left, inside[1:2]]),
+             np.concatenate([left, ends, right]),
+             inside,
+             np.concatenate([left, inside[:1], right])]
+    for xs in cases + [xs.reshape(1, -1) for xs in cases]:
+        for order in range(4):
+            for lowest in range(order + 1):
+                got = f.displacement_jets(xs, order, lowest)
+                want = every_sample_jets(f, xs, order, lowest)
+                assert got.shape == xs.shape + (order - lowest + 1,)
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+    for x in (f.a - 1.0, f.a, 0.3, f.b, f.b + 1.0):
+        assert np.array_equal(f.displacement_jets(x).view(np.uint64),
+                              every_sample_jets(f, [x], 3)[0].view(np.uint64))
 
 
 @pytest.mark.parametrize("tail", TAILS)

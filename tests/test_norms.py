@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from diffeolab import (
+    Diffeo1,
     PreconditionError,
     holder,
     holder_norm,
     identity,
+    log_refined_holder,
     norm_report,
     translate_conjugate,
     verify_derivation,
@@ -20,8 +22,9 @@ from diffeolab import (
     verify_lip_met,
     verify_subadditivity,
 )
-from diffeolab.norms import holder_seminorm_samples
-from _helpers import small_bump, small_periodic
+from diffeolab.modulus import SampledModulus
+from diffeolab.norms import holder_seminorm_samples, sample_grid
+from _helpers import every_sample_jets, small_bump, small_periodic
 
 ALPHA = holder(0.5)
 
@@ -74,7 +77,8 @@ def test_translation_conjugation_preserves_derivative_entries():
 
 
 def _two_arrays_per_stride(vals, step, alpha):
-    """The estimator with a fresh difference and absolute value per stride."""
+    """The estimator with a fresh difference and absolute value per stride,
+    and one call of alpha per stride, on a Python float."""
     m = len(vals)
     strides, s = [], 1
     while s <= m - 1 and len(strides) < 23:
@@ -85,7 +89,7 @@ def _two_arrays_per_stride(vals, step, alpha):
     best = 0.0
     for s in strides:
         gap = float(np.max(np.abs(vals[s:] - vals[:-s])))
-        best = max(best, gap / float(alpha(s * step)))
+        best = max(best, gap / float(alpha(float(s * step))))
     return best
 
 
@@ -99,6 +103,76 @@ def test_one_buffer_estimator_matches_fresh_arrays(m):
             got = holder_seminorm_samples(vals, 1.0 / 512, alpha)
             want = _two_arrays_per_stride(vals, 1.0 / 512, alpha)
             assert got.hex() == want.hex()
+
+
+# the sampled modulus is extrapolated beyond 0.5, as at the longest strides
+MODULI = (ALPHA, log_refined_holder(0.5, 0.3),
+          SampledModulus(xs=np.array([0.0, 0.01, 0.1, 0.5]),
+                         ys=np.array([0.0, 0.2, 0.45, 0.8])))
+MODULUS_IDS = ["holder", "omegaz", "sampled"]
+
+
+@pytest.mark.parametrize("alpha", MODULI, ids=MODULUS_IDS)
+def test_moduli_evaluate_an_array_with_the_scalar_floats(alpha):
+    rng = np.random.default_rng(47)
+    xs = np.concatenate([np.geomspace(1e-9, 1e3, 4000),
+                         rng.uniform(0.0, 4.0, 4000)])
+    got = alpha(xs)
+    want = np.array([float(alpha(float(x))) for x in xs])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _maps_for_the_dense_oracle(k):
+    rng = np.random.default_rng(53 + k)
+    # random node jets: the support touches both grid ends; on [-1, 1]
+    # both ends are samples, on [-0.7, 1.3] only the left one is, and on
+    # the 40-node grid neither is
+    maps = []
+    for a, b, n in ((-1.0, 1.0, 17), (-0.7, 1.3, 23), (-0.7, 1.3, 40)):
+        jets = 1e-3 * rng.standard_normal((n, k + 1))
+        jets[[0, -1]] = 0.0
+        maps.append(Diffeo1("compact", a, b, k, jets))
+    # a bump whose support misses the ends of a wider grid
+    bump = small_bump(1e-3, center=0.2, radius=0.5, k=k)
+    wide = np.linspace(-1.7, 2.1, 120)
+    maps.append(Diffeo1("compact", -1.7, 2.1, k,
+                        bump.displacement_jets(wide, k)))
+    maps += [small_periodic(rng, k=k, eps=1e-3), identity(k, -0.7, 1.3)]
+    return maps
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("alpha", MODULI, ids=MODULUS_IDS)
+def test_norms_are_bitwise_the_dense_pass(k, alpha):
+    # holder_norm and norm_report evaluate a compact map only inside its
+    # support and alpha once per ladder; the oracle evaluates every sample
+    # and calls alpha per stride
+    maps = _maps_for_the_dense_oracle(k)
+    ends = [(m.a in sample_grid(m), m.b in sample_grid(m)) for m in maps[:3]]
+    assert ends == [(True, True), (True, False), (False, False)]
+    for f in maps:
+        xs = sample_grid(f)
+        h = xs[1] - xs[0]
+        jets = every_sample_jets(f, xs, k)
+        for lowest in range(k + 1):
+            got = f.displacement_jets(xs, k, lowest)
+            assert np.array_equal(got.view(np.uint64),
+                                  jets[:, lowest:].copy().view(np.uint64))
+        for j in range(1, k + 1):
+            want = _two_arrays_per_stride(jets[:, j], h, alpha)
+            assert holder_norm(f, alpha, j).hex() == want.hex(), (f.n, j)
+        r = norm_report(f, alpha, k)
+        sup_dev = [float(np.max(np.abs(jets[:, i]))) for i in range(k + 1)]
+        holder_dev = [_two_arrays_per_stride(jets[:, i], h, alpha)
+                      for i in range(1, k + 1)]
+        top_half = _two_arrays_per_stride(jets[::2, k], 2 * h, alpha)
+        ratio = holder_dev[-1] / top_half if top_half > 0 else 1.0
+        assert [v.hex() for v in r.sup_dev] == [v.hex() for v in sup_dev]
+        assert [v.hex() for v in r.holder_dev] == [v.hex()
+                                                   for v in holder_dev]
+        assert r.m_k.hex() == max(sup_dev[1:]).hex()
+        assert r.refine_ratio.hex() == ratio.hex()
+        assert (r.window, r.samples) == ((xs[0], xs[-1]), xs.size)
 
 
 # -- inequality verifiers --------------------------------------------------------

@@ -70,7 +70,39 @@ def test_cutoff_jets_are_those_of_the_np_mod_fold(monkeypatch):
                          np.arange(-20.0, 21.0) + 0.1, [-1e-13, -1e9 - 0.45]])
     got = z.jets(xs, 3)
     monkeypatch.setattr(reduction, "_frac", lambda y: np.mod(y, 1.0))
-    assert np.array_equal(z.jets(xs, 3), got)
+    # a fresh instance: z's cache would hand back `got` itself
+    assert np.array_equal(reduction.PlateauBump().jets(xs, 3), got)
+
+
+def test_cutoff_cache_gives_the_bits_of_a_fresh_instance():
+    z = reduction.PlateauBump()
+    lattice = np.linspace(0.0, 1.0, 1025)
+    for xs, order in [(lattice, 2), (lattice, 2), (lattice + 0.25, 2),
+                      (lattice, 3), (lattice[:513], 2), (lattice, 1),
+                      (lattice.reshape(25, 41), 2), (lattice, 2)]:
+        got = z.jets(xs, order)
+        want = reduction.PlateauBump().jets(xs, order)
+        assert got.shape == xs.shape + (order + 1,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_cutoff_cache_is_bounded_and_cannot_be_poisoned():
+    z = reduction.PlateauBump()
+    for i in range(3 * reduction.PlateauBump._CACHED):
+        z.jets(np.linspace(0.0, 1.0, 129) + i / 7.0, 2)
+        assert len(z._cache) <= reduction.PlateauBump._CACHED
+    xs = np.linspace(-0.5, 0.5, 257)
+    got = z.jets(xs, 2)
+    with pytest.raises(ValueError):
+        got[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        z(xs)[0] = 7.0
+    # the key is a copy of the points: changing them after the call asks
+    # for another lattice
+    xs[100] = 0.3
+    fresh = reduction.PlateauBump()
+    assert np.array_equal(z.jets(xs, 2), fresh.jets(xs, 2))
+    assert np.array_equal(z.jets(np.linspace(-0.5, 0.5, 257), 2), got)
 
 
 def test_config_windows():
@@ -308,6 +340,21 @@ def test_spread_once_refuses_factors_moving_their_window_ends():
     strict = dataclasses.replace(DEFAULT_TOL, surgery_boundary=0.0)
     with pytest.raises(PreconditionError,
                        match="window ends are not fixed to all orders"):
+        spread_once(h, cfg, strict)
+
+
+def test_spread_once_refuses_damped_factors_that_do_not_separate():
+    # h0's interpolant on 257 nodes differs from h's on 200 by the
+    # interpolation error alone, so h o h0^{-1} moves the window where the
+    # cutoff is 1 by 7e-18, which a zero tolerance refuses (on a grid that
+    # h0's refines, the residual is exactly 0)
+    cfg = make_config(2, ALPHA, 2)
+    g = small_periodic(np.random.default_rng(36), k=2, eps=3e-5, n=200)
+    h = post_translate(g, -float(g(np.array(0.0))))
+    spread_once(h, cfg)
+    strict = dataclasses.replace(DEFAULT_TOL, window_fix=0.0)
+    with pytest.raises(ConstructionError,
+                       match="damped factors do not separate"):
         spread_once(h, cfg, strict)
 
 
