@@ -328,7 +328,6 @@ class Diffeo1:
         self.n = n
         self.h = (b - a) / (n - 1)
         self._dc: np.ndarray | None = None      # float64 coefficient table
-        self._dcl: np.ndarray | None = None     # its long-double twin
 
         if tail == "ep":
             self._check_ep_fold(tol)
@@ -428,14 +427,14 @@ class Diffeo1:
         first moved by an integer m into [f(a), f(a) + 1) and m is added
         back to the root.  Every other point is bracketed by its node cell
         (_cell_bracket) and solved by _solve_increasing to steps of xtol;
-        one more Newton step, with the residual f(x) - y taken in extended
-        precision (_newton_in_long_double), then leaves x at (or next to)
-        the double nearest the interpolant's root, so the roots carry no
-        rounding noise from node to node.  That step reads the map's
-        long-double coefficient table, built by the first solve whatever
-        its number of points; each root is the same whichever points are
-        solved with it.  A residual above 1e-8 after the loop is a
-        ConstructionError."""
+        one more Newton step, with the residual taken in displacement form
+        (_newton_step), then leaves x within ulp(x) + 2 ulp(x - y) of the
+        interpolant's root, plus the float64 error of u(x): one ulp of x
+        where the displacement and its slope are small, so those roots
+        carry no rounding noise from node to node.  Everything is float64,
+        read from the map's one coefficient table; each root is the same
+        whichever points are solved with it.  A residual above 1e-8 after
+        the loop is a ConstructionError."""
         if self.tail == "ep":
             raise ValueError(f"no inverse is solved for a map of class "
                              f"{self.tail!r}")
@@ -456,33 +455,32 @@ class Diffeo1:
         xs = _solve_increasing(lambda x: self.jet_at(x, 1), ys, lo, hi, x0,
                                tolx) + m
         if xs.size:
-            x[sel], resid = self._newton_in_long_double(xs, y[sel])
+            x[sel], resid = self._newton_step(xs, y[sel])
             if resid > 1e-8:
                 raise ConstructionError(
                     f"inverse solve stalled with residual {resid:.3e}")
         return x[0] if shape == () else x.reshape(shape)
 
-    def _newton_in_long_double(self, x: np.ndarray,
-                               y: np.ndarray) -> tuple[np.ndarray, float]:
-        """One Newton step toward f(x) = y whose residual is evaluated in
-        np.longdouble (80-bit where the platform has it, else an ordinary
-        step), and the largest residual |f(x) - y| before the step.  The
-        residual is a few ulp at most, so the step takes the slope of the
-        cell's chord.  The long-double coefficients come from the map's
-        table of every cell, built on the first call and kept on the map,
-        as the float64 table is."""
-        xl = x.astype(np.longdouble)
-        xf, ident = self._fold(xl)
+    def _newton_step(self, x: np.ndarray,
+                     y: np.ndarray) -> tuple[np.ndarray, float]:
+        """One Newton step toward f(x) = y, and the largest residual
+        |f(x) - y| before the step.  The residual is taken in displacement
+        form, r = (x - y) + u(x), from the float64 table: x - y is exact
+        wherever y/2 <= x <= 2y (Sterbenz), so r carries the error of u(x)
+        and ulp(r).  u(x) is off by ulp(u) and by |u'| times the rounding
+        of the cell position (x - a) / h: far below ulp(x) where u and u'
+        are small, about |u'| ulp(b - a) on a map of large displacement
+        over a wide grid, such as a rescaler.  The table is the one the
+        solve before this step built.  The residual is a few ulp at most,
+        so the step takes the slope of the cell's chord."""
+        xf, ident = self._fold(x)
         i, t = _grid_cells(xf, self.a, self.h, self.n - 1)
-        if self._dcl is None:
-            jl = self.jets.astype(np.longdouble)
-            self._dcl = _hermite_coeffs(jl[:-1], jl[1:], self.h)
-        u = _horner(self._dcl, i, t, self.h, 0)[:, 0]
+        u = _horner(self._dc, i, t, self.h, 0)[:, 0]
         u[ident] = 0.0
-        r = xl + u - y
+        r = (x - y) + u
         slope = 1.0 + (self.jets[i + 1, 0] - self.jets[i, 0]) / self.h
-        xn = xl - r / np.maximum(slope, 1e-14)
-        return xn.astype(float), float(np.max(np.abs(r)))
+        xn = x - r / np.maximum(slope, 1e-14)
+        return xn, float(np.max(np.abs(r)))
 
 
 # -- constructors ---------------------------------------------------------

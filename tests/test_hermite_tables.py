@@ -3,11 +3,12 @@
 `_hermite_coeffs` runs on whole (orders, cells) blocks with constants from
 a per-order plan; the oracle below is the plain loop over single orders it
 replaced, and the two must agree bit for bit, signed zeros included, in
-float64 and in long double.  The long-double table of an inverse solve is
-kept on the map once a call touches every cell, and must give the same
-roots as the per-point coefficients.  The guard tests record how many
-tables and dense sup passes one norm reduction builds, and check its
-output against the path that still made the bitwise copies.
+float64 and in long double.  An inverse solve reads the map's one float64
+table: its roots must not depend on how the points are grouped, and must
+lie within one ulp of a long-double root computed here.  The guard tests
+record how many tables and dense sup passes one norm reduction builds,
+that no table is built in another dtype, and check its output against the
+path that still made the bitwise copies.
 
 A map keeps only the order-0 table; `_horner` derives the rows of the
 higher orders at evaluation.  Its reference is the list of per-order
@@ -178,7 +179,6 @@ def test_a_map_evaluated_at_every_order_holds_one_table(k):
     assert set(held) == {"jets", "_dc"}
     assert held["_dc"].dtype == np.float64
     assert held["_dc"].shape == (2 * k + 2, f.n - 1)
-    assert f._dcl is None
 
 
 def test_the_edge_profile_holds_one_table():
@@ -198,20 +198,19 @@ def test_the_edge_profile_holds_one_table():
                               held["table"].view(np.int64))
 
 
-# -- the long-double table of the inverse solve --------------------------------
+# -- the inverse solve in float64 ----------------------------------------------
 
-def _ld_builds(monkeypatch):
-    """Cell counts of the long-double coefficient builds made from now on."""
-    cells = []
+def _table_dtypes(monkeypatch):
+    """The dtypes of the coefficient tables built from now on."""
+    dtypes = []
     original = diffeo._hermite_coeffs
 
     def recording(j0, j1, h):
-        if j0.dtype == np.longdouble:
-            cells.append(j0.shape[0])
+        dtypes.append(j0.dtype)
         return original(j0, j1, h)
 
     monkeypatch.setattr(diffeo, "_hermite_coeffs", recording)
-    return cells
+    return dtypes
 
 
 def _bits(a):
@@ -231,7 +230,6 @@ def test_the_cached_table_gives_the_per_point_roots(make):
     y_few = y_all[::37]
 
     few_first = f.inverse_values(y_few)
-    assert f._dcl is not None
     full = f.inverse_values(y_all)
     few_cached = f.inverse_values(y_few)
     assert np.array_equal(_bits(few_cached), _bits(few_first))
@@ -249,12 +247,51 @@ def test_the_cached_table_gives_the_per_point_roots(make):
     lambda: small_bump(2e-3, center=0.1, radius=0.9, n=257),
     lambda: small_periodic(np.random.default_rng(9)),
 ], ids=["compact", "periodic"])
-def test_an_inverse_build_makes_one_long_double_table(monkeypatch, make):
+def test_an_inverse_build_makes_only_float64_tables(monkeypatch, make):
     f = make()
-    builds = _ld_builds(monkeypatch)
+    dtypes = _table_dtypes(monkeypatch)
     inverse(f)
-    assert builds.count(f.n - 1) == 1
-    assert f._dcl is not None and f._dcl.shape == (2 * f.k + 2, f.n - 1)
+    assert dtypes and all(d == np.float64 for d in dtypes)
+    assert set(_arrays_held(f)) == {"jets", "_dc"}
+
+
+def _long_double_roots(f, x, y):
+    """Two Newton steps from the roots x of f(x) = y with every operation
+    in long double, on the map's long-double coefficient table."""
+    jl = f.jets.astype(np.longdouble)
+    c = _hermite_coeffs(jl[:-1], jl[1:], f.h)
+    xl = x.astype(np.longdouble)
+    for _ in range(2):
+        xf, ident = f._fold(xl)
+        i, t = diffeo._grid_cells(xf, f.a, f.h, f.n - 1)
+        u, du = diffeo._horner(c, i, t, f.h, 1).T
+        u[ident], du[ident] = 0.0, 0.0
+        xl = xl - (xl + u - y) / (1.0 + du)
+    return xl
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is float64 on this platform")
+@pytest.mark.parametrize("make", [
+    lambda: small_bump(2e-3, center=0.1, radius=0.9, k=3, n=257),
+    lambda: small_bump(2e-3, center=0.1, radius=0.9, k=2, n=257),
+    lambda: small_periodic(np.random.default_rng(10)),
+], ids=["bump-k3", "bump-k2", "periodic"])
+def test_float64_roots_match_the_long_double_root_to_the_ulp(make):
+    # the float64 step rounds x - y, u(x) and their sum at the scale of
+    # the displacement x - y, and the new root at the scale of x: so one
+    # ulp of x where the displacement is far smaller than x, and ulp(x) +
+    # 2 ulp(x - y) near x = 0
+    f = make()
+    lo, hi = (f.a, f.b) if f.tail == "compact" else (-0.7, 2.3)
+    y = np.linspace(lo, hi, 100_003)[1:-1]
+    x = f.inverse_values(y)
+    gap = np.abs(_long_double_roots(f, x, y) - x)
+    ulp_x, ulp_d = np.spacing(np.abs(x)), np.spacing(np.abs(x - y))
+    far = np.abs(x) >= 32.0 * np.abs(x - y)
+    assert far.mean() > 0.9
+    assert np.all(gap[far] <= ulp_x[far])
+    assert np.all(gap <= ulp_x + 2.0 * ulp_d)
 
 
 # -- guards: tables and sup passes of one norm reduction -----------------------
@@ -269,8 +306,7 @@ def test_reduce_norm_builds_five_tables_and_three_sup_passes(monkeypatch, k):
     build, sups = diffeo._hermite_coeffs, reduction._sup_norms
 
     def counting_tables(j0, j1, h):
-        if j0.dtype == np.float64:
-            tables.append(j0.shape[0])
+        tables.append(j0.dtype)
         return build(j0, j1, h)
 
     def counting_sups(f, lowest=0, order=1):
@@ -279,13 +315,12 @@ def test_reduce_norm_builds_five_tables_and_three_sup_passes(monkeypatch, k):
 
     monkeypatch.setattr(diffeo, "_hermite_coeffs", counting_tables)
     monkeypatch.setattr(reduction, "_sup_norms", counting_sups)
-    ld = _ld_builds(monkeypatch)
     reduce_norm(_profile(k), make_config(k, ALPHA, 4))
-    # input, roll-up, recentering, damped factor and the planted product
-    assert len(tables) == 5
+    # input, roll-up, recentering, damped factor and the planted product,
+    # the damped factor's inverse solve included: no table of another dtype
+    assert tables == [np.dtype(np.float64)] * 5
     # roll_params reads order 0, rolled_slope order 1, spread_once both
     assert passes == [(0, 0), (1, 1), (0, 1)]
-    assert len(ld) == 1                     # the damped factor, solved
 
 
 def _reference_reduce_norm(g, cfg):

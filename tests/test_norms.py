@@ -16,12 +16,14 @@ from diffeolab import (
     identity,
     log_refined_holder,
     norm_report,
+    sweep_profile,
     translate_conjugate,
     verify_derivation,
     verify_domination,
     verify_lip_met,
     verify_subadditivity,
 )
+from diffeolab import norms
 from diffeolab.modulus import SampledModulus
 from diffeolab.norms import holder_seminorm_samples, sample_grid
 from _helpers import every_sample_jets, small_bump, small_periodic
@@ -120,6 +122,62 @@ def test_moduli_evaluate_an_array_with_the_scalar_floats(alpha):
     got = alpha(xs)
     want = np.array([float(alpha(float(x))) for x in xs])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _ladder_inputs(m):
+    """Samples whose sup sits at each end of the ladder, or nowhere."""
+    i = np.arange(m)
+    spike = np.zeros(m)
+    spike[m // 3] = 1.0
+    step = np.where(i < m // 2, 0.0, 1.0)   # every stride's gap ties at 1
+    tiny = np.random.default_rng(m).integers(-3, 4, m) * 5e-324
+    zeros = np.where(i % 3 == 0, -0.0, 0.0)
+    return {
+        "constant": np.full(m, 0.3),
+        "negative-zeros": np.full(m, -0.0),
+        "spike": spike,
+        "alternating": np.where(i % 2 == 0, 1.0, -1.0),  # stride 1 holds it
+        "ramp": np.linspace(-1.0, 2.0, m),             # the full span does
+        "step": step,
+        "subnormal": tiny,
+        "signed-zeros": zeros,
+        "subnormal-and-zeros": np.where(i % 2 == 0, tiny, zeros),
+        "sine": np.sin(np.linspace(0.0, 3.0, m)),
+        "noise": np.random.default_rng(m + 1).standard_normal(m),
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 17, 1025, (1 << 16) + 1])
+@pytest.mark.parametrize("alpha", MODULI, ids=MODULUS_IDS)
+def test_pruned_ladder_is_bitwise_the_full_ladder(m, alpha):
+    for name, vals in _ladder_inputs(m).items():
+        for step in (1.0 / 512, 0.37):
+            got = holder_seminorm_samples(vals, step, alpha)
+            want = _two_arrays_per_stride(vals, step, alpha)
+            assert got.hex() == want.hex(), (name, step)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_the_estimator_refuses_non_finite_samples(bad):
+    vals = np.sin(np.linspace(0.0, 3.0, 1001))
+    vals[500] = bad
+    with pytest.raises(ValueError, match="finite"):
+        holder_seminorm_samples(vals, 3.0 / 1000, ALPHA)
+
+
+@pytest.mark.parametrize("alpha", MODULI[:2], ids=MODULUS_IDS[:2])
+def test_holder_norm_reads_few_strides_beyond_the_first(monkeypatch, alpha):
+    strides = []
+    gap = norms._stride_gap
+
+    def counting(vals, s, buf):
+        strides.append(s)
+        return gap(vals, s, buf)
+
+    monkeypatch.setattr(norms, "_stride_gap", counting)
+    holder_norm(sweep_profile(8, 3), alpha, 3)
+    assert strides[0] == 1 and 1 not in strides[1:]
+    assert len(strides) - 1 <= 4
 
 
 def _maps_for_the_dense_oracle(k):
