@@ -426,17 +426,20 @@ def _cmd_mather_lambda(args, cfg: RunConfig) -> int:
     g = reduction.sweep_profile(mcfg.A, mcfg.k, eps)
     res = reduction.reduce_norm(g, mcfg, tol)
     cert = reduction.conjugator(g, res.map, mcfg, tol)
-    ok = cert.residual <= tol.cert_tol
+    residual = fixpoint.identity_residual("flow-conjugacy", {
+        "conjugated": g, "reduced": res.map, "witness": cert.lam,
+        "flow_time_one": cert.tau}, mcfg)
+    ok = residual <= tol.cert_tol
     path = _report(cfg, "lambda_report.json", {
         "eps": eps,
-        "residual": cert.residual,
+        "residual": residual,
         "word_length": cert.word_length,
         "translation": cert.b,
         "witness_support": list(diffeo.support_interval(cert.lam) or ()),
         "reduction": res.to_dict(),
         "ok": ok,
     })
-    print(f"mather lambda: residual={cert.residual:.3e} ok={ok} -> {path}")
+    print(f"mather lambda: residual={residual:.3e} ok={ok} -> {path}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 

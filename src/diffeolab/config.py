@@ -9,7 +9,7 @@ module constants below are fixed: every caller uses the one value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, asdict
 
 # norm grids: sample points per grid cell of the map
 EVAL_DENSITY = 8
@@ -66,9 +66,6 @@ class Tolerances:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def with_overrides(self, **kw) -> "Tolerances":
-        return replace(self, **kw)
 
 
 DEFAULT_TOL = Tolerances()

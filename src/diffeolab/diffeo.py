@@ -139,8 +139,8 @@ def _hermite_coeffs(j0: np.ndarray, j1: np.ndarray, h: float) -> np.ndarray:
 
 def _grid_cells(xf: np.ndarray, lo: float, h: float,
                 cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell index and local coordinate t of points xf on the grid lo + h*i
-    of `cells` cells, in the precision of xf.
+    """Cell index and local coordinate t of float64 points xf on the grid
+    lo + h*i of `cells` cells.
 
     Every point must be finite and none may lie left of lo, so that
     pos >= 0 and truncation is the floor; a NaN casts to the most negative
@@ -526,7 +526,9 @@ def _apply_letter(g: Diffeo1, Y: np.ndarray, order: int) -> None:
     contiguous superset of those points and needs no sorted order; a point
     in it but off the grid still gets the exact identity.  Any other g
     acts on every point.  The base points are copied out of Y first: a
-    contiguous array compares and evaluates faster than Y's column."""
+    contiguous array compares and evaluates faster than Y's column.  At
+    order 0 the chain rule would only copy g's values, so they are
+    written directly."""
     x = Y[:, 0].copy()
     if g.tail == "compact":
         inside = (x > g.a) & (x < g.b)
@@ -534,7 +536,8 @@ def _apply_letter(g: Diffeo1, Y: np.ndarray, order: int) -> None:
             return
         lo, hi = int(inside.argmax()), x.size - int(inside[::-1].argmax())
         Y, x = Y[lo:hi], x[lo:hi]
-    Y[:] = compose_derivs(g.jet_at(x, order), Y)
+    J = g.jet_at(x, order)
+    Y[:] = J if order == 0 else compose_derivs(J, Y)
 
 
 def _displacement_fn_compose(f: Diffeo1, g: Diffeo1):

@@ -19,15 +19,14 @@ search and the chain: each step checks the composite's support against
 rescaler in closed form.  `make_rescaler` builds the Hermite map of the
 same parameters for callers that want it as a Diffeo1.
 
-Identities are checked by evaluation at sample points, never by building
-the maps they mention: f o u0 is evaluated as f(u0(x)), and the flow
-conjugacy is composed on the right by the witness so that no inverse is
-solved, so the replay builds no map at all.  The unit-time flow map is
-checked against the plateau field it claims to integrate.  The search
-replays its own chain on the maps it holds, so it decodes none, and
-passes the replay the identity residuals it computed on them, so it
-evaluates each identity once; verify_certificate recomputes every one
-with the same functions.
+The certificate's identities are one table, _IDENTITIES, which the chain
+stores with statements read off its words.  A word identity is evaluated at
+sample points by one evaluator, reduction._word at order 0, never by
+building the maps it mentions, so the replay builds no map and solves no
+inverse.  The unit-time flow map's check against its plateau field and the
+fixed point's C^k distance are the table's two other rows.  The search
+replays its own chain on the maps it holds through verify_certificate's
+replay, and stores what it computed in the unreplayed `report` section.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .diffeo import (Diffeo1, _build_adaptive, _minus_identity,
 from .norms import holder_norm
 from .reduction import (MatherConfig, PsiResult, reduce_norm, conjugator,
                         ConjugacyCertificate, make_config, rescale_factor,
-                        witness_window, _flow_conjugacy_residual, _samples)
+                        witness_window, _word)
 
 
 # -- rescaling conjugator ----------------------------------------------------
@@ -225,6 +224,25 @@ def make_rescaler(cfg: MatherConfig,
                            _rescaler_fn(ratio, zi, zo, k), n0, tol)
 
 
+class _RescalerLetter:
+    """The rescaler as a letter of reduction._word: compact on [-zo, zo],
+    with jets in closed form, all that _apply_letter reads of a map."""
+
+    tail = "compact"
+
+    def __init__(self, params: tuple[float, float, float, int]):
+        self.ratio = params[0]
+        self.a, self.b = -params[2], params[2]
+        self._disp = _rescaler_fn(*params)
+
+    def jet_at(self, x: np.ndarray, order: int) -> np.ndarray:
+        out = self._disp(x, order)
+        out[..., 0] += x
+        if order >= 1:
+            out[..., 1] += 1.0
+        return out
+
+
 # -- the renormalized reduction step -----------------------------------------
 
 @dataclass(frozen=True)
@@ -300,7 +318,7 @@ class FixedPointResult:
     iterations: int
     residual: float
     trace: list
-    certificates: list
+    certificate: ConjugacyCertificate | None
     chain: dict | None
 
     @property
@@ -333,9 +351,49 @@ def calibrated_bump(target: float, alpha, k: int = 2, center: float = 0.0,
 
 
 CHAIN_FORMAT = "homology-certificate-chain"
-CHAIN_VERSION = 3
+CHAIN_VERSION = 4
 _CHAIN_MAPS = ("f", "u0", "conjugated", "reduced", "witness",
                "flow_time_one")
+
+# The certificate's identities, in replay order.  A "words" row states
+# lhs = rhs, words of chain maps and the rescaler written outermost first,
+# read at `samples` points over its window (D or witness_window) widened by
+# `widen` left and right, and out to the support of each word in
+# `supports`: a map's, pulled back by x -> ratio*x through a rescaler.
+_IDENTITIES = (
+    {"name": "rescale-conjugation", "check": "words",
+     "lhs": ["conjugated", "rescaler"], "rhs": ["rescaler", "f", "u0"],
+     "window": "D", "widen": [1.0, 1.0], "samples": 1025,
+     "supports": [["f"], ["u0"], ["conjugated", "rescaler"]]},
+    {"name": "flow-conjugacy", "check": "words",
+     "lhs": ["flow_time_one", "reduced", "witness"],
+     "rhs": ["witness", "flow_time_one", "conjugated"],
+     "window": "witness", "widen": [2.0, 1.0], "samples": 2049,
+     "supports": [["reduced"], ["conjugated"], ["witness"]]},
+    {"name": "flow-time-one", "check": "unit-time-flow",
+     "lhs": ["flow_time_one"]},
+    {"name": "fixed-point", "check": "ck_distance",
+     "lhs": ["reduced"], "rhs": ["u0"]},
+)
+
+
+def _statement(row: dict) -> str:
+    """The identity a row of _IDENTITIES states, read off its words."""
+    lhs, rhs = (" o ".join(row.get(side, ())) for side in ("lhs", "rhs"))
+    if row["check"] == "unit-time-flow":
+        return f"{lhs} is the unit-time map of the plateau field of A"
+    metric = " in the C^k metric" if row["check"] == "ck_distance" else ""
+    return f"{lhs} = {rhs}{metric}"
+
+
+def _identity_table() -> list:
+    """The chain's `identities` section: _IDENTITIES with the statements,
+    as fresh JSON data."""
+    return json.loads(json.dumps([{**row, "statement": _statement(row)}
+                                  for row in _IDENTITIES]))
+
+
+_TABLE = _identity_table()              # what a chain must hold; never changed
 
 
 def _supports(maps: dict, names) -> dict:
@@ -343,25 +401,14 @@ def _supports(maps: dict, names) -> dict:
     return {name: support_interval(maps[name]) for name in names}
 
 
-def _rescale_residual(maps: dict, supp: dict,
-                      params: tuple[float, float, float, int],
-                      window: tuple[float, float]) -> float:
-    """Largest gap of g o rescaler = rescaler o f o u, for the chain maps
-    g = conjugated, f and u = u0, with the rescaler in closed form and
-    f o u evaluated as f(u(x)), over the window and the supports (supp,
-    by map name) of f, of u and of g pulled back by the inner scaling."""
-    g, f, u = maps["conjugated"], maps["f"], maps["u0"]
-    ratio = params[0]
-    sg = supp["conjugated"]
-    xs = _samples(window[0] - 1.0, window[1] + 1.0, 1025,
-                  [supp["f"], supp["u0"],
-                   None if sg is None else (sg[0] / ratio, sg[1] / ratio)])
-    disp = _rescaler_fn(*params)
-
-    def q(ys: np.ndarray) -> np.ndarray:
-        return ys + disp(ys, 0)[..., 0]
-
-    return float(np.max(np.abs(g(q(xs)) - q(f(u(xs))))))
+def _samples(lo: float, hi: float, n: int, supports) -> np.ndarray:
+    """n samples over [lo, hi], widened a unit past any support it does not
+    hold, at the same spacing."""
+    step = (hi - lo) / (n - 1)
+    for s in supports:
+        if s is not None:
+            lo, hi = min(lo, s[0] - 1.0), max(hi, s[1] + 1.0)
+    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
 
 
 def _flow_time_one_residual(tau: Diffeo1, field: PlateauField) -> float:
@@ -387,15 +434,44 @@ def _flow_time_one_residual(tau: Diffeo1, field: PlateauField) -> float:
                      np.max(np.abs(unit), initial=0.0)))
 
 
+def _residual(row: dict, maps: dict, supp: dict, cfg: MatherConfig) -> float:
+    """The residual of one row of _IDENTITIES on the maps, keyed by their
+    chain names, with "rescaler" a _RescalerLetter when a word reads it;
+    supp holds the supports of the maps the row's sample rule reads."""
+    check = row["check"]
+    if check == "ck_distance":
+        return ck_distance(maps[row["lhs"][0]], maps[row["rhs"][0]])
+    if check == "unit-time-flow":
+        return _flow_time_one_residual(maps[row["lhs"][0]],
+                                       PlateauField(cfg.A))
+    lo, hi = cfg.D if row["window"] == "D" else witness_window(cfg)
+    left, right = row["widen"]
+    reach = []
+    for word in row["supports"]:        # [map] or [map, "rescaler"]
+        s = supp[word[0]]
+        if s is not None and word[1:]:
+            s = tuple(end / maps["rescaler"].ratio for end in s)
+        reach.append(s)
+    xs = _samples(lo - left, hi + right, row["samples"], reach)
+    lhs, rhs = (_word(xs, [(maps[name], 1, 0.0, 0.0)
+                           for name in reversed(row[side])], 0)[:, 0]
+                for side in ("lhs", "rhs"))
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def identity_residual(name: str, maps: dict, cfg: MatherConfig) -> float:
+    """The replay's residual of the certificate identity `name` on the maps
+    keyed by their chain names; `mather lambda` reads its flow conjugacy."""
+    (row,) = [row for row in _IDENTITIES if row["name"] == name]
+    return _residual(row, maps, _supports(maps, {
+        word[0] for word in row.get("supports", ())}), cfg)
+
+
 def _assemble_chain(maps: dict, params: tuple[float, float, float, int],
-                    step: RenormStep, cert: ConjugacyCertificate,
-                    residuals: dict, cfg: MatherConfig, tol: Tolerances,
+                    step: RenormStep, cfg: MatherConfig, tol: Tolerances,
                     iterations: int, trace: list) -> dict:
-    """The certificate chain of a converged search, from the maps it
-    holds, keyed by their names in the chain, and the identity residuals
-    it computed on them, keyed by their replay item names."""
-    red = step.reduction
-    fix_residual = residuals["fixed-point"]
+    """The replayed part of the certificate chain of a converged search,
+    from the maps it holds, keyed by their names in the chain."""
     ratio, zi, zo, k = params
     return {
         "format": CHAIN_FORMAT,
@@ -403,49 +479,25 @@ def _assemble_chain(maps: dict, params: tuple[float, float, float, int],
         "config": {**cfg.to_dict(), "fix_tol": tol.fix_tol,
                    "cert_tol": tol.cert_tol},
         "iterations": iterations,
-        "residual": fix_residual,
+        "residual": trace[-1]["residual"],
         "trace": trace,
         "rescaler": {"ratio": ratio, "zi": zi, "zo": zo, "k": k},
         "maps": {name: map_to_dict(maps[name]) for name in _CHAIN_MAPS},
-        "identities": {
-            "rescale_conjugation": {
-                "statement": ("conjugated o rescaler = rescaler o (f o u0), "
-                              "the rescaler in closed form from its "
-                              "parameters"),
-                "residual": residuals["rescale-conjugation"],
-                "samples": 1025,
-            },
-            "flow_conjugacy": {
-                "statement": ("flow_time_one o reduced o witness = witness "
-                              "o flow_time_one o conjugated"),
-                "residual": residuals["flow-conjugacy"],
-                "tail_flow_time": cert.b,
-                "word_length": cert.word_length,
-                "translation_dev": cert.translation_dev,
-                "overlaps": dict(cert.overlaps),
-            },
-            "fixed_point": {
-                "statement": "reduced = u0 in the C^k metric",
-                "residual": fix_residual,
-            },
-        },
+        "identities": _identity_table(),
         "homology": {
             "statement": ("reduced = u0 and reduced is conjugate to "
                           "conjugated, which is conjugate to f o u0; hence "
                           "[f] + [u0] = [u0] and [f] vanishes in first "
                           "homology"),
-            "reduction": red.to_dict(),
+            "reduction": step.reduction.to_dict(),
         },
     }
 
 
-def _replay_own_chain(chain: dict, maps: dict, residuals: dict,
-                      tol: Tolerances) -> None:
-    """Refuse, at the certificate stage, a chain whose replay on the maps
-    it was assembled from, with the identity residuals computed on them,
-    fails."""
+def _replay_own_chain(chain: dict, maps: dict, tol: Tolerances) -> dict:
+    """The replay report of a chain on its own maps, unless it fails."""
     try:
-        report = _replay(chain, maps, tol, residuals)
+        report = _replay(chain, maps, tol)
     except ValueError as e:
         raise ConstructionError(
             f"certificate stage: replay failed: {e}") from e
@@ -453,6 +505,7 @@ def _replay_own_chain(chain: dict, maps: dict, residuals: dict,
     if failed:
         raise ConstructionError(
             f"certificate stage: replay failed on {', '.join(failed)}")
+    return report
 
 
 def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
@@ -467,18 +520,10 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
     Non-convergence is a reported outcome, not an exception: u0 is None
     and the trace records every residual.  A converged run replays its
     own chain, and refuses with "certificate stage: replay failed ..."
-    unless every item passes.  The replay is that of verify_certificate,
-    run on the maps the search holds rather than on maps decoded from the
-    chain, and given as an argument the four identity residuals the
-    search computed on them: the rescale conjugation by _rescale_residual,
-    the flow conjugacy by conjugator through _flow_conjugacy_residual
-    (evaluated composed on the right by the witness, so no inverse is
-    solved), the unit-time flow map by _flow_time_one_residual, and the
-    fixed point as the last step's ck_distance.  The replay recomputes
-    each with the same function, on the same points while the supports
-    lie in their windows (else a support item fails), and the maps' jets
-    are the chain's bit for bit, so the report is the same; only the
-    config and support items are evaluated again.
+    unless every item passes.  That replay, verify_certificate's on the
+    maps the search holds (the chain's jets bit for bit), is the only
+    evaluation of the identities; the chain's unreplayed `report` section
+    keeps its residuals and the conjugator's diagnostics.
     """
     tol = tol or DEFAULT_TOL
     if cfg.A == 1:
@@ -526,25 +571,25 @@ def fixed_point_search(f: Diffeo1, cfg: MatherConfig,
             maps = {"f": f, "u0": u, "conjugated": step.conjugated,
                     "reduced": step.map, "witness": cert.lam,
                     "flow_time_one": cert.tau}
-            residuals = {
-                "rescale-conjugation": _rescale_residual(
-                    maps, _supports(maps, ("f", "u0", "conjugated")),
-                    params, cfg.D),
-                "flow-conjugacy": cert.residual,
-                "flow-time-one": _flow_time_one_residual(
-                    cert.tau, PlateauField(cfg.A)),
-                "fixed-point": float(residual),
+            chain = _assemble_chain(maps, params, step, cfg, tol, it, trace)
+            replayed = _replay_own_chain(chain, maps, tol)
+            names = [row["name"] for row in _IDENTITIES]
+            chain["report"] = {
+                "residuals": {item["name"]: item["recomputed"]
+                              for item in replayed["items"]
+                              if item["name"] in names},
+                "conjugator": {"tail_flow_time": cert.b,
+                               "word_length": cert.word_length,
+                               "translation_dev": cert.translation_dev,
+                               "overlaps": dict(cert.overlaps)},
             }
-            chain = _assemble_chain(maps, params, step, cert, residuals,
-                                    cfg, tol, it, trace)
-            _replay_own_chain(chain, maps, residuals, tol)
             return FixedPointResult(u0=u, iterations=it,
                                     residual=float(residual), trace=trace,
-                                    certificates=[cert], chain=chain)
+                                    certificate=cert, chain=chain)
         u = step.map
     return FixedPointResult(u0=None, iterations=tol.fix_max_iter,
                             residual=float(residual), trace=trace,
-                            certificates=[], chain=None)
+                            certificate=None, chain=None)
 
 
 # -- serialization and replay -------------------------------------------------
@@ -611,24 +656,18 @@ _MALFORMED = (KeyError, IndexError, TypeError, ValueError, ConstructionError)
 
 
 def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
-    """Replay a version-3 certificate chain, trusting no stored number.
+    """Replay a version-4 certificate chain, trusting no stored number.
 
-    Every map is rebuilt from its jets; the replay proper (_replay) then
-    recomputes the geometry and each stated identity.  The geometry (D, E
-    and the rescaler parameters) is recomputed from the stored k and A
-    with the search's own rules, and the `config` item requires the
-    stored config, the `rescaler` entry, every map's k and the grid of
-    flow_time_one to agree with it exactly.  An identity passes only when
-    its recomputed residual is at most cert_tol, and the stored residuals
-    are reported for information only.  The flow conjugacy is evaluated
-    as tau o reduced o witness = witness o tau o conjugated, so no inverse
-    is solved, and flow-time-one checks tau against the plateau field of
-    the stored A (_flow_time_one_residual); it has no stored residual.
-    The support items check f, u0, conjugated, reduced and the witness
-    against their intervals.  A chain of another format or version
-    (versions 1 and 2 included), one that cannot be read, or one with a
-    map whose class is not "compact" is a ValueError; the class is
-    checked before any map is built.
+    Every map is rebuilt from its jets.  The `config` item requires the
+    stored config, `rescaler` entry, map orders and flow_time_one grid to
+    equal those the search's rules give for the stored k and A; the
+    `identities` item requires the chain's table to be the code's, so no
+    word can be rewritten into a tautology.  Each identity of the code's
+    table passes when its recomputed residual is at most cert_tol.  The
+    report's `unreplayed` list names the fields no item reads.  A chain of
+    another format or version (1 to 3 included), one that cannot be read,
+    or one with a map whose class is not "compact" is a ValueError; the
+    class is checked before any map is built.
     """
     tol = tol or DEFAULT_TOL
     if not isinstance(chain, dict):
@@ -652,34 +691,16 @@ def verify_certificate(chain: dict, tol: Tolerances | None = None) -> dict:
     return _replay(chain, maps, tol)
 
 
-def _identity_residuals(maps: dict, supp: dict,
-                        params: tuple[float, float, float, int],
-                        cfg: MatherConfig) -> dict:
-    """The residual of each identity the replay checks, keyed by its
-    replay item name, evaluated on the chain maps (supp holds their
-    supports).  The flow conjugacy is conjugator's own residual function,
-    given the supports of reduced, conjugated and the witness."""
-    return {
-        "rescale-conjugation": _rescale_residual(maps, supp, params, cfg.D),
-        "flow-conjugacy": _flow_conjugacy_residual(
-            maps["conjugated"], maps["reduced"], maps["witness"],
-            maps["flow_time_one"], cfg,
-            [supp[name] for name in ("reduced", "conjugated", "witness")]),
-        "flow-time-one": _flow_time_one_residual(maps["flow_time_one"],
-                                                 PlateauField(cfg.A)),
-        "fixed-point": ck_distance(maps["reduced"], maps["u0"]),
-    }
+# the chain's fields that no replay item reads
+_UNREPLAYED = ("config.alpha", "config.fix_tol", "config.cert_tol",
+               "iterations", "residual", "trace", "homology", "report")
 
 
-def _replay(chain: dict, maps: dict, tol: Tolerances,
-            residuals: dict | None = None) -> dict:
+def _replay(chain: dict, maps: dict, tol: Tolerances) -> dict:
     """The report of verify_certificate on a chain of the right format,
     whose maps, keyed by their names in the chain, are given as Diffeo1s.
     Each map's support is computed once and read by every item that
-    needs it.  The identity residuals, keyed by replay item name, are
-    reported as given when residuals holds them; otherwise
-    _identity_residuals evaluates them.  A field that cannot be read is a
-    ValueError."""
+    needs it.  A field that cannot be read is a ValueError."""
     try:
         cfgd = dict(chain["config"])
         k, A = cfgd["k"], cfgd["A"]
@@ -690,14 +711,7 @@ def _replay(chain: dict, maps: dict, tol: Tolerances,
         cfg = make_config(k, None, A)
         params = rescaler_params(cfg)
         stored_q = dict(chain["rescaler"])
-        ids = chain["identities"]
-        stored = {
-            "rescale-conjugation":
-                float(ids["rescale_conjugation"]["residual"]),
-            "flow-conjugacy": float(ids["flow_conjugacy"]["residual"]),
-            "flow-time-one": None,
-            "fixed-point": float(ids["fixed_point"]["residual"]),
-        }
+        table = chain["identities"]
         want = {"B": cfg.B, "D": list(cfg.D), "E": list(cfg.E),
                 "eps0": cfg.eps0, "delta0": cfg.delta0}
         found_cfg = {key: cfgd.get(key) for key in want}
@@ -716,28 +730,35 @@ def _replay(chain: dict, maps: dict, tol: Tolerances,
     except _MALFORMED as e:
         raise ValueError(f"malformed certificate chain: {e!r}") from e
 
-    items = [{"name": "config", "stored": None,
-              "recomputed": max(gaps.values()), "bound": 0.0,
+    # the chain's table must be the code's, row for row; the code's rows
+    # are what is evaluated
+    rows = table if isinstance(table, list) else []
+    differ = [row["name"] for i, row in enumerate(_TABLE)
+              if i >= len(rows) or rows[i] != row]
+    if len(rows) != len(_TABLE):
+        differ.append("length")
+    items = [{"name": "config", "recomputed": max(gaps.values()),
+              "bound": 0.0,
               "mismatch": sorted(key for key, v in gaps.items() if v > 0.0),
-              "ok": all(v == 0.0 for v in gaps.values())}]
-
-    def check(name: str, recomputed: float) -> None:
-        items.append({"name": name, "stored": stored[name],
-                      "recomputed": float(recomputed), "bound": tol.cert_tol,
-                      "ok": bool(recomputed <= tol.cert_tol)})
+              "ok": all(v == 0.0 for v in gaps.values())},
+             {"name": "identities", "recomputed": None, "bound": None,
+              "mismatch": differ, "ok": not differ}]
 
     supp = _supports(maps, ("f", "u0", "conjugated", "reduced", "witness"))
-    if residuals is None:
-        residuals = _identity_residuals(maps, supp, params, cfg)
-    for name in stored:
-        check(name, residuals[name])
+    letters = {**maps, "rescaler": _RescalerLetter(params)}
+    for row in _IDENTITIES:
+        recomputed = _residual(row, letters, supp, cfg)
+        items.append({"name": row["name"], "recomputed": recomputed,
+                      "bound": tol.cert_tol,
+                      "ok": bool(recomputed <= tol.cert_tol)})
 
     for name, win in (("f", cfg.D), ("u0", cfg.D), ("conjugated", cfg.E),
                       ("reduced", cfg.D), ("witness", witness_window(cfg))):
         sm = supp[name]
-        items.append({"name": f"support-{name}", "stored": None,
+        items.append({"name": f"support-{name}",
                       "recomputed": None if sm is None else list(sm),
                       "bound": list(win),
                       "ok": bool(_support_inside(sm, win, maps[name].h))})
 
-    return {"ok": all(item["ok"] for item in items), "items": items}
+    return {"ok": all(item["ok"] for item in items), "items": items,
+            "unreplayed": list(_UNREPLAYED)}

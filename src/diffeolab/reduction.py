@@ -42,6 +42,7 @@ from .errors import ConstructionError, PreconditionError
 from .flow import (OVERLAP_REACH, PlateauField, _plateau_jets, _unit_time_map,
                    time_t_map, trajectory_chart)
 from .jets import compose_derivs, invert_derivs
+from .modulus import default_abscissae, tameness_functional
 from .norms import SlackReport, holder_norm
 
 # -- the periodic cutoff profile --------------------------------------------
@@ -567,9 +568,10 @@ def half_ball_eps(cfg: MatherConfig) -> float:
 
 def rescale_factor(alpha, A: int, k: int) -> float:
     """The exact norm scaling of conjugation by x -> A x on the top
-    seminorm: A^(1-k) times the largest value of alpha(s/A)/alpha(s)."""
-    s = np.logspace(-6.0, 3.0, 241)
-    sup = float(np.max(np.asarray(alpha(s / A)) / np.asarray(alpha(s))))
+    seminorm: A^(1-k) times the sup of alpha(s/A)/alpha(s), the lower
+    tameness ratio at t = 1/A, over modulus.default_abscissae()."""
+    sup = float(np.max(tameness_functional(alpha, 1.0 / A,
+                                           default_abscissae(), "sub")))
     return float(A) ** (1 - k) * sup
 
 
@@ -698,7 +700,6 @@ class ConjugacyCertificate:
     b: float                        # translation separating the rolled maps
     tau: Diffeo1                    # unit-time plateau-flow map
     lam: Diffeo1                    # the witness, supported in [-2A, 2A+1]
-    residual: float                 # sup distance of the two sides
     overlaps: dict                  # piecewise-assembly agreement
     word_length: int
     translation_dev: float          # deviation of the limit word's periodic
@@ -718,11 +719,9 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
     The witness is built on witness_window(cfg) at the limit word's own
     density, so its grid holds the cut 2A + 3/4 as a node as the word's
     does, and doubles while its order-0 midpoint gap asks for it.  The
-    residual is _flow_conjugacy_residual with no supports: the gap of
-    tau o v o lam against lam o tau o u, so no inverse of the witness is
-    solved.  It is what verify_certificate recomputes for a chain whose
-    supports lie in their windows, so a search can hand it to its own
-    replay."""
+    conjugacy itself is not evaluated here: the certificate's replay reads
+    it as the flow-conjugacy identity, and `mather lambda` through
+    fixpoint.identity_residual."""
     tol = tol or DEFAULT_TOL
     lam_res = lambda_limit(u, v, cfg, tol)
     b, dev = lam_res.translation, lam_res.translation_dev
@@ -773,30 +772,5 @@ def conjugator(u: Diffeo1, v: Diffeo1, cfg: MatherConfig,
 
     return ConjugacyCertificate(
         b=b, tau=tau, lam=lam,
-        residual=_flow_conjugacy_residual(u, v, lam, tau, cfg),
         overlaps={"left": left, "right": right},
         word_length=lam_res.word_length, translation_dev=dev)
-
-
-def _samples(lo: float, hi: float, n: int, supports) -> np.ndarray:
-    """n samples over [lo, hi], widened a unit past any support it does not
-    hold, at the same spacing."""
-    step = (hi - lo) / (n - 1)
-    for s in supports:
-        if s is not None:
-            lo, hi = min(lo, s[0] - 1.0), max(hi, s[1] + 1.0)
-    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
-
-
-def _flow_conjugacy_residual(u: Diffeo1, v: Diffeo1, lam: Diffeo1,
-                             tau: Diffeo1, cfg: MatherConfig,
-                             supports=()) -> float:
-    """Largest gap of tau o v o lam = lam o tau o u, the conjugacy
-    tau o v = lam o tau o u o lam^{-1} composed on the right by lam, so
-    evaluated with no inverse solve, over 2049 samples of the witness
-    window widened by two units left and one right, and further out to
-    any of the supports it does not hold (_samples).  conjugator and the
-    certificate replay both read the flow conjugacy here."""
-    lo, hi = witness_window(cfg)
-    xs = _samples(lo - 2.0, hi + 1.0, 2049, supports)
-    return float(np.max(np.abs(tau(v(lam(xs))) - lam(tau(u(xs))))))

@@ -5,6 +5,7 @@
 and only here: the package itself never imports it.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -116,7 +117,7 @@ def test_a_nan_field_refuses_with_a_typed_error(monkeypatch):
     assert type(e.value) is ConstructionError
     assert str(e.value).startswith("flow stage: flow integration failed")
     # a tolerance no other test uses, so the profile is not cached yet
-    tol = DEFAULT_TOL.with_overrides(ode_tol=5.5e-12)
+    tol = dataclasses.replace(DEFAULT_TOL, ode_tol=5.5e-12)
     with pytest.raises(ConstructionError) as e:
         trajectory_chart(make_rho(1), 2, tol=tol)
     assert type(e.value) is ConstructionError

@@ -279,8 +279,8 @@ def test_conjugation_scales_the_norm_exactly(preset_f, A):
     # the first step composes with the identity on [-2, 2]; the estimator
     # samples of the conjugate are those of f o u scaled by A, so the
     # seminorm scales by exactly rescale_factor
-    res = fixed_point_search(preset_f, make_config(2, ALPHA, A),
-                             tol=DEFAULT_TOL.with_overrides(fix_max_iter=1))
+    tol = dataclasses.replace(DEFAULT_TOL, fix_max_iter=1)
+    res = fixed_point_search(preset_f, make_config(2, ALPHA, A), tol=tol)
     first = res.trace[0]
     assert first["norm_conjugated"] == pytest.approx(
         rescale_factor(ALPHA, A, 2) * first["norm_composed"], rel=1e-9)
@@ -309,7 +309,7 @@ def test_k1_chains_replay_their_own_witness_window():
 
 
 def test_search_reports_no_convergence_honestly(preset_f, cfg):
-    tol = DEFAULT_TOL.with_overrides(fix_tol=1e-30, fix_max_iter=2)
+    tol = dataclasses.replace(DEFAULT_TOL, fix_tol=1e-30, fix_max_iter=2)
     res = fixed_point_search(preset_f, cfg, tol=tol)
     assert not res.converged
     assert res.chain is None and res.u0 is None
@@ -318,7 +318,7 @@ def test_search_reports_no_convergence_honestly(preset_f, cfg):
 
 
 def test_search_names_the_certificate_stage(preset_f, cfg):
-    tol = DEFAULT_TOL.with_overrides(overlap=1e-300)
+    tol = dataclasses.replace(DEFAULT_TOL, overlap=1e-300)
     with pytest.raises(ConstructionError,
                        match="^certificate stage: piecewise overlap"):
         fixed_point_search(preset_f, cfg, tol=tol)
@@ -326,7 +326,13 @@ def test_search_names_the_certificate_stage(preset_f, cfg):
 
 def test_search_refuses_a_chain_its_replay_fails(preset_f, cfg, monkeypatch):
     # the search replays its own chain: a failing item is a refusal
-    monkeypatch.setattr(fixpoint, "_rescale_residual", lambda *a: 1.0)
+    residual = fixpoint._residual
+
+    def failing(row, *args):
+        return 1.0 if row["name"] == "rescale-conjugation" else residual(
+            row, *args)
+
+    monkeypatch.setattr(fixpoint, "_residual", failing)
     with pytest.raises(ConstructionError, match=(
             "^certificate stage: replay failed on rescale-conjugation$")):
         fixed_point_search(preset_f, cfg)
@@ -334,7 +340,7 @@ def test_search_refuses_a_chain_its_replay_fails(preset_f, cfg, monkeypatch):
 
 def test_search_types_a_replay_that_cannot_read_its_chain(preset_f, cfg,
                                                           monkeypatch):
-    def unreadable(chain, maps, tol, residuals=None):
+    def unreadable(chain, maps, tol):
         raise ValueError("malformed certificate chain: test")
     monkeypatch.setattr(fixpoint, "_replay", unreadable)
     with pytest.raises(ConstructionError, match=(
@@ -379,19 +385,18 @@ def test_search_replays_held_maps_as_the_chain_replays(k, monkeypatch):
     (2, 4, ALPHA), (3, 4, ALPHA), (1, 8, log_refined_holder(0.5, 0.3))])
 def test_a_converged_search_evaluates_each_identity_once(k, A, alpha,
                                                          monkeypatch):
-    # the self-replay reports the residuals the search computed on the
-    # maps it holds, and evaluates none of the four identities again; the
-    # flow conjugacy is evaluated without solving the witness's inverse
-    calls = {"rescale": 0, "flow": 0, "time-one": 0}
-    distances, solves, reports = [], [], []
-    distance, replay = ck_distance, fixpoint._replay
+    # the conjugator builds the witness and leaves its identity to the
+    # search's self-replay, which evaluates each identity of the table once
+    # on the maps the search holds and solves no inverse; the chain's
+    # report holds what it computed
+    calls, distances, solves, reports, replay_solves = [], [], [], [], []
+    residual, distance, replay = fixpoint._residual, ck_distance, \
+        fixpoint._replay
     inverse_values = diffeo.Diffeo1.inverse_values
 
-    def counting(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
+    def counting(row, *args):
+        calls.append(row["name"])
+        return residual(row, *args)
 
     def counting_distance(u, v):
         distances.append(v)
@@ -402,35 +407,32 @@ def test_a_converged_search_evaluates_each_identity_once(k, A, alpha,
         return inverse_values(self, y, xtol)
 
     def recording(*args):
+        before = len(solves)
         reports.append(replay(*args))
+        replay_solves.append(len(solves) - before)
         return reports[-1]
 
-    monkeypatch.setattr(fixpoint, "_rescale_residual",
-                        counting("rescale", fixpoint._rescale_residual))
-    flow_residual = counting("flow", reduction._flow_conjugacy_residual)
-    monkeypatch.setattr(reduction, "_flow_conjugacy_residual", flow_residual)
-    monkeypatch.setattr(fixpoint, "_flow_conjugacy_residual", flow_residual)
-    monkeypatch.setattr(fixpoint, "_flow_time_one_residual",
-                        counting("time-one", fixpoint._flow_time_one_residual))
+    monkeypatch.setattr(fixpoint, "_residual", counting)
     monkeypatch.setattr(fixpoint, "ck_distance", counting_distance)
     monkeypatch.setattr(diffeo.Diffeo1, "inverse_values", counting_solve)
     monkeypatch.setattr(fixpoint, "_replay", recording)
     cfg = make_config(k, alpha, A)
     res = fixed_point_search(
         calibrated_bump(0.3 * cfg.delta0, alpha, k=k, center=0.1), cfg)
+    names = ["rescale-conjugation", "flow-conjugacy", "flow-time-one",
+             "fixed-point"]
     assert res.converged and len(reports) == 1 and reports[0]["ok"]
-    assert calls == {"rescale": 1, "flow": 1, "time-one": 1}
-    assert sum(v is res.u0 for v in distances) == 1
-    lam = res.certificates[0].lam
-    assert all(m is not lam for m in solves)
-    # the held residuals are those the written chain's replay recomputes,
-    # at k = 1 too, where the source window is not the witness's; that
-    # replay solves no inverse at all
-    del solves[:]
+    assert calls == names and replay_solves == [0]
+    # the last step's distance, and the replay's fixed-point item
+    assert sum(v is res.u0 for v in distances) == 2
+    assert all(m is not res.certificate.lam for m in solves)
+    assert res.chain["report"]["residuals"] == {
+        item["name"]: item["recomputed"] for item in reports[0]["items"]
+        if item["name"] in names}
+    # the written chain's replay recomputes the same residuals, at k = 1
+    # too, where the source window is not the witness's
     decoded = verify_certificate(json.loads(dump_chain(res.chain)))
-    assert calls == {"rescale": 2, "flow": 2, "time-one": 2}
-    assert solves == []
-    assert "flow-time-one" in [item["name"] for item in decoded["items"]]
+    assert calls == names + names and replay_solves == [0, 0]
     assert _item_bits(reports[0]) == _item_bits(decoded)
 
 
@@ -460,15 +462,16 @@ def test_emitted_certificate_verifies(converged):
     report = verify_certificate(converged.chain)
     assert report["ok"]
     names = [item["name"] for item in report["items"]]
-    assert names == ["config", "rescale-conjugation", "flow-conjugacy",
-                     "flow-time-one", "fixed-point", "support-f", "support-u0",
-                     "support-conjugated", "support-reduced",
-                     "support-witness"]
+    assert names == ["config", "identities", "rescale-conjugation",
+                     "flow-conjugacy", "flow-time-one", "fixed-point",
+                     "support-f", "support-u0", "support-conjugated",
+                     "support-reduced", "support-witness"]
     assert all(item["ok"] for item in report["items"])
+    assert "report" in report["unreplayed"]
 
 
 def test_the_certificate_flow_map_is_the_direct_integration(converged):
-    tau = converged.certificates[0].tau
+    tau = converged.certificate.tau
     fresh = time_t_map(make_rho(4), 1.0, 2)
     assert (tau.a, tau.b, tau.n) == (fresh.a, fresh.b, fresh.n)
     assert np.array_equal(tau.jets, fresh.jets)
@@ -479,8 +482,8 @@ def test_the_certificate_flow_map_is_the_direct_integration(converged):
 
 def test_searches_share_one_unit_time_map(preset_f, cfg):
     flow._unit_time_map.cache_clear()
-    first = fixed_point_search(identity(2, -1.0, 1.0), cfg).certificates[0]
-    second = fixed_point_search(preset_f, cfg).certificates[0]
+    first = fixed_point_search(identity(2, -1.0, 1.0), cfg).certificate
+    second = fixed_point_search(preset_f, cfg).certificate
     assert first.b != second.b
     # the time-b map is built per search and never cached
     assert flow._unit_time_map.cache_info().currsize == 1
@@ -521,7 +524,7 @@ def _failed(report):
 def test_the_chain_stores_rescaler_parameters_not_a_map(converged, cfg):
     chain = converged.chain
     assert (chain["format"], chain["version"]) == (
-        "homology-certificate-chain", 3)
+        "homology-certificate-chain", 4)
     assert set(chain["maps"]) == {"f", "u0", "conjugated", "reduced",
                                   "witness", "flow_time_one"}
     assert chain["rescaler"] == dict(zip(("ratio", "zi", "zo", "k"),
@@ -691,10 +694,97 @@ def test_a_small_stored_residual_is_no_licence(converged):
     chain = _copy(converged)
     w = chain["maps"]["witness"]
     put_map_jets(w, map_jets(w) * 1.5)
-    chain["identities"]["flow_conjugacy"]["residual"] = 1.0
+    chain["report"]["residuals"]["flow-conjugacy"] = 1.0
     report = verify_certificate(chain)
     assert not report["ok"]
     assert _failed(report)["flow-conjugacy"] > DEFAULT_TOL.cert_tol
+
+
+def _leaves(node, path=()):
+    """(path, value) of every leaf of a JSON tree."""
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _leaves(node[key], path + (key,))
+    else:
+        yield path, node
+
+
+def _changed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value * 1.5 + 1e-3
+    return value + "x"
+
+
+@pytest.mark.parametrize("section", ["identities", "report"])
+def test_every_identity_leaf_is_replayed_and_no_report_leaf(converged,
+                                                            section):
+    # a changed name, word, window, count or statement fails the
+    # identities item alone: the replay evaluates the code's table, so the
+    # chain's words cannot be made a tautology.  The report is unreplayed
+    leaves = list(_leaves(converged.chain[section]))
+    assert len(leaves) == (41 if section == "identities" else 9)
+    for path, value in leaves:
+        chain = _copy(converged)
+        node = chain[section]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = _changed(value)
+        report = verify_certificate(chain)
+        if section == "identities":
+            assert list(_failed(report)) == ["identities"], path
+            assert report["items"][1]["mismatch"] == [
+                converged.chain["identities"][path[0]]["name"]], path
+        else:
+            assert report["ok"], path
+
+
+def _swap_flow_words(table):
+    table[1]["lhs"] = ["flow_time_one", "conjugated", "witness"]
+
+
+@pytest.mark.parametrize("edit,mismatch", [
+    (_swap_flow_words, ["flow-conjugacy"]),
+    (lambda table: table.pop(), ["fixed-point", "length"]),
+    (lambda table: table.append(dict(table[0])), ["length"]),
+    (lambda table: table.reverse(), ["rescale-conjugation", "flow-conjugacy",
+                                     "flow-time-one", "fixed-point"]),
+    (lambda table: table[2].update(samples=10), ["flow-time-one"]),
+])
+def test_another_identity_table_fails_its_item(converged, edit, mismatch):
+    chain = _copy(converged)
+    edit(chain["identities"])
+    report = verify_certificate(chain)
+    assert list(_failed(report)) == ["identities"]
+    assert report["items"][1]["mismatch"] == mismatch
+
+
+def test_the_statements_are_read_off_the_words(converged):
+    statements = {row["name"]: row["statement"]
+                  for row in converged.chain["identities"]}
+    assert statements == {
+        "rescale-conjugation": "conjugated o rescaler = rescaler o f o u0",
+        "flow-conjugacy": ("flow_time_one o reduced o witness = witness o "
+                           "flow_time_one o conjugated"),
+        "flow-time-one": ("flow_time_one is the unit-time map of the "
+                          "plateau field of A"),
+        "fixed-point": "reduced = u0 in the C^k metric"}
+
+
+def test_the_rescaler_letter_is_the_closed_form_map(cfg):
+    # the word evaluator reads the rescaler through _apply_letter, which
+    # leaves the points off (-zo, zo) as they are
+    params = rescaler_params(cfg)
+    letter = fixpoint._RescalerLetter(params)
+    q = make_rescaler(cfg)
+    xs = np.linspace(-1.2 * params[2], 1.2 * params[2], 4001)
+    got = reduction._word(xs, [(letter, 1, 0.0, 0.0)], 2)
+    assert np.max(np.abs(got[:, 0] - q(xs))) <= 1e-9
+    assert np.max(np.abs(got[:, 1:] - q.jet_at(xs, 2)[:, 1:])) <= 1e-6
+    outside = np.abs(xs) >= params[2]
+    assert np.array_equal(got[outside, 0], xs[outside])
 
 
 def test_an_input_reaching_past_the_target_is_caught(converged):
@@ -714,6 +804,7 @@ def test_an_input_reaching_past_the_target_is_caught(converged):
 @pytest.mark.parametrize("fmt,version", [("junk", 99),
                                          ("homology-certificate-chain", 1),
                                          ("homology-certificate-chain", 2),
+                                         ("homology-certificate-chain", 3),
                                          (None, 2)])
 def test_other_formats_and_versions_are_refused(converged, fmt, version):
     chain = _copy(converged)

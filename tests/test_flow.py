@@ -5,6 +5,8 @@ must move at unit speed inside and freeze outside; the chart conjugates
 the unit translation to the time-one map.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -221,12 +223,12 @@ def test_one_profile_serves_every_width(monkeypatch):
 
     monkeypatch.setattr(flow._dop853, "integrate", counted)
     # tolerances no other test uses, so neither profile is cached yet
-    tol = DEFAULT_TOL.with_overrides(ode_tol=2.5e-12)
+    tol = dataclasses.replace(DEFAULT_TOL, ode_tol=2.5e-12)
     charts = [trajectory_chart(make_rho(A), 2, tol=tol) for A in (1, 2, 4, 8)]
     assert calls == [2.5e-12]
     assert all(c._profile is charts[0]._profile for c in charts)
     trajectory_chart(make_rho(4), 2,
-                     tol=DEFAULT_TOL.with_overrides(ode_tol=3.5e-12))
+                     tol=dataclasses.replace(DEFAULT_TOL, ode_tol=3.5e-12))
     assert calls == [2.5e-12, 3.5e-12]
 
 
@@ -235,7 +237,7 @@ def test_profile_refuses_a_reach_it_does_not_attain(monkeypatch):
     # the chart inverse must reach inside the profile
     assert flow.OVERLAP_REACH < trajectory_chart(make_rho(1), 2).attained - 2
     monkeypatch.setattr(flow, "OVERLAP_REACH", 0.95)
-    tol = DEFAULT_TOL.with_overrides(ode_tol=4.5e-12)
+    tol = dataclasses.replace(DEFAULT_TOL, ode_tol=4.5e-12)
     with pytest.raises(ConstructionError, match="flow stage"):
         trajectory_chart(make_rho(1), 2, tol=tol)
 

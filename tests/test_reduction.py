@@ -43,7 +43,7 @@ from diffeolab import (calibrated_bump, from_preset, holder_norm, reduction,
                        rescaler_params, smallness_threshold)
 from diffeolab.config import EVAL_DENSITY
 from diffeolab.diffeo import _apply_letter, _build_adaptive, _grid_cells
-from diffeolab.fixpoint import _renorm_full
+from diffeolab.fixpoint import _renorm_full, identity_residual
 from diffeolab.jets import compose_derivs
 from diffeolab.reduction import _sup_norms, _word, spreading_smallness
 from _helpers import small_bump, small_periodic
@@ -661,10 +661,17 @@ def test_lambda_limit_refuses_a_word_above_the_cap_before_building(
     built = []
     monkeypatch.setattr(reduction, "_build_adaptive",
                         lambda *a, **kw: built.append(a[0]))
-    tol = DEFAULT_TOL.with_overrides(word_cap=6)
+    tol = dataclasses.replace(DEFAULT_TOL, word_cap=6)
     with pytest.raises(ConstructionError, match="word length 7 exceeds"):
         lambda_limit(u, u, cfg, tol)
     assert built == []
+
+
+def _flow_conjugacy(u, v, cert, cfg):
+    """The certificate's flow-conjugacy residual of the witness of u, v."""
+    return identity_residual("flow-conjugacy", {
+        "conjugated": u, "reduced": v, "witness": cert.lam,
+        "flow_time_one": cert.tau}, cfg)
 
 
 def test_conjugator_certificate_for_a_reduced_pair(monkeypatch):
@@ -681,7 +688,7 @@ def test_conjugator_certificate_for_a_reduced_pair(monkeypatch):
     cert = conjugator(g, res.map, cfg)
     # the translation is read off the limit word: nothing is rolled
     assert rolled == []
-    assert cert.residual <= 1e-5
+    assert _flow_conjugacy(g, res.map, cert, cfg) <= 1e-5
     supp = support_interval(cert.lam, slack=1e-9)
     assert supp[0] >= -2.0 * cfg.A - cert.lam.h
     assert supp[1] <= 2.0 * cfg.A + 1.0 + cert.lam.h
@@ -692,7 +699,7 @@ def test_conjugator_of_equal_maps_is_trivial():
     g = sweep_profile(2, eps=4e-6)
     cert = conjugator(g, g, cfg)
     assert abs(cert.b) <= 1e-15
-    assert cert.residual <= 1e-12
+    assert _flow_conjugacy(g, g, cert, cfg) <= 1e-12
     assert float(np.max(np.abs(cert.lam.jets))) <= 1e-8
 
 
